@@ -27,7 +27,14 @@ from .metrics import (
     pearson,
     recall_at,
 )
-from .model import GraphBatch, ModelParams, init_params, predict
+from .model import (
+    GraphBatch,
+    ModelParams,
+    encode_graphs,
+    init_params,
+    predict,
+    predict_graphs,
+)
 from .smiles import MolGraph, SmilesError, parse_smiles
 from .synth import SynthMeta, synth_dataset
 from .train import TrainConfig, TrainLog, train
@@ -56,6 +63,7 @@ __all__ = [
     "TransferResult",
     "al_run",
     "concordance_index",
+    "encode_graphs",
     "featurize_smiles",
     "ingest_csv",
     "init_params",
@@ -65,6 +73,7 @@ __all__ = [
     "pchembl",
     "pearson",
     "predict",
+    "predict_graphs",
     "read_smiles_csv",
     "recall_at",
     "save_checkpoint",

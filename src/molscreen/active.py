@@ -17,7 +17,7 @@ from .data import HIT_DIRECTIONS, TaskDataset
 from .engine import rng_stream
 from .featurize import FeaturizedGraph, featurize_smiles
 from .metrics import rank_best_first
-from .model import GraphBatch, ModelParams, predict
+from .model import ModelParams, predict_graphs
 from .train import TrainConfig, train
 
 ACQUISITIONS = ("greedy_mean", "ucb")
@@ -85,36 +85,6 @@ class ALResult:
     log: list[ALRound] = field(default_factory=list)
 
 
-def ensemble_predict(
-    members: list[ModelParams],
-    graphs: list[FeaturizedGraph],
-    task_index: int = 0,
-    batch_size: int = 256,
-) -> np.ndarray:
-    """Arithmetic mean of member predictions for one task."""
-    if not members:
-        raise ValueError("ensemble is empty")
-    chunks = []
-    for start in range(0, len(graphs), batch_size):
-        batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
-        member_preds = np.stack(
-            [predict(batch, m, [task_index])[:, 0] for m in members]
-        )
-        chunks.append(member_preds)
-    preds = np.concatenate(chunks, axis=1)
-    return preds.mean(axis=0)
-
-
-def _member_predictions(
-    members: list[ModelParams], graphs: list[FeaturizedGraph], batch_size: int = 256
-) -> np.ndarray:
-    chunks = []
-    for start in range(0, len(graphs), batch_size):
-        batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
-        chunks.append(np.stack([predict(batch, m, [0])[:, 0] for m in members]))
-    return np.concatenate(chunks, axis=1)  # (n_members, n_graphs)
-
-
 def acquisition_scores(
     members: list[ModelParams],
     graphs: list[FeaturizedGraph],
@@ -128,7 +98,7 @@ def acquisition_scores(
         raise ValueError("ensemble is empty")
     if hit_direction not in HIT_DIRECTIONS:
         raise ValueError(f"hit direction must be one of {HIT_DIRECTIONS}")
-    preds = _member_predictions(members, graphs)
+    preds = np.stack([predict_graphs(graphs, m, [0])[:, 0] for m in members])
     mean = preds.mean(axis=0)
     if acquisition == "greedy_mean":
         return mean

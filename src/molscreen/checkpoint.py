@@ -83,6 +83,56 @@ def save_checkpoint(
     Path(path).write_bytes(b"".join(chunks))
 
 
+_HEADER_KEYS = (
+    "format_version", "embed_dim", "n_layers", "head_hidden", "dropout",
+    "task_names", "hit_directions", "atom_widths", "bond_widths",
+    "schema_hash", "seed", "log_summary", "arrays",
+)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(value, check) -> bool:
+    return isinstance(value, list) and all(check(v) for v in value)
+
+
+def _check_header(header, version: int) -> None:
+    """Reject a header that ``init_params`` and the loader cannot use."""
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {missing}")
+    if header["format_version"] != version:
+        raise CheckpointError("header format_version differs from the file's")
+    for key in ("embed_dim", "n_layers", "head_hidden"):
+        if not _is_int(header[key]) or header[key] < 1:
+            raise CheckpointError(f"{key} must be a positive integer, got {header[key]!r}")
+    dropout = header["dropout"]
+    is_number = isinstance(dropout, (int, float)) and not isinstance(dropout, bool)
+    if not (is_number and 0.0 <= dropout < 1.0):
+        raise CheckpointError(f"dropout must be in [0, 1), got {dropout!r}")
+    if not _is_int(header["seed"]):
+        raise CheckpointError(f"seed must be an integer, got {header['seed']!r}")
+    for key in ("task_names", "hit_directions", "arrays"):
+        if not _is_list_of(header[key], lambda v: isinstance(v, str)):
+            raise CheckpointError(f"{key} must be a list of strings")
+    for key in ("atom_widths", "bond_widths"):
+        if not _is_list_of(header[key], lambda v: _is_int(v) and v >= 1):
+            raise CheckpointError(f"{key} must be a list of positive integers")
+    if len(header["hit_directions"]) != len(header["task_names"]):
+        raise CheckpointError("one hit direction per task required")
+    for d in header["hit_directions"]:
+        if d not in HIT_DIRECTIONS:
+            raise CheckpointError(f"hit direction {d!r} not in {HIT_DIRECTIONS}")
+    if not isinstance(header["schema_hash"], str):
+        raise CheckpointError("schema_hash must be a string")
+    if header["log_summary"] is not None and not isinstance(header["log_summary"], dict):
+        raise CheckpointError("log_summary must be an object or null")
+
+
 class _Reader:
     def __init__(self, blob: bytes):
         self.blob = blob
@@ -111,6 +161,7 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(reader.take(header_len).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    _check_header(header, version)
     schema = FeatureSchema(
         atom_widths=tuple(header["atom_widths"]),
         bond_widths=tuple(header["bond_widths"]),

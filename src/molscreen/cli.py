@@ -31,13 +31,12 @@ from .metrics import (
     MetricError,
     ScreenResult,
     concordance_index,
-    export_embeddings,
     mse,
     pearson,
     rank_best_first,
     recall_at,
 )
-from .model import GraphBatch, ModelParams, predict
+from .model import encode_graphs, predict_graphs
 from .synth import SynthMeta, synth_dataset, task_oracle
 from .train import TrainConfig, TrainingDiverged, summarize_log, train
 from .transfer import TransferError, transfer_train
@@ -166,10 +165,11 @@ def _load_dataset(path) -> TaskDataset:
     return ds
 
 
-def _load_smiles(path, *, strict: bool) -> list[str]:
-    """The smiles column of a CSV; with ``strict`` any bad row is fatal."""
+def _load_smiles(path, *, strict: bool) -> tuple[list[str], list]:
+    """The smiles column of a CSV and its featurized graphs; with ``strict``
+    any bad row is fatal."""
     try:
-        smiles, report = read_smiles_csv(path)
+        smiles, graphs, report = read_smiles_csv(path)
     except (OSError, IngestError) as exc:
         raise InputError(str(exc)) from exc
     if report.n_rejected:
@@ -181,7 +181,7 @@ def _load_smiles(path, *, strict: bool) -> list[str]:
         _print_report(path, report)
     if not smiles:
         raise InputError(f"{path}: no usable compounds")
-    return smiles
+    return smiles, graphs
 
 
 def _print_report(path, report) -> None:
@@ -224,22 +224,6 @@ def _task_indices(ck: Checkpoint, names: list[str]) -> list[int]:
             )
         indices.append(ck.params.task_names.index(name))
     return indices
-
-
-def _featurize_strict(smiles: list[str]) -> list:
-    from .featurize import featurize_smiles
-
-    return [featurize_smiles(s) for s in smiles]
-
-
-def _predict_matrix(
-    params: ModelParams, graphs: list, task_indices: list[int], batch_size: int = 256
-) -> np.ndarray:
-    chunks = []
-    for start in range(0, len(graphs), batch_size):
-        batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
-        chunks.append(predict(batch, params, task_indices))
-    return np.concatenate(chunks, axis=0)
 
 
 def _write_csv_text(path, lines: list[str]) -> None:
@@ -355,8 +339,8 @@ def cmd_predict(args) -> None:
         else list(ck.params.task_names)
     )
     indices = _task_indices(ck, names)
-    smiles = _load_smiles(args.input, strict=True)
-    preds = _predict_matrix(ck.params, _featurize_strict(smiles), indices)
+    smiles, graphs = _load_smiles(args.input, strict=True)
+    preds = predict_graphs(graphs, ck.params, indices)
     lines = ["smiles," + ",".join(names)]
     for i, s in enumerate(smiles):
         lines.append(s + "," + ",".join(repr(float(v)) for v in preds[i]))
@@ -373,8 +357,8 @@ def cmd_screen(args) -> None:
     name = args.task or ck.params.task_names[0]
     index = _task_indices(ck, [name])[0]
     direction = ck.hit_directions[index]
-    smiles = _load_smiles(args.library, strict=True)
-    scores = _predict_matrix(ck.params, _featurize_strict(smiles), [index])[:, 0]
+    smiles, graphs = _load_smiles(args.library, strict=True)
+    scores = predict_graphs(graphs, ck.params, [index])[:, 0]
     order = rank_best_first(scores, direction)
     n_hits = math.ceil(args.top_frac * len(smiles))
     lines = ["smiles,predicted_score,rank,is_predicted_hit"]
@@ -417,7 +401,7 @@ def cmd_eval(args) -> None:
         rows = np.flatnonzero(ds.label_mask[:, column])
         truth = ds.labels[rows, column]
         graphs = [ds.graphs[i] for i in rows]
-        preds = _predict_matrix(ck.params, graphs, [index])[:, 0]
+        preds = predict_graphs(graphs, ck.params, [index])[:, 0]
         direction = ck.hit_directions[index]
         try:
             lines.append(f"mse,{name},{repr(mse(truth, preds))}")
@@ -445,21 +429,13 @@ def cmd_export_embeddings(args) -> None:
     ck = _load_ckpt(args.checkpoint)
     _require_current_schema(ck, args.checkpoint)
     _print_seed(ck.seed)
-    smiles = _load_smiles(args.input, strict=True)
-    ds = TaskDataset(
-        smiles=smiles,
-        graphs=_featurize_strict(smiles),
-        labels=np.zeros((len(smiles), len(ck.params.task_names))),
-        task_names=list(ck.params.task_names),
-        hit_directions=list(ck.hit_directions),
-        schema=ck.params.schema,
-    )
-    matrix, ordered = export_embeddings(ck.params, ds)
+    smiles, graphs = _load_smiles(args.input, strict=True)
+    matrix = encode_graphs(graphs, ck.params)
     lines = ["smiles," + ",".join(f"e{j}" for j in range(matrix.shape[1]))]
-    for i, s in enumerate(ordered):
+    for i, s in enumerate(smiles):
         lines.append(s + "," + ",".join(repr(float(v)) for v in matrix[i]))
     _write_csv_text(args.out, lines)
-    print(json.dumps({"out": str(args.out), "compounds": len(ordered), "dim": matrix.shape[1]}))
+    print(json.dumps({"out": str(args.out), "compounds": len(smiles), "dim": matrix.shape[1]}))
 
 
 def cmd_transfer(args) -> None:
@@ -535,7 +511,7 @@ def cmd_active_learn(args) -> None:
             f"--oracle-task {args.oracle_task} out of range for {meta.n_tasks} tasks"
         )
     oracle = task_oracle(meta, args.oracle_task)
-    pool = _load_smiles(args.pool, strict=False)
+    pool, _ = _load_smiles(args.pool, strict=False)
     try:
         result = al_run(
             pool,
@@ -641,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-name", default="T0", help="task name for outputs")
     p.add_argument("--log-out", required=True, help="per-round log CSV")
     p.add_argument("--acquired-out", help="labeled-set CSV (acquisition order)")
-    p.add_argument("--out", help="checkpoint of the first final-ensemble member")
+    p.add_argument("--out", help="checkpoint of final-ensemble member 0 only")
     _add_config_flags(p)
     p.set_defaults(func=cmd_active_learn)
 

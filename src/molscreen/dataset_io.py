@@ -23,7 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import TaskDataset
-from .featurize import DEFAULT_SCHEMA, FeatureSchema, SchemaError, featurize_smiles
+from .featurize import (
+    DEFAULT_SCHEMA,
+    FeatureSchema,
+    FeaturizedGraph,
+    SchemaError,
+    featurize_smiles,
+)
 from .metrics import MetricError, pchembl
 from .smiles import SmilesError
 
@@ -76,8 +82,11 @@ def _read_rows(path) -> list[list[str]]:
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc})") from exc
     if not rows:
         raise IngestError(f"{path}: empty file (header required)")
     return rows
@@ -188,9 +197,10 @@ def ingest_csv(
     return ds, report
 
 
-def read_smiles_csv(path) -> tuple[list[str], IngestReport]:
-    """Read just the ``smiles`` column (a screening library), validating each
-    molecule; other columns are ignored."""
+def read_smiles_csv(path) -> tuple[list[str], list[FeaturizedGraph], IngestReport]:
+    """Read just the ``smiles`` column (a screening library); other columns
+    are ignored.  Returns the accepted SMILES, their featurized graphs (one
+    per accepted row, same order) and the row report."""
     rows = _read_rows(path)
     header = [c.strip() for c in rows[0]]
     if "smiles" not in header:
@@ -204,17 +214,18 @@ def read_smiles_csv(path) -> tuple[list[str], IngestReport]:
             continue
         pairs.append((row_number, row[col].strip()))
     results = _featurize_many([s for _, s in pairs], DEFAULT_SCHEMA)
-    accepted = []
+    accepted, graphs = [], []
     for (row_number, smiles), (ok, payload) in zip(pairs, results):
         if ok:
             accepted.append(smiles)
+            graphs.append(payload)
         else:
             rejected.append((row_number, payload))
     rejected.sort(key=lambda pair: pair[0])
     report = IngestReport(
         n_rows=len(rows) - 1, n_accepted=len(accepted), rejected=rejected
     )
-    return accepted, report
+    return accepted, graphs, report
 
 
 def write_dataset_csv(path, ds: TaskDataset) -> None:

@@ -14,9 +14,8 @@ import inspect
 import numpy as np
 
 from .data import TaskDataset
-from .featurize import DEFAULT_SCHEMA
-from .metrics import export_embeddings
-from .model import GraphBatch, predict as model_predict
+from .featurize import DEFAULT_SCHEMA, featurize_smiles
+from .model import encode_graphs, predict_graphs
 from .train import TrainConfig, train
 
 
@@ -152,38 +151,19 @@ class MultiTaskGINRegressor:
                 f"{type(self).__name__} is not fitted yet; call fit() first"
             )
 
-    def _featurize(self, X) -> tuple[list[str], list]:
-        from .featurize import featurize_smiles
+    def _featurize(self, X) -> list:
+        return [featurize_smiles(s, self.schema_) for s in _as_smiles_list(X)]
 
-        smiles = _as_smiles_list(X)
-        graphs = [featurize_smiles(s, self.schema_) for s in smiles]
-        return smiles, graphs
-
-    def predict(self, X, *, tasks=None, batch_size: int = 256) -> np.ndarray:
+    def predict(self, X, *, tasks=None) -> np.ndarray:
         """Predicted scores, shape (n_compounds, n_tasks_requested)."""
         self._check_fitted()
-        _, graphs = self._featurize(X)
         task_indices = list(tasks) if tasks is not None else None
-        chunks = []
-        for start in range(0, len(graphs), batch_size):
-            batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
-            chunks.append(model_predict(batch, self.params_, task_indices))
-        return np.concatenate(chunks, axis=0)
+        return predict_graphs(self._featurize(X), self.params_, task_indices)
 
-    def transform(self, X, *, batch_size: int = 256) -> np.ndarray:
+    def transform(self, X) -> np.ndarray:
         """Mean-pooled graph embeddings from the shared encoder, shape (n, embed_dim)."""
         self._check_fitted()
-        smiles, graphs = self._featurize(X)
-        ds = TaskDataset(
-            smiles=smiles,
-            graphs=graphs,
-            labels=np.zeros((len(smiles), len(self.task_names_))),
-            task_names=self.task_names_,
-            hit_directions=self.hit_directions_,
-            schema=self.schema_,
-        )
-        matrix, _ = export_embeddings(self.params_, ds, batch_size=batch_size)
-        return matrix
+        return encode_graphs(self._featurize(X), self.params_)
 
     def fit_transform(self, X, y, **fit_kwargs) -> np.ndarray:
         return self.fit(X, y, **fit_kwargs).transform(X)
@@ -200,5 +180,5 @@ class GINRegressor(MultiTaskGINRegressor):
             X, labels, task_names=[task_name], hit_directions=[hit_direction]
         )
 
-    def predict(self, X, *, batch_size: int = 256) -> np.ndarray:
-        return super().predict(X, batch_size=batch_size)[:, 0]
+    def predict(self, X) -> np.ndarray:
+        return super().predict(X)[:, 0]

@@ -1,4 +1,4 @@
-"""Screening and regression metrics, plus compound-embedding export.
+"""Screening and regression metrics.
 
 Rankings honor a per-task hit direction: docking-style scores rank ascending
 (lower is better), potency-style scores descending.  Ties are broken by
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import HIT_DIRECTIONS, TaskDataset
-from .model import GraphBatch, ModelParams, gin_forward
+from .data import HIT_DIRECTIONS
 
 
 class MetricError(ValueError):
@@ -123,14 +122,3 @@ def recall_at(result: ScreenResult) -> float:
     predicted = set(rank_best_first(result.predicted_scores, result.hit_direction)[:cut])
     return len(true_hits & predicted) / result.k
 
-
-def export_embeddings(
-    params: ModelParams, ds: TaskDataset, batch_size: int = 256
-) -> tuple[np.ndarray, list[str]]:
-    """Eval-mode mean-pooled compound embeddings, one row per compound."""
-    rows = []
-    for start in range(0, ds.n_compounds, batch_size):
-        graphs = ds.graphs[start : start + batch_size]
-        batch = GraphBatch.from_graphs(graphs)
-        rows.append(gin_forward(batch, params, train=False).data)
-    return np.concatenate(rows, axis=0), list(ds.smiles)

@@ -24,6 +24,7 @@ from .featurize import (
 )
 
 _EMBED_STD = 0.02
+INFERENCE_BATCH = 256  # graphs packed per eval-mode forward
 
 
 @dataclass
@@ -387,3 +388,25 @@ def predict(
     z = gin_forward(batch, params, train=False)
     cols = predict_heads(z, params, task_indices, train=False)
     return np.concatenate([c.data for c in cols], axis=1)
+
+
+def _packed_chunks(graphs: list[FeaturizedGraph]):
+    for start in range(0, len(graphs), INFERENCE_BATCH):
+        yield GraphBatch.from_graphs(graphs[start : start + INFERENCE_BATCH])
+
+
+def encode_graphs(graphs: list[FeaturizedGraph], params: ModelParams) -> np.ndarray:
+    """Eval-mode mean-pooled embeddings, shape (n_graphs, embed_dim)."""
+    return np.concatenate(
+        [gin_forward(batch, params, train=False).data for batch in _packed_chunks(graphs)]
+    )
+
+
+def predict_graphs(
+    graphs: list[FeaturizedGraph], params: ModelParams, task_indices=None
+) -> np.ndarray:
+    """Eval-mode scores of any number of graphs, packed in chunks of
+    ``INFERENCE_BATCH``; shape (n_graphs, len(task_indices))."""
+    return np.concatenate(
+        [predict(batch, params, task_indices) for batch in _packed_chunks(graphs)]
+    )

@@ -164,9 +164,6 @@ class MolGraph:
             atom.degree = len(graph.neighbors[v])
         return graph
 
-    def are_bonded(self, a: int, b: int) -> bool:
-        return any(u == b for u, _ in self.neighbors[a])
-
 
 def parse_smiles(text: str) -> MolGraph:
     """Parse a SMILES string into a :class:`MolGraph`.

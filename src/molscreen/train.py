@@ -319,13 +319,3 @@ def train_with_split(
             break
     return best_params, log
 
-
-def train_single_task(
-    ds: TaskDataset, config: TrainConfig, task: int = 0
-) -> tuple[ModelParams, TrainLog]:
-    """Train on one task only (the single-task special case)."""
-    if ds.n_tasks == 1 and task == 0:
-        sub = ds
-    else:
-        sub = ds.restrict_to_tasks([task])
-    return train(sub, config)

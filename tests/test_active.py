@@ -10,7 +10,6 @@ from molscreen.active import (
     ALConfig,
     acquisition_scores,
     al_run,
-    ensemble_predict,
     log_to_csv,
     select_batch,
 )
@@ -108,7 +107,7 @@ class TestEnsemblePredict:
         members = self._members([1, 2, 3, 4, 5])
         batch = GraphBatch.from_graphs(graphs)
         singles = np.stack([predict(batch, m)[:, 0] for m in members])
-        out = ensemble_predict(members, graphs)
+        out = acquisition_scores(members, graphs, "greedy_mean", 1.0, "lower_is_better")
         np.testing.assert_allclose(out, singles.mean(axis=0), atol=1e-12)
         assert out.shape == (3,)
 
@@ -116,11 +115,16 @@ class TestEnsemblePredict:
         graphs = [featurize_smiles("CCO")]
         members = self._members([7, 7, 7])
         single = predict(GraphBatch.from_graphs(graphs), members[0])[:, 0]
-        np.testing.assert_array_equal(ensemble_predict(members, graphs), single)
+        np.testing.assert_array_equal(
+            acquisition_scores(members, graphs, "greedy_mean", 1.0, "lower_is_better"),
+            single,
+        )
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            ensemble_predict([], [featurize_smiles("C")])
+            acquisition_scores(
+                [], [featurize_smiles("C")], "greedy_mean", 1.0, "lower_is_better"
+            )
 
     def test_ucb_equals_greedy_when_members_agree(self):
         graphs = [featurize_smiles(s) for s in ["CCO", "CCN", "CCC"]]

@@ -1,5 +1,9 @@
 """Checkpoint format: JSON header + named float64 arrays, bit-exact."""
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,8 @@ from molscreen.checkpoint import (
 from molscreen.featurize import featurize_smiles
 from molscreen.model import GraphBatch, init_params, predict
 from molscreen.train import EpochRecord, TrainLog, summarize_log
+
+GOLDEN = Path(__file__).parent / "data" / "golden" / "model.ckpt"
 
 
 def sample_params(seed=0):
@@ -141,3 +147,82 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def _split_golden():
+    """The golden checkpoint as (parsed JSON header, array section bytes)."""
+    blob = GOLDEN.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16 : 16 + length]), blob[16 + length :]
+
+
+def _with_header(path, header_value, arrays: bytes):
+    """Write the golden arrays behind an arbitrary JSON header value."""
+    header = json.dumps(header_value, sort_keys=True).encode()
+    path.write_bytes(
+        GOLDEN.read_bytes()[:8] + struct.pack("<Q", len(header)) + header + arrays
+    )
+    return path
+
+
+class TestHeaderValidation:
+    def test_golden_header_loads(self, tmp_path):
+        header, arrays = _split_golden()
+        ckpt = load_checkpoint(_with_header(tmp_path / "m.ckpt", header, arrays))
+        assert ckpt.seed == header["seed"]
+
+    def test_missing_key_rejected(self, tmp_path):
+        header, arrays = _split_golden()
+        del header["seed"]
+        with pytest.raises(CheckpointError, match="seed"):
+            load_checkpoint(_with_header(tmp_path / "m.ckpt", header, arrays))
+
+    def test_non_object_header_rejected(self, tmp_path):
+        header, arrays = _split_golden()
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(_with_header(tmp_path / "m.ckpt", list(header), arrays))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("embed_dim", -1),
+            ("embed_dim", 0),
+            ("n_layers", 2.0),
+            ("head_hidden", True),
+            ("dropout", 1.0),
+            ("dropout", -0.1),
+            ("seed", "20"),
+            ("task_names", "task0"),
+            ("hit_directions", ["lower_is_better"]),
+            ("hit_directions", ["lower_is_better", "sideways"]),
+            ("atom_widths", [119, -16]),
+            ("log_summary", [1]),
+        ],
+    )
+    def test_bad_value_rejected(self, tmp_path, key, value):
+        header, arrays = _split_golden()
+        header[key] = value
+        with pytest.raises(CheckpointError):
+            load_checkpoint(_with_header(tmp_path / "m.ckpt", header, arrays))
+
+    def test_byte_fuzz_over_header_only_raises_checkpoint_error(self, tmp_path):
+        blob = GOLDEN.read_bytes()
+        (length,) = struct.unpack("<Q", blob[8:16])
+        variants = []
+        for i in range(16 + length):
+            for mask in (0x01, 0x04, 0x20, 0x80):
+                flipped = bytearray(blob)
+                flipped[i] ^= mask
+                variants.append(bytes(flipped))
+            variants.append(blob[:i])
+        path = tmp_path / "fuzzed.ckpt"
+        loaded = 0
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                load_checkpoint(path)
+                loaded += 1
+            except CheckpointError:
+                pass
+        # some flips (a digit of a loss, a letter of a task name) are harmless
+        assert 0 < loaded < len(variants)

@@ -252,6 +252,20 @@ class TestPredictCommand:
         assert code == 3
         assert "row 3" in json.loads(err)["message"]
 
+    def test_non_utf8_input_is_io_error(self, workdir, tmp_path, capsys):
+        latin = tmp_path / "latin1.csv"
+        latin.write_bytes(b"smiles\n\xa3\xff\n")
+        code, _, err = run(
+            capsys, "predict", "--checkpoint", str(workdir / "mtl.ckpt"),
+            "--input", str(latin), "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "io-failure"
+        assert "latin1.csv" in error["message"]
+
     def test_missing_checkpoint_is_io_error(self, workdir, tmp_path, capsys):
         code, _, err = run(
             capsys, "predict", "--checkpoint", str(tmp_path / "none.ckpt"),
@@ -387,7 +401,7 @@ class TestEvalCommand:
 class TestExportEmbeddingsCommand:
     def test_matches_api(self, workdir, tmp_path, capsys):
         from molscreen.dataset_io import ingest_csv
-        from molscreen.metrics import export_embeddings
+        from molscreen.model import encode_graphs
 
         out = tmp_path / "emb.csv"
         code, _, _ = run(
@@ -399,11 +413,50 @@ class TestExportEmbeddingsCommand:
         assert len(rows) == 40
         ck = load_checkpoint(workdir / "mtl.ckpt")
         ds, _ = ingest_csv(workdir / "data.csv")
-        matrix, ordered = export_embeddings(ck.params, ds)
-        for row, smiles, vec in zip(rows, ordered, matrix):
+        matrix = encode_graphs(ds.graphs, ck.params)
+        for row, smiles, vec in zip(rows, ds.smiles, matrix):
             assert row["smiles"] == smiles
             got = np.array([float(row[f"e{j}"]) for j in range(matrix.shape[1])])
             np.testing.assert_array_equal(got, vec)
+
+
+class TestFeaturizeOnce:
+    """A library is parsed and featurized once per command, not once to
+    validate it and again to score it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["screen", "--checkpoint", "{ckpt}", "--library", "{lib}", "--out", "{out}"],
+            ["predict", "--checkpoint", "{ckpt}", "--input", "{lib}", "--out", "{out}"],
+            ["export-embeddings", "--checkpoint", "{ckpt}", "--input", "{lib}",
+             "--out", "{out}"],
+        ],
+        ids=["screen", "predict", "export-embeddings"],
+    )
+    def test_one_call_per_compound(self, argv, workdir, tmp_path, capsys, monkeypatch):
+        import molscreen.dataset_io
+        import molscreen.featurize
+
+        monkeypatch.delenv("MOLSCREEN_WORKERS", raising=False)
+        original = molscreen.featurize.featurize_smiles
+        calls = []
+
+        def counting(smiles, *args, **kwargs):
+            calls.append(smiles)
+            return original(smiles, *args, **kwargs)
+
+        for module in (molscreen.featurize, molscreen.dataset_io):
+            monkeypatch.setattr(module, "featurize_smiles", counting)
+        paths = {
+            "ckpt": workdir / "mtl.ckpt",
+            "lib": workdir / "data.csv",
+            "out": tmp_path / "out.csv",
+        }
+        code, _, _ = run(capsys, *[a.format(**paths) for a in argv])
+        assert code == 0
+        library = [r["smiles"] for r in read_rows(workdir / "data.csv")]
+        assert sorted(calls) == sorted(library)
 
 
 class TestTransferCommand:

@@ -132,6 +132,13 @@ class TestIngestErrors:
         with pytest.raises(IngestError):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("reader", [ingest_csv, read_smiles_csv])
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, reader):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"smiles,T0\n\xa3\xff,1.0\n")
+        with pytest.raises(IngestError, match="latin1.csv.*UTF-8"):
+            reader(path)
+
 
 class TestWriteRoundTrip:
     def test_synth_dataset_round_trips(self, tmp_path):
@@ -161,20 +168,23 @@ class TestWriteRoundTrip:
 class TestSmilesOnlyCsv:
     def test_reads_smiles_column(self, tmp_path):
         path = write(tmp_path, "smiles,junk\nCCO,1\nc1ccccc1,2\n")
-        smiles, report = read_smiles_csv(path)
+        smiles, graphs, report = read_smiles_csv(path)
         assert smiles == ["CCO", "c1ccccc1"]
+        assert [g.n_atoms for g in graphs] == [3, 6]
         assert report.n_rejected == 0
 
     def test_bad_rows_reported(self, tmp_path):
         path = write(tmp_path, "smiles\nCCO\nnot_a_mol(\n")
-        smiles, report = read_smiles_csv(path)
+        smiles, graphs, report = read_smiles_csv(path)
         assert smiles == ["CCO"]
+        assert len(graphs) == 1
         assert report.rejected[0][0] == 3
 
     def test_plain_header_only_smiles(self, tmp_path):
         path = write(tmp_path, "smiles\nCCO\nCCN\n")
-        smiles, _ = read_smiles_csv(path)
+        smiles, graphs, _ = read_smiles_csv(path)
         assert smiles == ["CCO", "CCN"]
+        assert len(graphs) == 2
 
 
 class TestWorkerPool:

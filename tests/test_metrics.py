@@ -5,18 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from molscreen.data import TaskDataset
 from molscreen.metrics import (
     MetricError,
     ScreenResult,
     concordance_index,
-    export_embeddings,
     mse,
     pchembl,
     pearson,
     recall_at,
 )
-from molscreen.model import init_params
 
 
 # ---------------------------------------------------------------- oracles
@@ -231,27 +228,3 @@ class TestRecallAt:
             true, np.exp(pred) * 3.0, "lower_is_better", k=5, cutoff_fraction=0.2
         )
         assert recall_at(warped) == base
-
-
-# ---------------------------------------------------------------- embeddings
-
-
-class TestExportEmbeddings:
-    def test_shape_and_determinism(self):
-        smiles = ["CCO", "c1ccccc1", "CC(=O)O", "CCO"]
-        labels = np.ones((4, 1))
-        ds = TaskDataset.from_smiles(smiles, labels, ["T0"], ["lower_is_better"])
-        params = init_params(["T0"], embed_dim=12, n_layers=2, head_hidden=8, seed=0)
-        emb, ids = export_embeddings(params, ds)
-        assert emb.shape == (4, 12)
-        assert ids == smiles
-        np.testing.assert_array_equal(emb[0], emb[3])  # identical SMILES
-
-    def test_atom_order_invariance(self):
-        smiles = ["CC(=O)O", "OC(=O)C"]
-        ds = TaskDataset.from_smiles(
-            smiles, np.ones((2, 1)), ["T0"], ["lower_is_better"]
-        )
-        params = init_params(["T0"], embed_dim=8, n_layers=2, head_hidden=8, seed=1)
-        emb, _ = export_embeddings(params, ds)
-        np.testing.assert_allclose(emb[0], emb[1], atol=1e-9)

@@ -9,10 +9,13 @@ from molscreen.featurize import featurize_smiles
 from molscreen.model import (
     GraphBatch,
     ModelParams,
+    INFERENCE_BATCH,
     embed_inputs,
+    encode_graphs,
     gin_forward,
     init_params,
     predict,
+    predict_graphs,
     predict_heads,
 )
 
@@ -202,6 +205,39 @@ class TestPredict:
         batch = batch_of("CCO", "CC")
         out = predict(batch, params)
         assert not np.allclose(out[:, 0], out[:, 1])
+
+
+class TestBatchedInference:
+    def test_encode_shape_and_identical_smiles(self):
+        smiles = ["CCO", "c1ccccc1", "CC(=O)O", "CCO"]
+        params = init_params(["T0"], embed_dim=12, n_layers=2, head_hidden=8, seed=0)
+        emb = encode_graphs([featurize_smiles(s) for s in smiles], params)
+        assert emb.shape == (4, 12)
+        np.testing.assert_array_equal(emb[0], emb[3])  # identical SMILES
+
+    def test_encode_atom_order_invariance(self):
+        params = init_params(["T0"], embed_dim=8, n_layers=2, head_hidden=8, seed=1)
+        emb = encode_graphs([featurize_smiles(s) for s in ["CC(=O)O", "OC(=O)C"]], params)
+        np.testing.assert_allclose(emb[0], emb[1], atol=1e-9)
+
+    def test_chunked_matches_one_batch(self):
+        # more graphs than one inference chunk: every chunk boundary must
+        # give the rows a single packed batch gives
+        pool = ["CCO", "c1ccccc1", "CC(=O)O", "CCN", "C1CC1", "CCCl", "OCCO"]
+        graphs = [featurize_smiles(pool[i % len(pool)]) for i in range(INFERENCE_BATCH + 5)]
+        params = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=8, seed=2)
+        whole = GraphBatch.from_graphs(graphs)
+        preds = predict_graphs(graphs, params)
+        assert preds.shape == (len(graphs), 2)
+        np.testing.assert_allclose(preds, predict(whole, params), atol=1e-12)
+        np.testing.assert_array_equal(
+            predict_graphs(graphs, params, [1])[:, 0], preds[:, 1]
+        )
+        np.testing.assert_allclose(
+            encode_graphs(graphs, params),
+            gin_forward(whole, params, train=False).data,
+            atol=1e-12,
+        )
 
 
 class TestEndToEndGradient:

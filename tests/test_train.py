@@ -15,7 +15,6 @@ from molscreen.train import (
     masked_loss,
     simulate_early_stopping,
     train,
-    train_single_task,
 )
 
 NAN = float("nan")
@@ -252,7 +251,7 @@ class TestTrainLoop:
         ds = make_dataset(24, 3)
         params, _ = train(ds, tiny_config())
         assert len(params.heads) == 3
-        params1, _ = train_single_task(ds, tiny_config())
+        params1, _ = train(ds.restrict_to_tasks([0]), tiny_config())
         assert len(params1.heads) == 1
 
     def test_bit_identical_given_seed(self):
@@ -309,7 +308,7 @@ class TestTrainLoop:
         )
         cfg = tiny_config(seed=9)
         mtl_params, mtl_log = train(ds, cfg)
-        st_params, st_log = train_single_task(ds, cfg)
+        st_params, st_log = train(ds.restrict_to_tasks([0]), cfg)
         assert mtl_log == st_log
         for (na, pa), (nb, pb) in zip(
             mtl_params.backbone_named_parameters(),
@@ -343,5 +342,5 @@ class TestTrainLoop:
 
     def test_single_task_restricts_to_task_zero(self):
         ds = make_dataset(24, 2)
-        p, _ = train_single_task(ds, tiny_config())
+        p, _ = train(ds.restrict_to_tasks([0]), tiny_config())
         assert p.task_names == ["T0"]
