@@ -147,14 +147,20 @@ def al_run(
     train_config: TrainConfig,
     hit_direction: str = "lower_is_better",
     task_name: str = "T0",
+    graphs: list[FeaturizedGraph] | None = None,
 ) -> ALResult:
     """Run the full acquisition loop; returns the final ensemble, the labeled
-    set (in acquisition order), and a per-round log."""
+    set (in acquisition order), and a per-round log.  ``graphs``, when given,
+    are the pool's featurized graphs (one per SMILES, same order), so a pool
+    read with ``read_smiles_csv`` is not featurized again."""
     pool_smiles = list(pool_smiles)
     n = len(pool_smiles)
     if n < config.total_budget:
         raise ValueError(f"pool of {n} compounds cannot supply {config.total_budget} labels")
-    graphs = [featurize_smiles(s) for s in pool_smiles]
+    if graphs is None:
+        graphs = [featurize_smiles(s) for s in pool_smiles]
+    elif len(graphs) != n:
+        raise ValueError(f"{len(graphs)} graphs for a pool of {n} compounds")
     init_order = rng_stream(config.seed, 5).permutation(n)
     labeled = [int(i) for i in init_order[: config.init_size]]
     labels = {i: float(oracle(pool_smiles[i])) for i in labeled}

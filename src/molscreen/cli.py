@@ -399,6 +399,8 @@ def cmd_eval(args) -> None:
         column = ds.task_names.index(name)
         index = ck.params.task_names.index(name)
         rows = np.flatnonzero(ds.label_mask[:, column])
+        if not rows.size:
+            raise ConfigError(f"task {name!r} has no labels in {args.data}")
         truth = ds.labels[rows, column]
         graphs = [ds.graphs[i] for i in rows]
         preds = predict_graphs(graphs, ck.params, [index])[:, 0]
@@ -511,7 +513,7 @@ def cmd_active_learn(args) -> None:
             f"--oracle-task {args.oracle_task} out of range for {meta.n_tasks} tasks"
         )
     oracle = task_oracle(meta, args.oracle_task)
-    pool, _ = _load_smiles(args.pool, strict=False)
+    pool, graphs = _load_smiles(args.pool, strict=False)
     try:
         result = al_run(
             pool,
@@ -520,6 +522,7 @@ def cmd_active_learn(args) -> None:
             config,
             hit_direction=args.hit_direction,
             task_name=args.task_name,
+            graphs=graphs,
         )
     except TrainingDiverged as exc:
         raise TrainingError(str(exc)) from exc

@@ -1,9 +1,10 @@
 """CSV dataset files.
 
 Grammar: a header row whose first column is ``smiles`` followed by one
-column per task; an empty cell means "no label".  A task column named
-``<target>:ic50_molar`` holds molar activity values that are converted to
-their negative log10 on ingest (and the task ranks higher-is-better); a
+column per task; an empty cell means "no label", and a row with a ``nan`` or
+``inf`` cell is rejected (it is neither a label nor a blank).  A task column
+named ``<target>:ic50_molar`` holds molar activity values that are converted
+to their negative log10 on ingest (and the task ranks higher-is-better); a
 column named ``<target>:higher_is_better`` holds already-converted values
 that rank higher-is-better (this is how such tasks are written back).
 Plain columns rank lower-is-better (docking-score convention).  Duplicate
@@ -142,6 +143,9 @@ def ingest_csv(
                 value = float(cell)
             except ValueError:
                 bad = f"column {task_names[t]!r}: {cell!r} is not a number"
+                break
+            if not np.isfinite(value):
+                bad = f"column {task_names[t]!r}: {cell!r} is not a finite number"
                 break
             if is_activity[t]:
                 try:

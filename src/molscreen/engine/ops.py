@@ -96,65 +96,170 @@ def embedding_lookup(
     table: Tensor, indices: np.ndarray, tape: Tape | None = None
 ) -> Tensor:
     indices = np.asarray(indices, dtype=np.int64)
+    if indices.ndim != 1:
+        raise ValueError("embedding indices must be one-dimensional")
     if indices.size and (indices.min() < 0 or indices.max() >= table.shape[0]):
         raise IndexError("embedding index out of range")
     out = table.data[indices]
 
     def backward(up):
+        # each table row sums its uses in index order from +0.0, as
+        # np.add.at would; accumulate is sequential at every row width
         grad = np.zeros_like(table.data)
-        np.add.at(grad, indices, up)
+        terms = up[np.argsort(indices, kind="stable")]
+        counts = np.bincount(indices, minlength=table.shape[0])
+        stops = np.cumsum(counts)
+        for row in np.flatnonzero(counts):
+            uses = terms[stops[row] - counts[row] : stops[row]]
+            grad[row] = np.add.accumulate(uses, axis=0, out=uses)[-1] + 0.0
         return (grad,)
 
     return _result(out, (table,), backward, tape)
 
 
-def _segment_ids(values: Tensor, segment_ids, num_segments: int) -> np.ndarray:
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.shape != (values.shape[0],):
-        raise ValueError("segment ids must be one per row of values")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise ValueError("segment id out of range")
-    return ids
+# np.add.reduceat sums a segment of at most this many rows as
+# a0 + ((a1 + a2) + ...); longer ones it sums pairwise in blocks
+SHORT_SEGMENT = 8
 
 
-def _segment_totals(data: np.ndarray, ids: np.ndarray, num_segments: int):
-    counts = np.bincount(ids, minlength=num_segments)
-    totals = np.zeros((num_segments,) + data.shape[1:], dtype=data.dtype)
-    if ids.size:
-        if np.all(ids[:-1] <= ids[1:]):
-            ordered, sorted_ids = data, ids
-        else:
-            order = np.argsort(ids, kind="stable")
-            ordered, sorted_ids = data[order], ids[order]
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        present = counts > 0
-        totals[present] = np.add.reduceat(ordered, starts[present], axis=0)
-    return totals, counts
+def _slot_columns(keys: np.ndarray, items: np.ndarray, num_keys: int):
+    """CSR slots of ``items`` grouped by ``keys``, in their given order.
+
+    Returns the keys that occur, most items first (stable), and one column
+    per slot: column ``j`` holds the ``j``-th item of every key with more
+    than ``j`` items, so each column is a prefix of the key list and nothing
+    is padded.
+    """
+    counts = np.bincount(keys, minlength=num_keys)
+    by_count = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    grouped = items[np.argsort(keys, kind="stable")]
+    starts = (np.cumsum(counts) - counts)[by_count]
+    sorted_counts = counts[by_count]
+    columns = tuple(
+        grouped[starts[: np.count_nonzero(sorted_counts > j)] + j]
+        for j in range(int(sorted_counts[0]) if by_count.size else 0)
+    )
+    return by_count, columns
+
+
+class SegmentLayout:
+    """Which value rows each segment of a :func:`segment_sum` adds up.
+
+    Term ``t`` adds row ``rows[t]`` of the values into segment
+    ``segment_ids[t]``; a segment sums its terms in their given order.
+    With ``rows=None`` term ``t`` is row ``t`` (a plain segment reduction
+    over ``len(segment_ids)`` rows).  The layout is built once and reused
+    for every call over the same graph structure:
+
+    * forward, segments of 1..``SHORT_SEGMENT`` terms: slot columns of
+      value rows, folded in ``np.add.reduceat``'s order;
+    * forward, longer segments: their rows, summed by ``np.add.reduceat``;
+    * backward: slot columns of the segments each value row feeds, folded
+      from +0.0 in term order as ``np.add.at`` would.
+    """
+
+    def __init__(self, segment_ids, num_segments: int, rows=None, num_rows=None):
+        segment_ids = np.asarray(segment_ids, dtype=np.int64)
+        if segment_ids.ndim != 1:
+            raise ValueError("segment ids must be one-dimensional")
+        if rows is None:
+            rows = np.arange(segment_ids.size, dtype=np.int64)
+            num_rows = segment_ids.size
+        elif num_rows is None:
+            raise ValueError("a layout with explicit rows needs num_rows")
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape != segment_ids.shape:
+            raise ValueError("segment ids must be one per term")
+        if segment_ids.size and (
+            segment_ids.min() < 0 or segment_ids.max() >= num_segments
+        ):
+            raise ValueError("segment id out of range")
+        if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+            raise ValueError("value row out of range")
+        self.num_segments = int(num_segments)
+        self.num_rows = int(num_rows)
+        self.counts = np.bincount(segment_ids, minlength=num_segments)
+
+        short = self.counts[segment_ids] <= SHORT_SEGMENT
+        self.short_segments, self.short_columns = _slot_columns(
+            segment_ids[short], rows[short], num_segments
+        )
+        long_terms = np.flatnonzero(~short)
+        long_terms = long_terms[np.argsort(segment_ids[long_terms], kind="stable")]
+        self.long_rows = rows[long_terms]
+        self.long_segments = np.unique(segment_ids[long_terms])
+        long_counts = self.counts[self.long_segments]
+        self.long_starts = np.cumsum(long_counts) - long_counts
+
+        self.used_rows, self.use_columns = _slot_columns(rows, segment_ids, num_rows)
+
+    def totals(self, data: np.ndarray) -> np.ndarray:
+        """Per-segment sums of ``data`` rows, bit-identical to gathering the
+        terms and calling ``np.add.reduceat`` on the sorted segments."""
+        totals = np.zeros((self.num_segments,) + data.shape[1:], dtype=data.dtype)
+        columns = self.short_columns
+        if columns:
+            head = data[columns[0]]
+            if len(columns) > 1:
+                tail = data[columns[1]]
+                for column in columns[2:]:
+                    tail[: column.size] += data[column]
+                head[: tail.shape[0]] += tail
+            totals[self.short_segments] = head
+        if self.long_segments.size:
+            totals[self.long_segments] = np.add.reduceat(
+                data[self.long_rows], self.long_starts, axis=0
+            )
+        return totals
+
+    def scatter(self, up: np.ndarray) -> np.ndarray:
+        """Per-value-row sums of the ``up`` rows of the segments it feeds:
+        the gradient of :meth:`totals`, bit-identical to
+        ``np.add.at(zeros, rows, up[segment_ids])``."""
+        grad = np.zeros((self.num_rows,) + up.shape[1:], dtype=up.dtype)
+        columns = self.use_columns
+        if columns:
+            acc = up[columns[0]]
+            acc += 0.0
+            for column in columns[1:]:
+                acc[: column.size] += up[column]
+            grad[self.used_rows] = acc
+        return grad
+
+
+def _check_layout(values: Tensor, layout: SegmentLayout) -> None:
+    if values.shape[0] != layout.num_rows:
+        raise ValueError(
+            f"values have {values.shape[0]} rows, the layout indexes {layout.num_rows}"
+        )
 
 
 def segment_sum(
-    values: Tensor, segment_ids, num_segments: int, tape: Tape | None = None
+    values: Tensor, layout: SegmentLayout, tape: Tape | None = None
 ) -> Tensor:
-    ids = _segment_ids(values, segment_ids, num_segments)
-    totals, _ = _segment_totals(values.data, ids, num_segments)
+    """Gather-and-sum: segment ``s`` of the result adds up the value rows
+    that ``layout`` assigns to it, without building one row per term."""
+    _check_layout(values, layout)
 
     def backward(up):
-        return (up[ids],)
+        return (layout.scatter(up),)
 
-    return _result(totals, (values,), backward, tape)
+    return _result(layout.totals(values.data), (values,), backward, tape)
 
 
 def segment_mean(
-    values: Tensor, segment_ids, num_segments: int, tape: Tape | None = None
+    values: Tensor, layout: SegmentLayout, tape: Tape | None = None
 ) -> Tensor:
-    ids = _segment_ids(values, segment_ids, num_segments)
-    totals, counts = _segment_totals(values.data, ids, num_segments)
-    divisor = np.maximum(counts, 1).astype(np.float64)
+    """:func:`segment_sum` divided by each segment's term count; empty
+    segments are zero."""
+    _check_layout(values, layout)
+    divisor = np.maximum(layout.counts, 1).astype(np.float64)
+    totals = layout.totals(values.data)
     means = totals / divisor[:, None] if totals.ndim == 2 else totals / divisor
 
     def backward(up):
         scaled = up / divisor[:, None] if up.ndim == 2 else up / divisor
-        return (scaled[ids],)
+        return (layout.scatter(scaled),)
 
     return _result(means, (values,), backward, tape)
 

@@ -68,5 +68,8 @@ class Tape:
                 if grad is None or not tensor.requires_grad:
                     continue
                 if tensor.grad is None:
-                    tensor.grad = np.zeros_like(tensor.data)
-                tensor.grad += grad
+                    # 0.0 + grad is what adding into zeros gave, without
+                    # the zero fill; the fresh array never aliases grad
+                    tensor.grad = np.add(grad, 0.0, out=np.empty_like(tensor.data))
+                else:
+                    tensor.grad += grad

@@ -62,6 +62,35 @@ def pearson(y, yhat) -> float:
     return float(np.sum(dy * dz)) / denom
 
 
+def _ascending_pairs(ranks: np.ndarray) -> int:
+    """Number of index pairs i < j with ranks[i] < ranks[j], counted by a
+    bottom-up merge sort in O(n) memory.
+
+    Each pass merges neighbouring sorted runs of ``width`` elements; an
+    element of a right-hand run lands after exactly the left-hand elements
+    smaller than it (ties sort right-hand first), and that count is summed.
+    A pass is one stable argsort over all n keys, so the log2(n) passes
+    take O(n log^2 n) time; the presorted runs cut the constant, not the
+    order.
+    """
+    n = ranks.size
+    position = np.arange(n)
+    runs = ranks.astype(np.int64)
+    total = 0
+    width = 1
+    while width < n:
+        block = position // (2 * width)
+        from_right = (position // width) % 2
+        keys = (block * n + runs) * 2 + (1 - from_right)
+        order = np.argsort(keys, kind="stable")
+        moved_right = from_right[order] == 1
+        # merged index minus original index, plus width: left elements passed
+        total += int(np.sum(position[moved_right] - order[moved_right] + width))
+        runs = runs[order]
+        width *= 2
+    return total
+
+
 def concordance_index(y, yhat) -> float:
     """Fraction of strictly ordered true pairs whose predictions are ordered
     the same way; tied predictions earn no credit."""
@@ -69,14 +98,17 @@ def concordance_index(y, yhat) -> float:
     yhat = _finite_vector(yhat, "yhat")
     if y.shape != yhat.shape:
         raise MetricError("length mismatch")
-    if y.size < 2:
+    n = y.size
+    if n < 2:
         raise MetricError("need at least 2 samples")
-    true_greater = y[:, None] > y[None, :]
-    denom = int(true_greater.sum())
+    _, ties = np.unique(y, return_counts=True)
+    denom = n * (n - 1) // 2 - int(np.sum(ties * (ties - 1) // 2))
     if denom == 0:
         raise MetricError("all true values are equal")
-    pred_greater = yhat[:, None] > yhat[None, :]
-    return int(np.sum(true_greater & pred_greater)) / denom
+    pred_rank = np.unique(yhat, return_inverse=True)[1].reshape(-1)
+    # by true value, ties in y by descending prediction so they never count
+    order = np.lexsort((-pred_rank, y))
+    return _ascending_pairs(pred_rank[order]) / denom
 
 
 @dataclass

@@ -31,8 +31,13 @@ INFERENCE_BATCH = 256  # graphs packed per eval-mode forward
 class GraphBatch:
     """Several featurized graphs packed into flat arrays.
 
-    Directed edges appear once per bond direction and are pre-sorted by
-    destination node so segment reductions take the fast path.
+    Directed edges appear once per bond direction, sorted (stably) by
+    destination node.  The three slot layouts are built once per batch and
+    serve every layer, forward and backward: neighbor states and bond states
+    summed into each destination node, and node states pooled per graph.
+    The forward pass reads only the layouts; ``graph_ids`` and the three
+    ``edge_*`` arrays are the same structure as a plain edge list, kept for
+    inspection and for tests that rebuild the unfused computation.
     """
 
     atom_indices: np.ndarray  # (n_nodes, 7)
@@ -42,6 +47,9 @@ class GraphBatch:
     edge_src: np.ndarray  # (2 * n_bonds,)
     edge_dst: np.ndarray  # (2 * n_bonds,)
     edge_bond: np.ndarray  # (2 * n_bonds,)
+    neighbor_layout: ops.SegmentLayout  # h[edge_src] summed by edge_dst
+    bond_layout: ops.SegmentLayout  # bond state[edge_bond] summed by edge_dst
+    pool_layout: ops.SegmentLayout  # node states summed by graph_ids
 
     @property
     def n_nodes(self) -> int:
@@ -89,14 +97,22 @@ class GraphBatch:
                 edge_dst[order],
                 edge_bond[order],
             )
+        graph_ids = np.concatenate(graph_ids)
         return cls(
             atom_indices=np.concatenate(atom_rows),
             bond_indices=np.concatenate(bond_rows),
-            graph_ids=np.concatenate(graph_ids),
+            graph_ids=graph_ids,
             node_counts=np.asarray(counts, dtype=np.int64),
             edge_src=edge_src,
             edge_dst=edge_dst,
             edge_bond=edge_bond,
+            neighbor_layout=ops.SegmentLayout(
+                edge_dst, node_offset, rows=edge_src, num_rows=node_offset
+            ),
+            bond_layout=ops.SegmentLayout(
+                edge_dst, node_offset, rows=edge_bond, num_rows=bond_offset
+            ),
+            pool_layout=ops.SegmentLayout(graph_ids, len(graphs)),
         )
 
 
@@ -323,13 +339,10 @@ def gin_forward(
     if train and params.dropout > 0.0 and rng_path is None:
         raise ValueError("train-mode forward needs an rng_path for dropout")
     h, edge_states = embed_inputs(batch, params, tape=tape)
-    n = batch.n_nodes
     for k, layer in enumerate(params.layers):
-        if batch.edge_src.size:
-            neighbor = ops.embedding_lookup(h, batch.edge_src, tape=tape)
-            summed = ops.segment_sum(neighbor, batch.edge_dst, n, tape=tape)
-            per_edge = ops.embedding_lookup(edge_states[k], batch.edge_bond, tape=tape)
-            edge_sum = ops.segment_sum(per_edge, batch.edge_dst, n, tape=tape)
+        if batch.neighbor_layout.counts.any():
+            summed = ops.segment_sum(h, batch.neighbor_layout, tape=tape)
+            edge_sum = ops.segment_sum(edge_states[k], batch.bond_layout, tape=tape)
             s = ops.add(ops.add(h, summed, tape=tape), edge_sum, tape=tape)
         else:
             s = h
@@ -351,7 +364,7 @@ def gin_forward(
         if train and params.dropout > 0.0:
             stream = rng_stream(rng_path[0], *rng_path[1:], 1, 0, k)
             h = ops.dropout(h, params.dropout, stream, train=True, tape=tape)
-    return ops.segment_mean(h, batch.graph_ids, batch.n_graphs, tape=tape)
+    return ops.segment_mean(h, batch.pool_layout, tape=tape)
 
 
 def predict_heads(
@@ -398,7 +411,8 @@ def _packed_chunks(graphs: list[FeaturizedGraph]):
 def encode_graphs(graphs: list[FeaturizedGraph], params: ModelParams) -> np.ndarray:
     """Eval-mode mean-pooled embeddings, shape (n_graphs, embed_dim)."""
     return np.concatenate(
-        [gin_forward(batch, params, train=False).data for batch in _packed_chunks(graphs)]
+        [np.zeros((0, params.embed_dim))]
+        + [gin_forward(batch, params, train=False).data for batch in _packed_chunks(graphs)]
     )
 
 
@@ -407,6 +421,8 @@ def predict_graphs(
 ) -> np.ndarray:
     """Eval-mode scores of any number of graphs, packed in chunks of
     ``INFERENCE_BATCH``; shape (n_graphs, len(task_indices))."""
+    width = len(params.heads) if task_indices is None else len(task_indices)
     return np.concatenate(
-        [predict(batch, params, task_indices) for batch in _packed_chunks(graphs)]
+        [np.zeros((0, width))]
+        + [predict(batch, params, task_indices) for batch in _packed_chunks(graphs)]
     )

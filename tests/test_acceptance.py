@@ -346,6 +346,7 @@ def test_criterion_06_transfer_freeze():
 # ----------------------------------------------------------------------
 # 7. directional multi-task gain
 # ----------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_07_mtl_beats_single_task():
     started = time.time()
     wins_mse = wins_recall = 0
@@ -402,6 +403,7 @@ def test_criterion_07_mtl_beats_single_task():
 # ----------------------------------------------------------------------
 # 8. directional active-learning gain
 # ----------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_08_active_learning_beats_random():
     wins = 0
     details = []
@@ -436,6 +438,7 @@ def test_criterion_08_active_learning_beats_random():
 # ----------------------------------------------------------------------
 # 9. directional transfer gain
 # ----------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_09_transfer_beats_cold_start():
     wins = 0
     details = []

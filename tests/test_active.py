@@ -169,6 +169,19 @@ class TestALRun:
         assert a.log == b.log
         assert a.members[0].backbone_hash() == b.members[0].backbone_hash()
 
+    def test_given_graphs_are_used(self):
+        smiles, oracle = small_pool(30)
+        cfg = ALConfig(total_budget=10, ensemble_size=2, n_rounds=1, init_fraction=0.5, seed=3)
+        graphs = [featurize_smiles(s) for s in smiles]
+        a = al_run(smiles, oracle, cfg, tiny_train_config())
+        b = al_run(smiles, oracle, cfg, tiny_train_config(), graphs=graphs)
+        assert a.labeled_indices == b.labeled_indices
+        assert a.log == b.log
+        assert a.members[0].backbone_hash() == b.members[0].backbone_hash()
+        assert b.labeled_dataset.graphs[0] is graphs[b.labeled_indices[0]]
+        with pytest.raises(ValueError):
+            al_run(smiles, oracle, cfg, tiny_train_config(), graphs=graphs[:-1])
+
     def test_pool_smaller_than_budget_rejected(self):
         smiles, oracle = small_pool(8)
         cfg = ALConfig(total_budget=10, ensemble_size=1, n_rounds=1, init_fraction=0.5)

@@ -340,6 +340,20 @@ class TestScreenCommand:
 
 
 class TestEvalCommand:
+    def test_task_without_labels_is_config_error(self, workdir, tmp_path, capsys):
+        # task1 is a checkpoint task, but no row of this file labels it
+        data = tmp_path / "unlabeled.csv"
+        data.write_text("smiles,task0,task1\nCCO,1.0,\nCCN,2.0,\nCCC,3.0,\n")
+        code, _, err = run(
+            capsys, "eval", "--checkpoint", str(workdir / "mtl.ckpt"),
+            "--data", str(data), "--out", str(tmp_path / "m.csv"),
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert "'task1'" in json.loads(lines[0])["message"]
+
     def test_metrics_and_recall_grid(self, workdir, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
         code, _, _ = run(
@@ -431,8 +445,12 @@ class TestFeaturizeOnce:
             ["predict", "--checkpoint", "{ckpt}", "--input", "{lib}", "--out", "{out}"],
             ["export-embeddings", "--checkpoint", "{ckpt}", "--input", "{lib}",
              "--out", "{out}"],
+            ["active-learn", "--pool", "{lib}", "--meta", "{meta}", "--budget", "20",
+             "--rounds", "2", "--ensemble-size", "2", "--log-out", "{out}",
+             "--embed-dim", "8", "--n-layers", "1", "--head-hidden", "8",
+             "--batch-size", "4", "--min-epochs", "1", "--max-epochs", "1"],
         ],
-        ids=["screen", "predict", "export-embeddings"],
+        ids=["screen", "predict", "export-embeddings", "active-learn"],
     )
     def test_one_call_per_compound(self, argv, workdir, tmp_path, capsys, monkeypatch):
         import molscreen.dataset_io
@@ -451,6 +469,7 @@ class TestFeaturizeOnce:
         paths = {
             "ckpt": workdir / "mtl.ckpt",
             "lib": workdir / "data.csv",
+            "meta": workdir / "meta.json",
             "out": tmp_path / "out.csv",
         }
         code, _, _ = run(capsys, *[a.format(**paths) for a in argv])

@@ -90,6 +90,24 @@ class TestIngestErrors:
         assert ds.n_compounds == 1
         assert report.rejected[0][0] == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_only_label_rejected_by_name(self, tmp_path, cell):
+        path = write(tmp_path, f"smiles,T0,T1\nCCO,,{cell}\nCCN,1.0,\n")
+        ds, report = ingest_csv(path)
+        assert ds.smiles == ["CCN"]
+        ((row, message),) = report.rejected
+        assert row == 2
+        assert "'T1'" in message and "finite" in message
+
+    def test_non_finite_beside_finite_label_rejected(self, tmp_path):
+        # a finite label does not rescue a row whose other cell is nan
+        path = write(tmp_path, "smiles,T0,T1:ic50_molar\nCCO,1.5,nan\nCCN,1.0,1e-6\n")
+        ds, report = ingest_csv(path)
+        assert ds.smiles == ["CCN"]
+        ((row, message),) = report.rejected
+        assert row == 2
+        assert "'T1'" in message and "finite" in message
+
     def test_nonpositive_activity_rejected(self, tmp_path):
         path = write(tmp_path, "smiles,T:ic50_molar\nCCO,0.0\nCCN,1e-6\n")
         ds, report = ingest_csv(path)

@@ -175,10 +175,26 @@ class TestPrimitiveGradients:
 
         def build(tape):
             return ops.mse_loss(
-                ops.segment_sum(x, ids, 4, tape=tape), target, tape=tape
+                ops.segment_sum(x, ops.SegmentLayout(ids, 4), tape=tape),
+                target,
+                tape=tape,
             )
 
         self._check(build, [x])
+
+    def test_segment_sum_gathers_rows(self):
+        # the message-passing form: rows used several times or never,
+        # a segment of 10 terms (reduceat path) and an empty segment
+        x = Tensor(self.rng.normal(size=(5, 2)), requires_grad=True)
+        ids = np.array([2, 0, 2, 0] + [3] * 10)
+        rows = np.array([4, 1, 1, 0] + [0, 1, 4, 4, 1, 0, 0, 1, 4, 1])
+        layout = ops.SegmentLayout(ids, 5, rows=rows, num_rows=5)
+        target = self.rng.normal(size=(5, 2))
+
+        def build(tape):
+            return ops.mse_loss(ops.segment_sum(x, layout, tape=tape), target, tape=tape)
+
+        assert grad_check(build, [x]) <= 1e-6
 
     def test_segment_mean(self):
         x = Tensor(self.rng.normal(size=(6, 2)), requires_grad=True)
@@ -187,7 +203,9 @@ class TestPrimitiveGradients:
 
         def build(tape):
             return ops.mse_loss(
-                ops.segment_mean(x, ids, 4, tape=tape), target, tape=tape
+                ops.segment_mean(x, ops.SegmentLayout(ids, 4), tape=tape),
+                target,
+                tape=tape,
             )
 
         self._check(build, [x])
@@ -296,30 +314,181 @@ class TestDropoutSemantics:
 class TestSegmentSemantics:
     def test_segment_sum_values(self):
         x = Tensor(np.array([[1.0], [2.0], [3.0]]))
-        out = ops.segment_sum(x, np.array([0, 0, 1]), 2)
+        out = ops.segment_sum(x, ops.SegmentLayout(np.array([0, 0, 1]), 2))
         np.testing.assert_array_equal(out.data, [[3.0], [3.0]])
 
     def test_segment_mean_values(self):
         x = Tensor(np.array([[1.0], [2.0], [3.0]]))
-        out = ops.segment_mean(x, np.array([0, 0, 1]), 2)
+        out = ops.segment_mean(x, ops.SegmentLayout(np.array([0, 0, 1]), 2))
         np.testing.assert_array_equal(out.data, [[1.5], [3.0]])
 
     def test_unsorted_ids(self):
         x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
-        out = ops.segment_sum(x, np.array([1, 0, 1, 0]), 2)
+        out = ops.segment_sum(x, ops.SegmentLayout(np.array([1, 0, 1, 0]), 2))
         np.testing.assert_array_equal(out.data, [[6.0], [4.0]])
 
     def test_empty_segments_are_zero(self):
         x = Tensor(np.array([[5.0]]))
-        out = ops.segment_sum(x, np.array([2]), 4)
+        layout = ops.SegmentLayout(np.array([2]), 4)
+        out = ops.segment_sum(x, layout)
         np.testing.assert_array_equal(out.data, [[0.0], [0.0], [5.0], [0.0]])
-        out = ops.segment_mean(x, np.array([2]), 4)
+        out = ops.segment_mean(x, layout)
         np.testing.assert_array_equal(out.data, [[0.0], [0.0], [5.0], [0.0]])
 
     def test_length_mismatch(self):
         x = Tensor(np.ones((3, 1)))
         with pytest.raises(ValueError):
-            ops.segment_sum(x, np.array([0, 1]), 2)
+            ops.segment_sum(x, ops.SegmentLayout(np.array([0, 1]), 2))
+
+    def test_gathered_rows(self):
+        x = Tensor(np.array([[1.0], [10.0], [100.0]]))
+        layout = ops.SegmentLayout(
+            np.array([1, 0, 1]), 3, rows=np.array([2, 2, 0]), num_rows=3
+        )
+        out = ops.segment_sum(x, layout)
+        np.testing.assert_array_equal(out.data, [[100.0], [101.0], [0.0]])
+
+    @pytest.mark.parametrize(
+        "ids, num_segments, rows, num_rows",
+        [
+            ([0, 2], 2, None, None),  # segment id out of range
+            ([0, -1], 2, None, None),
+            ([0, 1], 2, [0, 3], 3),  # value row out of range
+            ([0, 1], 2, [0], 3),  # one row per term
+            ([0, 1], 2, [0, 1], None),  # explicit rows need num_rows
+            ([[0, 1]], 2, None, None),  # ids must be 1-D
+        ],
+    )
+    def test_bad_layout_rejected(self, ids, num_segments, rows, num_rows):
+        with pytest.raises(ValueError):
+            ops.SegmentLayout(np.array(ids), num_segments, rows=rows, num_rows=num_rows)
+
+
+class _Capture(Tape):
+    """A tape that keeps the last recorded backward closure, so a test can
+    feed it an arbitrary upstream gradient."""
+
+    def record(self, output, inputs, backward_fn):
+        self.backward_fn = backward_fn
+        super().record(output, inputs, backward_fn)
+
+
+def _reduceat_totals(data, ids, num_segments):
+    """Segment sums as the engine computed them before slot layouts: sort
+    the terms by segment (stably) and np.add.reduceat the present ones."""
+    counts = np.bincount(ids, minlength=num_segments)
+    totals = np.zeros((num_segments,) + data.shape[1:])
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        present = counts > 0
+        totals[present] = np.add.reduceat(data[order], starts[present], axis=0)
+    return totals, counts
+
+
+def _add_at(num_rows, index, terms):
+    grad = np.zeros((num_rows,) + terms.shape[1:])
+    np.add.at(grad, index, terms)
+    return grad
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestSegmentExactness:
+    """The slot-layout ops reproduce, bit for bit, the gather + reduceat and
+    np.add.at computations they replaced, -0.0 included."""
+
+    def _values(self, rng, shape):
+        # magnitudes over 16 decades so rounding order shows, and signed zeros
+        data = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        data[rng.random(shape) < 0.15] = -0.0
+        data[rng.random(shape) < 0.05] = 0.0
+        return data
+
+    def _layout(self, rng):
+        # segment lengths: empty, 1..8 (slot fold) and 9..20 (reduceat)
+        num_segments = int(rng.integers(1, 25))
+        lengths = rng.choice(
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 20], size=num_segments
+        )
+        ids = rng.permutation(np.repeat(np.arange(num_segments), lengths))
+        num_rows = int(rng.integers(1, 30))
+        rows = rng.integers(0, num_rows, size=ids.size)
+        return ids, rows, num_segments, num_rows
+
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    def test_forward_matches_gather_and_reduceat(self, width):
+        rng = np.random.default_rng(100 + width)
+        for _ in range(60):
+            ids, rows, num_segments, num_rows = self._layout(rng)
+            data = self._values(rng, (num_rows, width))
+            layout = ops.SegmentLayout(ids, num_segments, rows=rows, num_rows=num_rows)
+            expected, _ = _reduceat_totals(data[rows], ids, num_segments)
+            _assert_same_bits(ops.segment_sum(Tensor(data), layout).data, expected)
+
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    def test_backward_matches_add_at(self, width):
+        rng = np.random.default_rng(200 + width)
+        for _ in range(60):
+            ids, rows, num_segments, num_rows = self._layout(rng)
+            layout = ops.SegmentLayout(ids, num_segments, rows=rows, num_rows=num_rows)
+            tape = _Capture()
+            ops.segment_sum(
+                Tensor(np.ones((num_rows, width)), requires_grad=True), layout, tape=tape
+            )
+            up = self._values(rng, (num_segments, width))
+            (grad,) = tape.backward_fn(up)
+            _assert_same_bits(grad, _add_at(num_rows, rows, up[ids]))
+
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    def test_segment_mean_matches_reduceat(self, width):
+        rng = np.random.default_rng(300 + width)
+        for _ in range(60):
+            ids, _, num_segments, _ = self._layout(rng)
+            data = self._values(rng, (ids.size, width))
+            tape = _Capture()
+            out = ops.segment_mean(
+                Tensor(data, requires_grad=True), ops.SegmentLayout(ids, num_segments),
+                tape=tape,
+            )
+            totals, counts = _reduceat_totals(data, ids, num_segments)
+            divisor = np.maximum(counts, 1).astype(np.float64)[:, None]
+            _assert_same_bits(out.data, totals / divisor)
+            up = self._values(rng, (num_segments, width))
+            (grad,) = tape.backward_fn(up)
+            # the old backward gathered (up / divisor)[ids]; the tape's first
+            # write adds it to +0.0, which is what reached the gradient
+            _assert_same_bits(grad, (up / divisor)[ids] + 0.0)
+
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    def test_embedding_backward_matches_add_at(self, width):
+        rng = np.random.default_rng(400 + width)
+        for _ in range(60):
+            table_rows = int(rng.integers(1, 12))
+            # some rows used once, some many times (beyond any short path)
+            indices = rng.integers(0, table_rows, size=int(rng.integers(0, 60)))
+            table = Tensor(np.ones((table_rows, width)), requires_grad=True)
+            tape = _Capture()
+            ops.embedding_lookup(table, indices, tape=tape)
+            up = self._values(rng, (indices.size, width))
+            (grad,) = tape.backward_fn(up)
+            _assert_same_bits(grad, _add_at(table_rows, indices, up))
+
+    def test_first_gradient_write_is_exact_and_unaliased(self):
+        # add passes the same upstream array to both inputs
+        a = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        b = Tensor(np.array([[3.0, 2.0]]), requires_grad=True)
+        tape = Tape()
+        total = ops.add(a, b, tape=tape)
+        loss = ops.masked_sse(total, np.zeros((1, 2)), np.ones((1, 2)), tape=tape)
+        tape.backward(loss)
+        _assert_same_bits(a.grad, np.array([[8.0, 0.0]]))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        _assert_same_bits(b.grad, np.array([[8.0, 0.0]]))
 
 
 class TestBatchNormSemantics:

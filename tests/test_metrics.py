@@ -44,6 +44,15 @@ def ci_oracle(y, yhat):
     return num / den
 
 
+def ci_matrix_oracle(y, yhat):
+    """The former implementation: two n-by-n boolean pair matrices."""
+    y, yhat = np.asarray(y, dtype=float), np.asarray(yhat, dtype=float)
+    true_greater = y[:, None] > y[None, :]
+    return int(np.sum(true_greater & (yhat[:, None] > yhat[None, :]))) / int(
+        true_greater.sum()
+    )
+
+
 # ---------------------------------------------------------------- pchembl
 
 
@@ -154,6 +163,39 @@ class TestConcordanceIndex:
                 continue
             yhat = rng.integers(0, 6, size=n).astype(float)
             assert concordance_index(y, yhat) == ci_oracle(y, yhat)
+
+    def test_matches_pair_matrices(self):
+        # sizes across several merge passes, ties in y, in yhat and in both,
+        # continuous values, and signed zeros (equal under >)
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(2, 400))
+            levels = int(rng.integers(1, 2 * n))
+            y = rng.integers(0, max(levels, 2), size=n).astype(float)
+            yhat = rng.integers(0, levels, size=n).astype(float)
+            if rng.random() < 0.3:
+                yhat = rng.normal(size=n)
+            yhat[yhat == 0.0] *= rng.choice([-1.0, 1.0], size=int(np.sum(yhat == 0.0)))
+            if np.all(y == y[0]):
+                continue
+            assert concordance_index(y, yhat) == ci_matrix_oracle(y, yhat)
+
+    def test_large_input_without_pair_matrices(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        n = 100_000
+        y = rng.normal(size=n)
+        yhat = y + rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            value = concordance_index(y, yhat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one n-by-n boolean matrix alone would be 10 GB
+        assert peak < 50 * n * 8
+        assert 0.6 < value < 0.9
 
 
 # ---------------------------------------------------------------- recall

@@ -4,7 +4,7 @@ small end-to-end gradient check."""
 import numpy as np
 import pytest
 
-from molscreen.engine import Tape, grad_check, ops
+from molscreen.engine import Tape, Tensor, grad_check, ops
 from molscreen.featurize import featurize_smiles
 from molscreen.model import (
     GraphBatch,
@@ -220,6 +220,12 @@ class TestBatchedInference:
         emb = encode_graphs([featurize_smiles(s) for s in ["CC(=O)O", "OC(=O)C"]], params)
         np.testing.assert_allclose(emb[0], emb[1], atol=1e-9)
 
+    def test_no_graphs_gives_empty_matrices(self):
+        params = init_params(["a", "b", "c"], embed_dim=6, n_layers=1, head_hidden=4, seed=0)
+        assert predict_graphs([], params).shape == (0, 3)
+        assert predict_graphs([], params, [2]).shape == (0, 1)
+        assert encode_graphs([], params).shape == (0, 6)
+
     def test_chunked_matches_one_batch(self):
         # more graphs than one inference chunk: every chunk boundary must
         # give the rows a single packed batch gives
@@ -267,3 +273,70 @@ class TestEndToEndGradient:
 
         wrt = [p for _, p in params.named_parameters()]
         assert grad_check(f, wrt, h=1e-5) <= 1e-3
+
+
+class TestFusedMessagePassing:
+    """The fused segment_sum in gin_forward gives, bit for bit, what the
+    two-op composition it replaced gave: embedding_lookup of one row per
+    edge, then a reduceat segment sum whose backward gathers up[edge_dst].
+    The sulfur has in-degree 10, past the slot fold's 8-term limit, and the
+    lone carbon has no neighbors."""
+
+    SMILES = ("[S](C)(C)(C)(C)(C)(C)(C)(C)(C)C", "CCO", "c1ccccc1O", "C")
+
+    @staticmethod
+    def _two_op_segment_sum(batch):
+        rows = {
+            id(batch.neighbor_layout): batch.edge_src,
+            id(batch.bond_layout): batch.edge_bond,
+        }
+        ids, n = batch.edge_dst, batch.n_nodes  # edges are sorted by edge_dst
+        counts = np.bincount(ids, minlength=n)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        present = counts > 0
+
+        def segment_sum(values, layout, tape=None):
+            per_edge = ops.embedding_lookup(values, rows[id(layout)], tape=tape)
+            totals = np.zeros((n,) + values.shape[1:])
+            totals[present] = np.add.reduceat(per_edge.data, starts[present], axis=0)
+            out = Tensor(totals)
+            if tape is not None and per_edge.requires_grad:
+                out.requires_grad = True
+                tape.record(out, (per_edge,), lambda up: (up[ids],))
+            return out
+
+        return segment_sum
+
+    @staticmethod
+    def _gradients(batch, params):
+        for _, p in params.named_parameters():
+            p.grad = None
+        tape = Tape()
+        z = gin_forward(
+            batch, params, train=True, rng_path=(3, 1), update_running=False, tape=tape
+        )
+        (pred,) = predict_heads(z, params, [0], train=True, rng_path=(3, 1), tape=tape)
+        labels = np.arange(batch.n_graphs, dtype=np.float64)[:, None]
+        tape.backward(ops.masked_sse(pred, labels, np.ones_like(labels), tape=tape))
+        return {name: p.grad.copy() for name, p in params.named_parameters()}
+
+    def test_predict_bit_identical(self, monkeypatch):
+        batch = batch_of(*self.SMILES)
+        assert np.bincount(batch.edge_dst).max() == 10
+        params = init_params(["a", "b"], embed_dim=16, n_layers=3, head_hidden=8, seed=4)
+        fused = predict(batch, params)
+        monkeypatch.setattr(ops, "segment_sum", self._two_op_segment_sum(batch))
+        reference = predict(batch, params)
+        np.testing.assert_array_equal(fused.view(np.int64), reference.view(np.int64))
+
+    def test_train_gradients_bit_identical(self, monkeypatch):
+        batch = batch_of(*self.SMILES)
+        params = init_params(["a"], embed_dim=8, n_layers=2, head_hidden=8, seed=5)
+        fused = self._gradients(batch, params)
+        monkeypatch.setattr(ops, "segment_sum", self._two_op_segment_sum(batch))
+        reference = self._gradients(batch, params)
+        assert fused.keys() == reference.keys()
+        for name in fused:
+            np.testing.assert_array_equal(
+                fused[name].view(np.int64), reference[name].view(np.int64), err_msg=name
+            )
