@@ -5,10 +5,12 @@ Subcommands: ``ingest``, ``train``, ``active-learn``, ``transfer``,
 
 Configuration precedence is flags > JSON config file > defaults (the
 defaults being :class:`molscreen.train.TrainConfig`).  Every subcommand
-that consumes or stores randomness prints the effective seed.  Failures
-exit nonzero with a single JSON error line on stderr; the exit code
-identifies the failure class (2 bad configuration, 3 input/output,
-4 feature-schema mismatch, 5 training failure).
+that consumes or stores randomness prints the effective seed.  Failures,
+usage errors included, exit nonzero with a single JSON error line on
+stderr; the exit code identifies the failure class (2 bad configuration,
+3 input/output, 4 feature-schema mismatch, 5 training failure).  Commands
+let library exceptions propagate, and one table in :func:`main` maps them
+to exit codes; only the loaders catch, to add a path, key or task name.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,13 @@ import numpy as np
 from .active import ACQUISITIONS, ALConfig, al_run, log_to_csv
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import HIT_DIRECTIONS, DatasetError, TaskDataset, subsample_task_labels
-from .dataset_io import IngestError, ingest_csv, read_smiles_csv, write_dataset_csv
+from .dataset_io import (
+    IngestError,
+    IngestReport,
+    ingest_csv,
+    read_smiles_csv,
+    write_dataset_csv,
+)
 from .featurize import DEFAULT_SCHEMA
 from .metrics import (
     MetricError,
@@ -39,7 +48,7 @@ from .metrics import (
 from .model import encode_graphs, predict_graphs
 from .synth import SynthMeta, synth_dataset, task_oracle
 from .train import TrainConfig, TrainingDiverged, summarize_log, train
-from .transfer import TransferError, transfer_train
+from .transfer import transfer_train
 
 EXIT_BAD_CONFIG = 2
 EXIT_IO = 3
@@ -77,19 +86,7 @@ class TrainingError(CliError):
 # ----------------------------------------------------------------------
 # configuration resolution
 # ----------------------------------------------------------------------
-_CONFIG_TYPES: dict[str, type] = {
-    "lr": float,
-    "batch_size": int,
-    "dropout": float,
-    "embed_dim": int,
-    "n_layers": int,
-    "head_hidden": int,
-    "val_fraction": float,
-    "min_epochs": int,
-    "patience": int,
-    "max_epochs": int,
-    "seed": int,
-}
+_CONFIG_TYPES: dict[str, type] = typing.get_type_hints(TrainConfig)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -118,6 +115,21 @@ def _read_json(path) -> dict:
     return raw
 
 
+def _config_value(key: str, value):
+    """A ``--config`` entry as its field's type.  A JSON boolean, or a
+    fraction for an integer key, is rejected rather than truncated."""
+    typ = _CONFIG_TYPES[key]
+    fractional = isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or (typ is int and fractional):
+        raise ConfigError(
+            f"configuration key {key!r}: expected {typ.__name__}, got {value!r}"
+        )
+    try:
+        return typ(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"configuration key {key!r}: {exc}") from exc
+
+
 def resolve_train_config(args) -> tuple[TrainConfig, set[str]]:
     """Merge defaults, config-file entries, and explicit flags.
 
@@ -134,32 +146,30 @@ def resolve_train_config(args) -> tuple[TrainConfig, set[str]]:
                 f"unknown configuration keys {unknown}; valid keys: {sorted(merged)}"
             )
         for key, value in raw.items():
-            try:
-                merged[key] = _CONFIG_TYPES[key](value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"configuration key {key!r}: {exc}") from exc
+            merged[key] = _config_value(key, value)
             explicit.add(key)
     for name in _CONFIG_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
             explicit.add(name)
-    try:
-        return TrainConfig(**merged), explicit
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig(**merged), explicit
 
 
 # ----------------------------------------------------------------------
 # shared I/O helpers
 # ----------------------------------------------------------------------
-def _load_dataset(path) -> TaskDataset:
+def _ingest(path) -> tuple[TaskDataset, IngestReport]:
+    """``ingest_csv``, where a dataset check failing on what the file holds
+    is an input failure (exit 3), not a configuration one."""
     try:
-        ds, report = ingest_csv(path)
-    except (OSError, IngestError) as exc:
-        raise InputError(str(exc)) from exc
+        return ingest_csv(path)
     except DatasetError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _load_dataset(path) -> TaskDataset:
+    ds, report = _ingest(path)
     if report.n_rejected:
         _print_report(path, report)
     return ds
@@ -168,10 +178,7 @@ def _load_dataset(path) -> TaskDataset:
 def _load_smiles(path, *, strict: bool) -> tuple[list[str], list]:
     """The smiles column of a CSV and its featurized graphs; with ``strict``
     any bad row is fatal."""
-    try:
-        smiles, graphs, report = read_smiles_csv(path)
-    except (OSError, IngestError) as exc:
-        raise InputError(str(exc)) from exc
+    smiles, graphs, report = read_smiles_csv(path)
     if report.n_rejected:
         if strict:
             worst = "; ".join(f"row {r}: {m}" for r, m in report.rejected[:5])
@@ -200,19 +207,26 @@ def _print_report(path, report) -> None:
 
 
 def _load_ckpt(path) -> Checkpoint:
+    """A checkpoint whose feature schema is this build's."""
     try:
         ck = load_checkpoint(path)
     except (OSError, CheckpointError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return ck
-
-
-def _require_current_schema(ck: Checkpoint, path) -> None:
     if ck.schema_hash != DEFAULT_SCHEMA.schema_hash():
         raise SchemaMismatchError(
             f"{path}: checkpoint feature schema {ck.schema_hash[:12]}… does not "
             f"match this build's schema {DEFAULT_SCHEMA.schema_hash()[:12]}…"
         )
+    return ck
+
+
+def _load_meta(path) -> SynthMeta:
+    try:
+        return SynthMeta.from_json(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: not a benchmark metadata file ({exc})") from exc
 
 
 def _task_indices(ck: Checkpoint, names: list[str]) -> list[int]:
@@ -227,10 +241,7 @@ def _task_indices(ck: Checkpoint, names: list[str]) -> list[int]:
 
 
 def _write_csv_text(path, lines: list[str]) -> None:
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _print_seed(seed: int) -> None:
@@ -241,16 +252,8 @@ def _print_seed(seed: int) -> None:
 # subcommands
 # ----------------------------------------------------------------------
 def cmd_ingest(args) -> None:
-    try:
-        ds, report = ingest_csv(args.input)
-    except (OSError, IngestError) as exc:
-        raise InputError(str(exc)) from exc
-    except DatasetError as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
-    try:
-        write_dataset_csv(args.out, ds)
-    except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
+    ds, report = _ingest(args.input)
+    write_dataset_csv(args.out, ds)
     _print_report(args.input, report)
     print(
         json.dumps(
@@ -305,10 +308,7 @@ def _apply_train_mode(ds: TaskDataset, args, seed: int) -> TaskDataset:
                     if t != new_index:
                         limits[t] = args.aux_size
     if limits:
-        try:
-            ds = subsample_task_labels(ds, limits, seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        ds = subsample_task_labels(ds, limits, seed)
     if keep != list(range(ds.n_tasks)):
         ds = ds.restrict_to_tasks(keep)
     return ds
@@ -319,19 +319,13 @@ def cmd_train(args) -> None:
     _print_seed(config.seed)
     ds = _load_dataset(args.data)
     ds = _apply_train_mode(ds, args, config.seed)
-    try:
-        params, log = train(ds, config)
-    except TrainingDiverged as exc:
-        raise TrainingError(str(exc)) from exc
-    except (DatasetError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    params, log = train(ds, config)
     save_checkpoint(args.out, params, ds.hit_directions, config.seed, summarize_log(log))
     print(json.dumps({"checkpoint": str(args.out), "tasks": ds.task_names, **summarize_log(log)}))
 
 
 def cmd_predict(args) -> None:
     ck = _load_ckpt(args.checkpoint)
-    _require_current_schema(ck, args.checkpoint)
     _print_seed(ck.seed)
     names = (
         [s.strip() for s in args.tasks.split(",")]
@@ -350,7 +344,6 @@ def cmd_predict(args) -> None:
 
 def cmd_screen(args) -> None:
     ck = _load_ckpt(args.checkpoint)
-    _require_current_schema(ck, args.checkpoint)
     _print_seed(ck.seed)
     if not 0.0 < args.top_frac < 1.0:
         raise ConfigError("--top-frac must be in (0, 1)")
@@ -381,7 +374,6 @@ def cmd_screen(args) -> None:
 
 def cmd_eval(args) -> None:
     ck = _load_ckpt(args.checkpoint)
-    _require_current_schema(ck, args.checkpoint)
     _print_seed(ck.seed)
     ks = args.k or []
     fracs = args.top_frac or []
@@ -429,7 +421,6 @@ def cmd_eval(args) -> None:
 
 def cmd_export_embeddings(args) -> None:
     ck = _load_ckpt(args.checkpoint)
-    _require_current_schema(ck, args.checkpoint)
     _print_seed(ck.seed)
     smiles, graphs = _load_smiles(args.input, strict=True)
     matrix = encode_graphs(graphs, ck.params)
@@ -442,7 +433,6 @@ def cmd_export_embeddings(args) -> None:
 
 def cmd_transfer(args) -> None:
     ck = _load_ckpt(args.pretrained)
-    _require_current_schema(ck, args.pretrained)
     config, explicit = resolve_train_config(args)
     # Encoder dimensions are fixed by the pretrained model; adopt them unless
     # the user pinned conflicting values (which transfer_train rejects).
@@ -463,14 +453,7 @@ def cmd_transfer(args) -> None:
         if args.target not in ds.task_names:
             raise ConfigError(f"task {args.target!r} not in dataset tasks {ds.task_names}")
         ds = ds.restrict_to_tasks([ds.task_names.index(args.target)])
-    try:
-        result = transfer_train(ck.params, ds, config, head_epochs=args.head_epochs)
-    except TransferError as exc:
-        raise ConfigError(str(exc)) from exc
-    except TrainingDiverged as exc:
-        raise TrainingError(str(exc)) from exc
-    except (DatasetError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    result = transfer_train(ck.params, ds, config, head_epochs=args.head_epochs)
     save_checkpoint(
         args.out, result.params, ds.hit_directions, config.seed,
         summarize_log(result.phase2_log),
@@ -490,48 +473,32 @@ def cmd_transfer(args) -> None:
 def cmd_active_learn(args) -> None:
     config, _ = resolve_train_config(args)
     _print_seed(config.seed)
-    try:
-        al_config = ALConfig(
-            total_budget=args.budget,
-            ensemble_size=args.ensemble_size,
-            n_rounds=args.rounds,
-            init_fraction=args.init_fraction,
-            acquisition=args.acquisition,
-            ucb_beta=args.ucb_beta,
-            seed=config.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        meta = SynthMeta.from_json(Path(args.meta).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {args.meta}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{args.meta}: not a benchmark metadata file ({exc})") from exc
+    al_config = ALConfig(
+        total_budget=args.budget,
+        ensemble_size=args.ensemble_size,
+        n_rounds=args.rounds,
+        init_fraction=args.init_fraction,
+        acquisition=args.acquisition,
+        ucb_beta=args.ucb_beta,
+        seed=config.seed,
+    )
+    meta = _load_meta(args.meta)
     if not 0 <= args.oracle_task < meta.n_tasks:
         raise ConfigError(
             f"--oracle-task {args.oracle_task} out of range for {meta.n_tasks} tasks"
         )
     oracle = task_oracle(meta, args.oracle_task)
     pool, graphs = _load_smiles(args.pool, strict=False)
-    try:
-        result = al_run(
-            pool,
-            oracle,
-            al_config,
-            config,
-            hit_direction=args.hit_direction,
-            task_name=args.task_name,
-            graphs=graphs,
-        )
-    except TrainingDiverged as exc:
-        raise TrainingError(str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        Path(args.log_out).write_text(log_to_csv(result.log))
-    except OSError as exc:
-        raise InputError(f"cannot write {args.log_out}: {exc}") from exc
+    result = al_run(
+        pool,
+        oracle,
+        al_config,
+        config,
+        hit_direction=args.hit_direction,
+        task_name=args.task_name,
+        graphs=graphs,
+    )
+    Path(args.log_out).write_text(log_to_csv(result.log))
     if args.acquired_out:
         write_dataset_csv(args.acquired_out, result.labeled_dataset)
     if args.out:
@@ -552,22 +519,16 @@ def cmd_active_learn(args) -> None:
 
 def cmd_synth_gen(args) -> None:
     _print_seed(args.seed)
-    try:
-        ds, meta = synth_dataset(
-            n_tasks=args.n_tasks,
-            n_per_task=args.n_per_task,
-            seed=args.seed,
-            noise_sigma=args.noise_sigma,
-            min_atoms=args.min_atoms,
-            max_atoms=args.max_atoms,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        write_dataset_csv(args.out, ds)
-        Path(args.meta_out).write_text(meta.to_json())
-    except OSError as exc:
-        raise InputError(f"cannot write output: {exc}") from exc
+    ds, meta = synth_dataset(
+        n_tasks=args.n_tasks,
+        n_per_task=args.n_per_task,
+        seed=args.seed,
+        noise_sigma=args.noise_sigma,
+        min_atoms=args.min_atoms,
+        max_atoms=args.max_atoms,
+    )
+    write_dataset_csv(args.out, ds)
+    Path(args.meta_out).write_text(meta.to_json())
     print(
         json.dumps(
             {
@@ -583,8 +544,16 @@ def cmd_synth_gen(args) -> None:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (unknown subcommand, bad flag value, missing flag) are
+    ``bad-config`` failures like any other; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="molscreen",
         description="Train and apply graph-network surrogates for compound screening.",
     )
@@ -678,18 +647,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit-code policy of every subcommand: the first row whose type matches
+# wins, so IngestError (a ValueError) is an input failure.  ValueError also
+# covers DatasetError, TransferError, MetricError and the config checks.
+_FAILURES = (
+    (CliError, None),  # already typed: kept as raised
+    (TrainingDiverged, TrainingError),
+    (OSError, InputError),
+    (IngestError, InputError),
+    (CheckpointError, InputError),
+    (ValueError, ConfigError),
+)
+_CAUGHT = tuple(kind for kind, _ in _FAILURES)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
-    except CliError as exc:
+    except _CAUGHT as exc:
+        typed = next(typed for kind, typed in _FAILURES if isinstance(exc, kind))
+        failure = exc if typed is None else typed(str(exc))
         print(
             json.dumps(
-                {"error": exc.category, "exit_code": exc.exit_code, "message": str(exc)}
+                {
+                    "error": failure.category,
+                    "exit_code": failure.exit_code,
+                    "message": str(failure),
+                }
             ),
             file=sys.stderr,
         )
-        return exc.exit_code
+        return failure.exit_code
     return 0
 
 

@@ -9,16 +9,13 @@ column named ``<target>:higher_is_better`` holds already-converted values
 that rank higher-is-better (this is how such tasks are written back).
 Plain columns rank lower-is-better (docking-score convention).  Duplicate
 SMILES rows are averaged per task after conversion.  Every data row either
-contributes a compound or is reported with its row number; set
-``MOLSCREEN_WORKERS`` to featurize rows on a process pool.
+contributes a compound or is reported with its row number.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +33,6 @@ from .smiles import SmilesError
 
 ACTIVITY_SUFFIX = ":ic50_molar"
 DIRECTION_SUFFIX = ":higher_is_better"
-WORKERS_ENV = "MOLSCREEN_WORKERS"
 
 
 class IngestError(ValueError):
@@ -54,29 +50,12 @@ class IngestReport:
         return len(self.rejected)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _featurize_one(args):
-    smiles, schema = args
+def _featurize(smiles: str, schema: FeatureSchema):
+    """``(True, graph)``, or ``(False, reason)`` for a rejected row."""
     try:
         return True, featurize_smiles(smiles, schema)
     except (SmilesError, SchemaError) as exc:
         return False, f"SMILES rejected: {exc}"
-
-
-def _featurize_many(smiles_list, schema):
-    jobs = [(s, schema) for s in smiles_list]
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with Pool(workers) as pool:
-            return pool.map(_featurize_one, jobs)
-    return [_featurize_one(j) for j in jobs]
 
 
 def _read_rows(path) -> list[list[str]]:
@@ -162,7 +141,7 @@ def ingest_csv(
             continue
         candidates.append((row_number, smiles, labels))
 
-    results = _featurize_many([smi for _, smi, _ in candidates], schema)
+    results = [_featurize(smi, schema) for _, smi, _ in candidates]
     order: list[str] = []
     graphs: dict[str, object] = {}
     sums: dict[str, np.ndarray] = {}
@@ -217,7 +196,7 @@ def read_smiles_csv(path) -> tuple[list[str], list[FeaturizedGraph], IngestRepor
             rejected.append((row_number, "missing smiles cell"))
             continue
         pairs.append((row_number, row[col].strip()))
-    results = _featurize_many([s for _, s in pairs], DEFAULT_SCHEMA)
+    results = [_featurize(s, DEFAULT_SCHEMA) for _, s in pairs]
     accepted, graphs = [], []
     for (row_number, smiles), (ok, payload) in zip(pairs, results):
         if ok:

@@ -105,19 +105,7 @@ class MultiTaskGINRegressor:
         return self
 
     def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr,
-            batch_size=self.batch_size,
-            dropout=self.dropout,
-            embed_dim=self.embed_dim,
-            n_layers=self.n_layers,
-            head_hidden=self.head_hidden,
-            val_fraction=self.val_fraction,
-            min_epochs=self.min_epochs,
-            patience=self.patience,
-            max_epochs=self.max_epochs,
-            seed=self.seed,
-        )
+        return TrainConfig(**self.get_params())
 
     # ------------------------------------------------------------------
     # lifecycle

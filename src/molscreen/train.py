@@ -224,7 +224,6 @@ def train_with_split(
     trainable_names=None,
     epoch_offset: int = 0,
     stop_after: int | None = None,
-    use_early_stopping: bool = True,
     epoch_callback=None,
 ) -> tuple[ModelParams, TrainLog]:
     """Core epoch loop.
@@ -232,8 +231,8 @@ def train_with_split(
     ``params`` continues from existing parameters (default: fresh init).
     ``trainable_names`` restricts optimization to a parameter-name subset,
     with batch-norm running statistics frozen while any backbone parameter is
-    excluded.  ``epoch_offset`` shifts logged epoch numbers; ``stop_after``
-    caps the number of epochs run regardless of early stopping;
+    excluded.  ``epoch_offset`` shifts logged epoch numbers; a given
+    ``stop_after`` runs exactly that many epochs, without early stopping;
     ``epoch_callback(epoch, params)`` runs after each epoch's bookkeeping.
     """
     train_rows = np.flatnonzero(masks.train.any(axis=1))
@@ -314,7 +313,7 @@ def train_with_split(
         log.stop_epoch = epoch
         if epoch_callback is not None:
             epoch_callback(epoch, params)
-        if use_early_stopping and stopper.observe(epoch, train_loss, val_loss):
+        if stop_after is None and stopper.observe(epoch, train_loss, val_loss):
             log.stop_reason = "early_stopping"
             break
     return best_params, log

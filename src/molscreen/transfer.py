@@ -72,7 +72,6 @@ def transfer_train(
             params=params,
             trainable_names=head_names,
             stop_after=head_epochs,
-            use_early_stopping=False,
             epoch_callback=lambda _epoch, p: hashes.append(p.backbone_hash()),
         )
     # phase 2 resumes from the post-warmup state (params was updated in

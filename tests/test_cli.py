@@ -32,6 +32,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def only_error(err):
+    """The single JSON error line a failing command prints on stderr."""
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    return json.loads(line)
+
+
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
@@ -153,6 +160,36 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "learning_rate" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"batch_size": 3.7}, {"max_epochs": True}, {"seed": 2.5}, {"lr": False}],
+        ids=["fractional-int", "bool-int", "fractional-seed", "bool-float"],
+    )
+    def test_config_value_of_wrong_type(self, entry, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        code, _, err = run(
+            capsys, "train", "--data", str(workdir / "data.csv"),
+            "--out", str(tmp_path / "x.ckpt"), "--mode", "mtl", "--config", str(cfg),
+            *TINY,
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert repr(next(iter(entry))) in error["message"]
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_integral_float_config_value_accepted(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4.0}))
+        code, out, _ = run(
+            capsys, "train", "--data", str(workdir / "data.csv"),
+            "--out", str(tmp_path / "x.ckpt"), "--mode", "mtl", "--config", str(cfg),
+            *TINY,
+        )
+        assert code == 0
+        assert "seed=4" in out.splitlines()
 
     def test_aux_size_requires_new_target(self, workdir, tmp_path, capsys):
         code, _, err = run(
@@ -456,7 +493,6 @@ class TestFeaturizeOnce:
         import molscreen.dataset_io
         import molscreen.featurize
 
-        monkeypatch.delenv("MOLSCREEN_WORKERS", raising=False)
         original = molscreen.featurize.featurize_smiles
         calls = []
 
@@ -567,6 +603,83 @@ class TestActiveLearnCommand:
         assert code == 3
 
 
+AL_TINY = [
+    "active-learn", "--pool", "{data}", "--meta", "{meta}", "--budget", "20",
+    "--rounds", "2", "--ensemble-size", "2", "--log-out", "{tmp}/al.csv",
+    "--embed-dim", "8", "--n-layers", "1", "--head-hidden", "8",
+    "--batch-size", "4", "--min-epochs", "1", "--max-epochs", "1",
+]
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written, whichever command writes it, is an
+    exit-3 JSON error naming the file, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--data", "{data}", "--out", "{missing}/x.ckpt", "--mode", "mtl",
+             *TINY],
+            ["transfer", "--pretrained", "{ckpt}", "--data", "{data}", "--target",
+             "task1", "--head-epochs", "1", "--out", "{missing}/x.ckpt",
+             "--batch-size", "16", "--min-epochs", "1", "--max-epochs", "1"],
+            [*AL_TINY, "--out", "{missing}/x.ckpt"],
+            [*AL_TINY, "--acquired-out", "{missing}/acq.csv"],
+            ["predict", "--checkpoint", "{ckpt}", "--input", "{data}",
+             "--out", "{missing}/p.csv"],
+            ["ingest", "--input", "{data}", "--out", "{missing}/clean.csv"],
+            ["synth-gen", "--n-tasks", "2", "--n-per-task", "5", "--out", "{tmp}/s.csv",
+             "--meta-out", "{missing}/meta.json"],
+        ],
+        ids=["train", "transfer", "active-learn-out", "active-learn-acquired-out",
+             "predict", "ingest", "synth-gen-meta"],
+    )
+    def test_missing_directory_is_io_error(self, argv, workdir, tmp_path, capsys):
+        paths = {
+            "data": workdir / "data.csv",
+            "meta": workdir / "meta.json",
+            "ckpt": workdir / "mtl.ckpt",
+            "tmp": tmp_path,
+            "missing": tmp_path / "no-such-dir",
+        }
+        code, _, err = run(capsys, *[a.format(**paths) for a in argv])
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert str(paths["missing"]) in error["message"]
+
+
+class TestUsageErrors:
+    """argparse's usage errors are bad-config JSON errors like every other
+    failure, not usage text."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["train", "--batch-size", "x"],
+            ["train", "--data", "d.csv"],
+            ["screen", "--checkpoint", "c", "--library", "l", "--out", "o", "--bogus"],
+        ],
+        ids=["no-command", "unknown-command", "bad-type", "missing-flag", "unknown-flag"],
+    )
+    def test_usage_error_is_bad_config(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert error["exit_code"] == 2
+        assert "usage:" not in err
+
+    def test_subcommand_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--help"])
+        assert info.value.code == 0
+        assert "--batch-size" in capsys.readouterr().out
+
+
 class TestEntryPoint:
     def test_module_help(self):
         import subprocess
@@ -588,3 +701,6 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+        error = only_error(proc.stderr)
+        assert error["error"] == "bad-config"
+        assert "frobnicate" in error["message"]

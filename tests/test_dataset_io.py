@@ -205,18 +205,6 @@ class TestSmilesOnlyCsv:
         assert len(graphs) == 2
 
 
-class TestWorkerPool:
-    def test_parallel_ingest_matches_serial(self, tmp_path, monkeypatch):
-        ds, _ = synth_dataset(n_tasks=2, n_per_task=30, seed=2)
-        path = tmp_path / "pool.csv"
-        write_dataset_csv(path, ds)
-        serial, _ = ingest_csv(path)
-        monkeypatch.setenv("MOLSCREEN_WORKERS", "2")
-        parallel, _ = ingest_csv(path)
-        assert serial.smiles == parallel.smiles
-        np.testing.assert_array_equal(serial.labels, parallel.labels)
-
-
 class TestHitDirectionRoundTrip:
     def test_direction_suffix_read(self, tmp_path):
         path = write(tmp_path, "smiles,T0,T1:higher_is_better\nCCO,-7.0,5.5\n")

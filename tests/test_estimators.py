@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from molscreen.estimators import GINRegressor, MultiTaskGINRegressor, NotFittedError
+from molscreen.train import TrainConfig
 
 SMILES = [
     "C", "CC", "CCC", "CCO", "CCN", "CC(C)C", "C1CC1", "C1CCC1",
@@ -38,6 +39,13 @@ class TestParamsProtocol:
         assert params["embed_dim"] == 32
         assert params["seed"] == 3
         assert "lr" in params and "patience" in params
+
+    def test_defaults_equal_train_config(self):
+        # the constructor restates TrainConfig's defaults; they must not drift
+        assert MultiTaskGINRegressor()._train_config() == TrainConfig()
+        assert GINRegressor(embed_dim=32, seed=3)._train_config() == TrainConfig(
+            embed_dim=32, seed=3
+        )
 
     def test_set_params_updates_and_chains(self):
         est = GINRegressor()
