@@ -44,8 +44,8 @@ class ALConfig:
             raise ValueError("init_fraction must be in (0, 1]")
         if self.acquisition not in ACQUISITIONS:
             raise ValueError(f"acquisition must be one of {ACQUISITIONS}")
-        if self.ucb_beta < 0.0:
-            raise ValueError("ucb_beta must be >= 0")
+        if not 0.0 <= self.ucb_beta < math.inf:  # false for NaN too
+            raise ValueError("ucb_beta must be >= 0 and finite")
         remaining = self.total_budget - self.init_size
         if self.n_rounds == 0:
             if remaining != 0:

@@ -244,6 +244,17 @@ def _write_csv_text(path, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _check_writable(*paths) -> None:
+    """Fail before any training if an output cannot be written; a file the
+    check had to create is removed again."""
+    for path in map(Path, filter(None, paths)):
+        existed = path.exists()
+        with open(path, "ab"):
+            pass
+        if not existed:
+            path.unlink()
+
+
 def _print_seed(seed: int) -> None:
     print(f"seed={seed}")
 
@@ -316,6 +327,7 @@ def _apply_train_mode(ds: TaskDataset, args, seed: int) -> TaskDataset:
 
 def cmd_train(args) -> None:
     config, _ = resolve_train_config(args)
+    _check_writable(args.out)
     _print_seed(config.seed)
     ds = _load_dataset(args.data)
     ds = _apply_train_mode(ds, args, config.seed)
@@ -445,6 +457,7 @@ def cmd_transfer(args) -> None:
         updates["head_hidden"] = ck.params.head_hidden
     if updates:
         config = dataclasses.replace(config, **updates)
+    _check_writable(args.out)
     _print_seed(config.seed)
     ds = _load_dataset(args.data)
     if ds.n_tasks > 1:
@@ -482,6 +495,7 @@ def cmd_active_learn(args) -> None:
         ucb_beta=args.ucb_beta,
         seed=config.seed,
     )
+    _check_writable(args.log_out, args.acquired_out, args.out)
     meta = _load_meta(args.meta)
     if not 0 <= args.oracle_task < meta.n_tasks:
         raise ConfigError(

@@ -7,7 +7,8 @@ is no general broadcasting beyond bias-style row vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,24 +32,39 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+def matmul(
+    a: Tensor, b: Tensor, bias: Tensor | None = None, tape: Tape | None = None
+) -> Tensor:
+    """``a @ b``, with an optional bias row added in place into the product."""
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
     out = a.data @ b.data
+    inputs = (a, b)
+    if bias is not None:
+        out += bias.data
+        inputs += (bias,)
 
     def backward(up):
-        return up @ b.data.T, a.data.T @ up
+        grads = (up @ b.data.T, a.data.T @ up)
+        return grads if bias is None else grads + (_unbroadcast(up, bias.shape),)
 
-    return _result(out, (a, b), backward, tape)
+    return _result(out, inputs, backward, tape)
 
 
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    out = a.data + b.data
+def add(*terms: Tensor, tape: Tape | None = None) -> Tensor:
+    """Sum of two or more tensors, added left to right into one array;
+    terms after the first two may be bias-style rows broadcast into it."""
+    if len(terms) < 2:
+        raise ValueError("add needs at least two terms")
+    out = terms[0].data + terms[1].data
+    for term in terms[2:]:
+        out += term.data
+    shapes = [t.shape for t in terms]
 
     def backward(up):
-        return _unbroadcast(up, a.shape), _unbroadcast(up, b.shape)
+        return tuple(_unbroadcast(up, shape) for shape in shapes)
 
-    return _result(out, (a, b), backward, tape)
+    return _result(out, terms, backward, tape)
 
 
 def scale(x: Tensor, factor: float, tape: Tape | None = None) -> Tensor:
@@ -92,29 +108,50 @@ def dropout(
     return _result(x.data * factor, (x,), backward, tape)
 
 
+def _table_grad(table: np.ndarray, indices: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Each table row sums the ``up`` rows that read it, in index order
+    from +0.0: bit-identical to ``np.add.at(zeros, indices, up)``."""
+    grad = np.zeros_like(table)
+    terms = up[np.argsort(indices, kind="stable")]
+    counts = np.bincount(indices, minlength=table.shape[0])
+    stops = np.cumsum(counts)
+    # reduce over axis 0 folds rows wider than 1 sequentially but sums a
+    # 1-wide column pairwise; accumulate is sequential at every width
+    wide = up.ndim == 2 and up.shape[1] > 1
+    for row in np.flatnonzero(counts):
+        uses = terms[stops[row] - counts[row] : stops[row]]
+        if wide:
+            grad[row] += np.add.reduce(uses, axis=0)
+        else:
+            grad[row] += np.add.accumulate(uses, axis=0, out=uses)[-1]
+    return grad
+
+
 def embedding_lookup(
-    table: Tensor, indices: np.ndarray, tape: Tape | None = None
+    tables: Sequence[Tensor], indices: np.ndarray, tape: Tape | None = None
 ) -> Tensor:
+    """Sum of one row per table, ``tables[0][indices[:, 0]] +
+    tables[1][indices[:, 1]] + ...``, added left to right into one array;
+    ``indices`` has one column per table."""
+    tables = tuple(tables)
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1:
-        raise ValueError("embedding indices must be one-dimensional")
-    if indices.size and (indices.min() < 0 or indices.max() >= table.shape[0]):
-        raise IndexError("embedding index out of range")
-    out = table.data[indices]
+    if not tables or indices.ndim != 2 or indices.shape[1] != len(tables):
+        raise ValueError("embedding indices need one column per table")
+    columns = indices.T
+    for table, column in zip(tables, columns):
+        if column.size and (column.min() < 0 or column.max() >= table.shape[0]):
+            raise IndexError("embedding index out of range")
+    out = tables[0].data[columns[0]]
+    for table, column in zip(tables[1:], columns[1:]):
+        out += table.data[column]
 
     def backward(up):
-        # each table row sums its uses in index order from +0.0, as
-        # np.add.at would; accumulate is sequential at every row width
-        grad = np.zeros_like(table.data)
-        terms = up[np.argsort(indices, kind="stable")]
-        counts = np.bincount(indices, minlength=table.shape[0])
-        stops = np.cumsum(counts)
-        for row in np.flatnonzero(counts):
-            uses = terms[stops[row] - counts[row] : stops[row]]
-            grad[row] = np.add.accumulate(uses, axis=0, out=uses)[-1] + 0.0
-        return (grad,)
+        return tuple(
+            _table_grad(table.data, column, up) if table.requires_grad else None
+            for table, column in zip(tables, columns)
+        )
 
-    return _result(out, (table,), backward, tape)
+    return _result(out, tables, backward, tape)
 
 
 # np.add.reduceat sums a segment of at most this many rows as

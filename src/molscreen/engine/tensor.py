@@ -3,7 +3,9 @@
 A :class:`Tape` records every primitive op in execution order, which is a
 valid topological order of the computation graph.  ``backward`` walks the
 records once in reverse, accumulating gradients additively, so a tensor used
-as input to several ops receives the sum of all contributions.
+as input to several ops receives the sum of all contributions.  It consumes
+the tape as it goes: each record is released once it has run, so only leaf
+tensors (inputs that no recorded op produced) keep ``.grad`` afterwards.
 """
 
 from __future__ import annotations
@@ -39,7 +41,14 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of executed ops for one backward pass."""
+    """Ordered record of executed ops for one backward pass.
+
+    ``backward`` pops each record as it runs it and drops the output's
+    gradient once the record's ``backward_fn`` has used it, so closures and
+    the forward arrays they hold are freed during the pass rather than when
+    the tape dies.  A tape therefore runs backward once; after it, only leaf
+    tensors keep ``.grad``.
+    """
 
     def __init__(self):
         # (output, inputs, backward_fn); backward_fn maps the output gradient
@@ -57,19 +66,28 @@ class Tape:
         self._records.append((output, tuple(inputs), backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate gradients of ``loss`` into every recorded tensor."""
+        """Accumulate gradients of ``loss`` into every leaf tensor, consuming
+        the tape."""
         if loss.data.size != 1:
             raise ValueError("backward requires a scalar loss")
         loss.grad = np.ones_like(loss.data)
-        for output, inputs, backward_fn in reversed(self._records):
-            if output.grad is None:
-                continue
-            for tensor, grad in zip(inputs, backward_fn(output.grad)):
-                if grad is None or not tensor.requires_grad:
-                    continue
-                if tensor.grad is None:
-                    # 0.0 + grad is what adding into zeros gave, without
-                    # the zero fill; the fresh array never aliases grad
-                    tensor.grad = np.add(grad, 0.0, out=np.empty_like(tensor.data))
-                else:
-                    tensor.grad += grad
+        records = self._records
+        while records:
+            output, inputs, backward_fn = records.pop()
+            up, output.grad = output.grad, None
+            if up is not None:
+                _accumulate(inputs, backward_fn(up))
+
+
+def _accumulate(inputs: tuple[Tensor, ...], grads) -> None:
+    # a function, so its loop variables do not hold the last gradient
+    # array alive while the next record's backward runs
+    for tensor, grad in zip(inputs, grads):
+        if grad is None or not tensor.requires_grad:
+            continue
+        if tensor.grad is None:
+            # 0.0 + grad is what adding into zeros gave, without the zero
+            # fill; the fresh array never aliases grad
+            tensor.grad = np.add(grad, 0.0, out=np.empty_like(tensor.data))
+        else:
+            tensor.grad += grad

@@ -310,19 +310,11 @@ def init_heads(
 
 def embed_inputs(batch: GraphBatch, params: ModelParams, tape: Tape | None = None):
     """Initial node states and per-layer bond states as embedding-row sums."""
-    h = ops.embedding_lookup(params.node_tables[0], batch.atom_indices[:, 0], tape=tape)
-    for i in range(1, len(params.node_tables)):
-        row = ops.embedding_lookup(
-            params.node_tables[i], batch.atom_indices[:, i], tape=tape
-        )
-        h = ops.add(h, row, tape=tape)
-    edge_states = []
-    for layer in params.layers:
-        state = None
-        for j, table in enumerate(layer.edge_tables):
-            row = ops.embedding_lookup(table, batch.bond_indices[:, j], tape=tape)
-            state = row if state is None else ops.add(state, row, tape=tape)
-        edge_states.append(state)
+    h = ops.embedding_lookup(params.node_tables, batch.atom_indices, tape=tape)
+    edge_states = [
+        ops.embedding_lookup(layer.edge_tables, batch.bond_indices, tape=tape)
+        for layer in params.layers
+    ]
     return h, edge_states
 
 
@@ -343,14 +335,11 @@ def gin_forward(
         if batch.neighbor_layout.counts.any():
             summed = ops.segment_sum(h, batch.neighbor_layout, tape=tape)
             edge_sum = ops.segment_sum(edge_states[k], batch.bond_layout, tape=tape)
-            s = ops.add(ops.add(h, summed, tape=tape), edge_sum, tape=tape)
+            s = ops.add(h, summed, edge_sum, layer.self_loop, tape=tape)
         else:
-            s = h
-        s = ops.add(s, layer.self_loop, tape=tape)
-        hidden = ops.relu(
-            ops.add(ops.matmul(s, layer.w1, tape=tape), layer.b1, tape=tape), tape=tape
-        )
-        mixed = ops.add(ops.matmul(hidden, layer.w2, tape=tape), layer.b2, tape=tape)
+            s = ops.add(h, layer.self_loop, tape=tape)
+        hidden = ops.relu(ops.matmul(s, layer.w1, layer.b1, tape=tape), tape=tape)
+        mixed = ops.matmul(hidden, layer.w2, layer.b2, tape=tape)
         normed = ops.batch_norm(
             mixed,
             layer.bn_gamma,
@@ -382,13 +371,11 @@ def predict_heads(
         if not 0 <= t < len(params.heads):
             raise IndexError(f"unknown task index {t}")
         head = params.heads[t]
-        hidden = ops.relu(
-            ops.add(ops.matmul(z, head.w1, tape=tape), head.b1, tape=tape), tape=tape
-        )
+        hidden = ops.relu(ops.matmul(z, head.w1, head.b1, tape=tape), tape=tape)
         if train and params.dropout > 0.0:
             stream = rng_stream(rng_path[0], *rng_path[1:], 1, 1, t)
             hidden = ops.dropout(hidden, params.dropout, stream, train=True, tape=tape)
-        outs.append(ops.add(ops.matmul(hidden, head.w2, tape=tape), head.b2, tape=tape))
+        outs.append(ops.matmul(hidden, head.w2, head.b2, tape=tape))
     return outs
 
 

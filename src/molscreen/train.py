@@ -51,8 +51,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 (batch norm)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:  # false for NaN too
+            raise ValueError("lr must be positive and finite")
         for name in ("embed_dim", "n_layers", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -75,6 +75,11 @@ class TestALConfig:
         with pytest.raises(ValueError):
             ALConfig(total_budget=10, acquisition="entropy")
 
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+    def test_bad_ucb_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="ucb_beta"):
+            ALConfig(total_budget=10, n_rounds=1, ucb_beta=beta)
+
 
 class TestSelection:
     def test_select_batch_lower_is_better(self):

@@ -180,6 +180,21 @@ class TestTrainCommand:
         assert repr(next(iter(entry))) in error["message"]
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nan_learning_rate_is_bad_config(self, source, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": math.nan}))  # Python's json writes NaN
+        extra = ["--lr", "nan"] if source == "flag" else ["--config", str(cfg)]
+        code, _, err = run(
+            capsys, "train", "--data", str(workdir / "data.csv"),
+            "--out", str(tmp_path / "x.ckpt"), "--mode", "mtl", *TINY, *extra,
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert "lr" in error["message"]
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_integral_float_config_value_accepted(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 4.0}))
@@ -647,6 +662,40 @@ class TestUnwritableOutput:
         error = only_error(err)
         assert error["error"] == "io-failure"
         assert str(paths["missing"]) in error["message"]
+
+
+    @pytest.mark.parametrize("command", ["train", "transfer"])
+    def test_rejected_before_training(self, command, workdir, tmp_path, capsys,
+                                      monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("training started despite an unwritable --out")
+
+        monkeypatch.setattr("molscreen.cli.train", unreachable)
+        monkeypatch.setattr("molscreen.cli.transfer_train", unreachable)
+        missing = tmp_path / "no-such-dir"
+        argv = {
+            "train": ["train", "--data", str(workdir / "data.csv"), "--mode", "mtl",
+                      *TINY],
+            "transfer": ["transfer", "--pretrained", str(workdir / "mtl.ckpt"),
+                         "--data", str(workdir / "data.csv"), "--target", "task1",
+                         "--batch-size", "16"],
+        }[command]
+        code, _, err = run(capsys, *argv, "--out", str(missing / "x.ckpt"))
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert str(missing) in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_leaves_no_file_when_a_later_step_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.ckpt"
+        code, _, err = run(
+            capsys, "train", "--data", str(tmp_path / "missing.csv"),
+            "--out", str(out), "--mode", "mtl", *TINY,
+        )
+        assert code == 3
+        assert only_error(err)["error"] == "io-failure"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsageErrors:

@@ -1,6 +1,8 @@
 """Engine tests: finite-difference oracles per primitive, Adam vs a
 hand-rolled reference, tape behavior, and RNG stream determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,58 @@ class TestTapeBasics:
         x = Tensor([1.0], requires_grad=True)
         y = ops.relu(x)
         assert y.requires_grad is False
+
+
+class TestTapeRelease:
+    """backward pops each record as it runs it and drops the output's
+    gradient, so only leaf tensors keep .grad and saved arrays die
+    during the pass."""
+
+    def test_only_leaves_keep_grad_and_closures_are_freed(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(2,)), requires_grad=True)
+        target = rng.normal(size=(4, 2))
+        tape = Tape()
+        # a pass-through op recorded first, so its backward runs last
+        probe = Tensor(x.data.copy(), requires_grad=True)
+        seen = {}
+
+        def probe_backward(up):
+            seen["hidden"] = hidden_ref()
+            return (up,)
+
+        tape.record(probe, (x,), probe_backward)
+        hidden = ops.relu(probe, tape=tape)
+        # only the relu output and matmul's closure hold this array
+        hidden_ref = weakref.ref(hidden.data)
+        out = ops.matmul(hidden, w, bias, tape=tape)
+        loss = ops.masked_sse(out, target, np.ones_like(target), tape=tape)
+        non_leaves = [probe, out, loss]
+        keep = probe.data > 0
+        del hidden
+        assert hidden_ref() is not None
+        tape.backward(loss)
+
+        assert seen["hidden"] is None
+        assert all(t.grad is None for t in non_leaves)
+        d_out = 2.0 * (np.maximum(probe.data, 0.0) @ w.data + bias.data - target)
+        d_hidden = (d_out @ w.data.T) * keep
+        _assert_same_bits(w.grad, np.maximum(probe.data, 0.0).T @ d_out + 0.0)
+        _assert_same_bits(bias.grad, d_out.sum(axis=0) + 0.0)
+        _assert_same_bits(x.grad, d_hidden + 0.0)
+
+    def test_tape_runs_backward_once(self):
+        x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        tape = Tape()
+        loss = ops.masked_sse(
+            ops.relu(x, tape=tape), np.zeros((1, 2)), np.ones((1, 2)), tape=tape
+        )
+        tape.backward(loss)
+        first = x.grad.copy()
+        tape.backward(loss)
+        _assert_same_bits(x.grad, first)
 
 
 class TestPrimitiveGradients:
@@ -163,10 +217,48 @@ class TestPrimitiveGradients:
 
         def build(tape):
             return ops.mse_loss(
-                ops.embedding_lookup(table, idx, tape=tape), target, tape=tape
+                ops.embedding_lookup([table], idx[:, None], tape=tape), target, tape=tape
             )
 
         self._check(build, [table])
+
+    def test_embedding_lookup_sums_tables(self):
+        tables = [
+            Tensor(self.rng.normal(size=(rows, 3)), requires_grad=True)
+            for rows in (5, 2, 4)
+        ]
+        idx = np.array([[0, 1, 3], [2, 0, 3], [2, 1, 0], [4, 1, 1]])
+        target = self.rng.normal(size=(4, 3))
+
+        def build(tape):
+            return ops.mse_loss(
+                ops.embedding_lookup(tables, idx, tape=tape), target, tape=tape
+            )
+
+        self._check(build, tables)
+
+    def test_add_many_terms_with_bias(self):
+        terms = [
+            Tensor(self.rng.normal(size=(4, 3)), requires_grad=True) for _ in range(3)
+        ]
+        bias = Tensor(self.rng.normal(size=(3,)), requires_grad=True)
+        target = self.rng.normal(size=(4, 3))
+
+        def build(tape):
+            return ops.mse_loss(ops.add(*terms, bias, tape=tape), target, tape=tape)
+
+        self._check(build, terms + [bias])
+
+    def test_matmul_with_bias(self):
+        a = Tensor(self.rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(self.rng.normal(size=(4, 2)), requires_grad=True)
+        bias = Tensor(self.rng.normal(size=(2,)), requires_grad=True)
+        target = self.rng.normal(size=(3, 2))
+
+        def build(tape):
+            return ops.mse_loss(ops.matmul(a, b, bias, tape=tape), target, tape=tape)
+
+        self._check(build, [a, b, bias])
 
     def test_segment_sum(self):
         x = Tensor(self.rng.normal(size=(6, 2)), requires_grad=True)
@@ -472,10 +564,36 @@ class TestSegmentExactness:
             indices = rng.integers(0, table_rows, size=int(rng.integers(0, 60)))
             table = Tensor(np.ones((table_rows, width)), requires_grad=True)
             tape = _Capture()
-            ops.embedding_lookup(table, indices, tape=tape)
+            ops.embedding_lookup([table], indices[:, None], tape=tape)
             up = self._values(rng, (indices.size, width))
             (grad,) = tape.backward_fn(up)
             _assert_same_bits(grad, _add_at(table_rows, indices, up))
+
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    def test_summed_tables_match_chained_adds_and_add_at(self, width):
+        # references: chained two-term adds T0[i0] + T1[i1] + ... forward,
+        # and np.add.at of the shared upstream rows for each table
+        rng = np.random.default_rng(500 + width)
+        for _ in range(40):
+            sizes = rng.integers(1, 12, size=int(rng.integers(1, 5)))
+            # up to 300 uses so that any pairwise blocking would show
+            n = int(rng.integers(0, 300))
+            indices = np.stack([rng.integers(0, r, size=n) for r in sizes], axis=1)
+            tables = [
+                Tensor(self._values(rng, (int(r), width)), requires_grad=True)
+                for r in sizes
+            ]
+            tape = _Capture()
+            out = ops.embedding_lookup(tables, indices, tape=tape)
+            expected = tables[0].data[indices[:, 0]]
+            for j in range(1, len(tables)):
+                expected = expected + tables[j].data[indices[:, j]]
+            _assert_same_bits(out.data, expected)
+            up = self._values(rng, (n, width))
+            grads = tape.backward_fn(up)
+            assert len(grads) == len(tables)
+            for j, grad in enumerate(grads):
+                _assert_same_bits(grad, _add_at(int(sizes[j]), indices[:, j], up))
 
     def test_first_gradient_write_is_exact_and_unaliased(self):
         # add passes the same upstream array to both inputs

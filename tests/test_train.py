@@ -224,6 +224,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(max_epochs=0)
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, NAN, float("inf")])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+
 
 class TestTrainLoop:
     def test_log_one_record_per_epoch_and_contiguous(self):
