@@ -174,6 +174,7 @@ def load_checkpoint(path) -> Checkpoint:
         shape = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim))
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         data = np.frombuffer(reader.take(8 * count), dtype="<f8")
+        # astype copies, so each array is fresh and writable
         loaded[name] = data.reshape(shape).astype(np.float64)
     if reader.pos != len(reader.blob):
         raise CheckpointError("trailing bytes after final array")
@@ -195,7 +196,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"array {name}: shape {loaded[name].shape}, "
                 f"expected {tensor.data.shape}"
             )
-        tensor.data = loaded[name].copy()
+        tensor.data = loaded[name]
     for name, arr in params.named_state_arrays():
         if arr.shape != loaded[name].shape:
             raise CheckpointError(

@@ -10,18 +10,12 @@ that shared embedding.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import BatchNormState, Tape, Tensor, ops, rng_stream
-from .featurize import (
-    ATOM_FEATURE_WIDTHS,
-    BOND_FEATURE_WIDTHS,
-    DEFAULT_SCHEMA,
-    FeatureSchema,
-    FeaturizedGraph,
-)
+from .featurize import DEFAULT_SCHEMA, FeatureSchema, FeaturizedGraph
 
 _EMBED_STD = 0.02
 INFERENCE_BATCH = 256  # graphs packed per eval-mode forward
@@ -32,7 +26,11 @@ class GraphBatch:
     """Several featurized graphs packed into flat arrays.
 
     Directed edges appear once per bond direction, sorted (stably) by
-    destination node.  The three slot layouts are built once per batch and
+    destination node.  The whole batch is packed at once: every bond's
+    forward direction, then every reverse one, then the sort.  A node's
+    incoming edges all come from its own graph, so this is the order that
+    packing graph by graph gives, and the order in which each segment sum
+    folds its terms.  The three slot layouts are built once per batch and
     serve every layer, forward and backward: neighbor states and bond states
     summed into each destination node, and node states pooled per graph.
     The forward pass reads only the layouts; ``graph_ids`` and the three
@@ -65,52 +63,32 @@ class GraphBatch:
             raise ValueError("batch needs at least one graph")
         if any(g.n_atoms == 0 for g in graphs):
             raise ValueError("graphs must have at least one atom")
-        atom_rows = []
-        bond_rows = []
-        graph_ids = []
-        src, dst, bond_of_edge = [], [], []
-        node_offset = bond_offset = 0
-        counts = []
-        for gid, g in enumerate(graphs):
-            atom_rows.append(g.atom_indices)
-            bond_rows.append(g.bond_indices)
-            graph_ids.append(np.full(g.n_atoms, gid, dtype=np.int64))
-            counts.append(g.n_atoms)
-            if g.n_bonds:
-                a = g.bond_endpoints[:, 0] + node_offset
-                b = g.bond_endpoints[:, 1] + node_offset
-                idx = np.arange(g.n_bonds, dtype=np.int64) + bond_offset
-                src.append(np.concatenate([a, b]))
-                dst.append(np.concatenate([b, a]))
-                bond_of_edge.append(np.concatenate([idx, idx]))
-            node_offset += g.n_atoms
-            bond_offset += g.n_bonds
-        edge_src = np.concatenate(src) if src else np.zeros(0, dtype=np.int64)
-        edge_dst = np.concatenate(dst) if dst else np.zeros(0, dtype=np.int64)
-        edge_bond = (
-            np.concatenate(bond_of_edge) if bond_of_edge else np.zeros(0, dtype=np.int64)
-        )
-        if edge_dst.size:
-            order = np.argsort(edge_dst, kind="stable")
-            edge_src, edge_dst, edge_bond = (
-                edge_src[order],
-                edge_dst[order],
-                edge_bond[order],
-            )
-        graph_ids = np.concatenate(graph_ids)
+        node_counts = np.array([g.n_atoms for g in graphs], dtype=np.int64)
+        bond_counts = np.array([g.n_bonds for g in graphs], dtype=np.int64)
+        n_nodes = int(node_counts.sum())
+        n_bonds = int(bond_counts.sum())
+        graph_ids = np.repeat(np.arange(len(graphs), dtype=np.int64), node_counts)
+        ends = np.concatenate([g.bond_endpoints for g in graphs]) + np.repeat(
+            np.cumsum(node_counts) - node_counts, bond_counts
+        )[:, None]
+        edge_src = np.concatenate([ends[:, 0], ends[:, 1]])
+        edge_dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        edge_bond = np.tile(np.arange(n_bonds, dtype=np.int64), 2)
+        order = np.argsort(edge_dst, kind="stable")
+        edge_src, edge_dst, edge_bond = edge_src[order], edge_dst[order], edge_bond[order]
         return cls(
-            atom_indices=np.concatenate(atom_rows),
-            bond_indices=np.concatenate(bond_rows),
+            atom_indices=np.concatenate([g.atom_indices for g in graphs]),
+            bond_indices=np.concatenate([g.bond_indices for g in graphs]),
             graph_ids=graph_ids,
-            node_counts=np.asarray(counts, dtype=np.int64),
+            node_counts=node_counts,
             edge_src=edge_src,
             edge_dst=edge_dst,
             edge_bond=edge_bond,
             neighbor_layout=ops.SegmentLayout(
-                edge_dst, node_offset, rows=edge_src, num_rows=node_offset
+                edge_dst, n_nodes, rows=edge_src, num_rows=n_nodes
             ),
             bond_layout=ops.SegmentLayout(
-                edge_dst, node_offset, rows=edge_bond, num_rows=bond_offset
+                edge_dst, n_nodes, rows=edge_bond, num_rows=n_bonds
             ),
             pool_layout=ops.SegmentLayout(graph_ids, len(graphs)),
         )
@@ -308,16 +286,6 @@ def init_heads(
     return heads
 
 
-def embed_inputs(batch: GraphBatch, params: ModelParams, tape: Tape | None = None):
-    """Initial node states and per-layer bond states as embedding-row sums."""
-    h = ops.embedding_lookup(params.node_tables, batch.atom_indices, tape=tape)
-    edge_states = [
-        ops.embedding_lookup(layer.edge_tables, batch.bond_indices, tape=tape)
-        for layer in params.layers
-    ]
-    return h, edge_states
-
-
 def gin_forward(
     batch: GraphBatch,
     params: ModelParams,
@@ -330,11 +298,18 @@ def gin_forward(
     """Per-graph embeddings, shape (n_graphs, embed_dim)."""
     if train and params.dropout > 0.0 and rng_path is None:
         raise ValueError("train-mode forward needs an rng_path for dropout")
-    h, edge_states = embed_inputs(batch, params, tape=tape)
+    h = ops.embedding_lookup(params.node_tables, batch.atom_indices, tape=tape)
+    has_edges = batch.neighbor_layout.counts.any()
     for k, layer in enumerate(params.layers):
-        if batch.neighbor_layout.counts.any():
+        if has_edges:
             summed = ops.segment_sum(h, batch.neighbor_layout, tape=tape)
-            edge_sum = ops.segment_sum(edge_states[k], batch.bond_layout, tape=tape)
+            # each layer embeds its own bonds, and no name keeps them, so an
+            # eval forward holds one layer's bond states at a time
+            edge_sum = ops.segment_sum(
+                ops.embedding_lookup(layer.edge_tables, batch.bond_indices, tape=tape),
+                batch.bond_layout,
+                tape=tape,
+            )
             s = ops.add(h, summed, edge_sum, layer.self_loop, tape=tape)
         else:
             s = ops.add(h, layer.self_loop, tape=tape)

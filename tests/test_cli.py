@@ -10,10 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from molscreen.active import ALConfig, al_run
 from molscreen.checkpoint import load_checkpoint, save_checkpoint
 from molscreen.cli import main
+from molscreen.dataset_io import read_smiles_csv
 from molscreen.featurize import FeatureSchema
-from molscreen.model import init_params
+from molscreen.model import init_params, predict_graphs
+from molscreen.synth import SynthMeta, task_oracle
+from molscreen.train import TrainConfig
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 GOLDEN_FILES = ("model.ckpt", "input.csv", "expected_predictions.csv")
@@ -588,6 +592,35 @@ class TestActiveLearnCommand:
         assert len(read_rows(acquired)) == 20
         ck = load_checkpoint(tmp_path / "al.ckpt")
         assert ck.params.task_names == ["T0"]
+
+    def test_out_saves_ensemble_member_zero(self, workdir, tmp_path, capsys):
+        # --out is documented to save final-ensemble member 0 only
+        code, _, _ = run(
+            capsys, "active-learn", "--pool", str(workdir / "data.csv"),
+            "--meta", str(workdir / "meta.json"), "--budget", "20", "--rounds", "2",
+            "--ensemble-size", "2", "--log-out", str(tmp_path / "al.csv"),
+            "--out", str(tmp_path / "al.ckpt"), "--seed", "3",
+            "--embed-dim", "8", "--n-layers", "1", "--head-hidden", "8",
+            "--batch-size", "4", "--min-epochs", "1", "--max-epochs", "1",
+        )
+        assert code == 0
+        pool, graphs, _ = read_smiles_csv(workdir / "data.csv")
+        meta = SynthMeta.from_json((workdir / "meta.json").read_text())
+        result = al_run(
+            pool,
+            task_oracle(meta, 0),
+            ALConfig(total_budget=20, ensemble_size=2, n_rounds=2, seed=3),
+            TrainConfig(
+                embed_dim=8, n_layers=1, head_hidden=8, batch_size=4,
+                min_epochs=1, max_epochs=1, seed=3,
+            ),
+            graphs=graphs,
+        )
+        saved = predict_graphs(graphs, load_checkpoint(tmp_path / "al.ckpt").params)
+        member0 = predict_graphs(graphs, result.members[0])
+        member1 = predict_graphs(graphs, result.members[1])
+        np.testing.assert_array_equal(saved.view(np.int64), member0.view(np.int64))
+        assert not np.array_equal(saved, member1)
 
     def test_budget_beyond_pool(self, workdir, tmp_path, capsys):
         code, _, _ = run(

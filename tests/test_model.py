@@ -1,6 +1,8 @@
 """Model tests: wiring against hand-computed formulas, invariances, and a
 small end-to-end gradient check."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from molscreen.model import (
     GraphBatch,
     ModelParams,
     INFERENCE_BATCH,
-    embed_inputs,
     encode_graphs,
     gin_forward,
     init_params,
@@ -96,28 +97,160 @@ class TestGraphBatch:
             GraphBatch.from_graphs([])
 
 
-class TestEmbedInputs:
-    def test_h0_is_sum_of_table_rows(self):
-        params = init_params(["t"], embed_dim=8, n_layers=1, seed=0)
-        batch = batch_of("C")
-        h0, _ = embed_inputs(batch, params)
-        idx = featurize_smiles("C").atom_indices[0]
-        expected = sum(
-            params.node_tables[i].data[idx[i]] for i in range(7)
-        )
-        np.testing.assert_allclose(h0.data[0], expected, rtol=1e-15)
+def reference_pack(graphs):
+    """GraphBatch.from_graphs as a per-graph loop: each graph's forward
+    directions, then its reverse ones, offset by the nodes before it."""
+    atom_rows, bond_rows, graph_ids, counts = [], [], [], []
+    src, dst, bond_of_edge = [], [], []
+    node_offset = bond_offset = 0
+    for gid, g in enumerate(graphs):
+        atom_rows.append(g.atom_indices)
+        bond_rows.append(g.bond_indices)
+        graph_ids.append(np.full(g.n_atoms, gid, dtype=np.int64))
+        counts.append(g.n_atoms)
+        if g.n_bonds:
+            a = g.bond_endpoints[:, 0] + node_offset
+            b = g.bond_endpoints[:, 1] + node_offset
+            idx = np.arange(g.n_bonds, dtype=np.int64) + bond_offset
+            src.append(np.concatenate([a, b]))
+            dst.append(np.concatenate([b, a]))
+            bond_of_edge.append(np.concatenate([idx, idx]))
+        node_offset += g.n_atoms
+        bond_offset += g.n_bonds
+    empty = np.zeros(0, dtype=np.int64)
+    edge_src = np.concatenate(src) if src else empty
+    edge_dst = np.concatenate(dst) if dst else empty
+    edge_bond = np.concatenate(bond_of_edge) if bond_of_edge else empty
+    order = np.argsort(edge_dst, kind="stable")
+    edge_src, edge_dst, edge_bond = edge_src[order], edge_dst[order], edge_bond[order]
+    graph_ids = np.concatenate(graph_ids)
+    return GraphBatch(
+        atom_indices=np.concatenate(atom_rows),
+        bond_indices=np.concatenate(bond_rows),
+        graph_ids=graph_ids,
+        node_counts=np.asarray(counts, dtype=np.int64),
+        edge_src=edge_src,
+        edge_dst=edge_dst,
+        edge_bond=edge_bond,
+        neighbor_layout=ops.SegmentLayout(
+            edge_dst, node_offset, rows=edge_src, num_rows=node_offset
+        ),
+        bond_layout=ops.SegmentLayout(
+            edge_dst, node_offset, rows=edge_bond, num_rows=bond_offset
+        ),
+        pool_layout=ops.SegmentLayout(graph_ids, len(graphs)),
+    )
 
-    def test_edge_states_are_sums_per_layer(self):
-        params = init_params(["t"], embed_dim=8, n_layers=2, seed=0)
-        batch = batch_of("C=C")
-        _, edge_states = embed_inputs(batch, params)
-        assert len(edge_states) == 2
-        idx = featurize_smiles("C=C").bond_indices[0]
-        for k in range(2):
-            expected = sum(
-                params.layers[k].edge_tables[j].data[idx[j]] for j in range(3)
-            )
-            np.testing.assert_allclose(edge_states[k].data[0], expected, rtol=1e-15)
+
+def _assert_same_array(actual, expected, name):
+    assert actual.dtype == expected.dtype, name
+    np.testing.assert_array_equal(actual, expected, err_msg=name)
+
+
+class TestPackingOracle:
+    """Whole-batch packing gives, array for array, what the per-graph loop
+    gives: the same edge order, so the same layouts and fold orders.  The
+    pool mixes bondless molecules, single atoms, rings and a sulfur with
+    ten neighbours (past the slot fold's 8-term limit)."""
+
+    POOL = (
+        "C", "[Na+]", "O", "CCO", "c1ccccc1O", "C1CC1C(=O)N", "CC(=O)O",
+        "[S](C)(C)(C)(C)(C)(C)(C)(C)(C)C", "c1ccc2ccccc2c1", "N#CC",
+    )
+    ARRAYS = (
+        "atom_indices", "bond_indices", "graph_ids", "node_counts",
+        "edge_src", "edge_dst", "edge_bond",
+    )
+    LAYOUT_ARRAYS = ("counts", "short_segments", "long_rows", "long_segments",
+                     "long_starts", "used_rows")
+    LAYOUT_COLUMNS = ("short_columns", "use_columns")
+
+    def _assert_matches_reference(self, graphs):
+        packed = GraphBatch.from_graphs(graphs)
+        reference = reference_pack(graphs)
+        for name in self.ARRAYS:
+            _assert_same_array(getattr(packed, name), getattr(reference, name), name)
+        for layout in ("neighbor_layout", "bond_layout", "pool_layout"):
+            got, want = getattr(packed, layout), getattr(reference, layout)
+            assert (got.num_segments, got.num_rows) == (want.num_segments, want.num_rows)
+            for name in self.LAYOUT_ARRAYS:
+                _assert_same_array(
+                    getattr(got, name), getattr(want, name), f"{layout}.{name}"
+                )
+            for name in self.LAYOUT_COLUMNS:
+                got_columns, want_columns = getattr(got, name), getattr(want, name)
+                assert len(got_columns) == len(want_columns), f"{layout}.{name}"
+                for j, (a, b) in enumerate(zip(got_columns, want_columns)):
+                    _assert_same_array(a, b, f"{layout}.{name}[{j}]")
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 17, 64])
+    def test_random_batches_match_per_graph_loop(self, size):
+        graphs = [featurize_smiles(s) for s in self.POOL]
+        rng = np.random.default_rng(size)
+        for _ in range(4):
+            self._assert_matches_reference([graphs[i] for i in rng.integers(0, len(graphs), size)])
+
+    def test_bondless_batch_matches_per_graph_loop(self):
+        self._assert_matches_reference([featurize_smiles(s) for s in ("C", "[Na+]", "O")])
+
+
+class TestLayerBondEmbedding:
+    """Each GIN layer embeds its own bonds inside the layer."""
+
+    def test_two_layer_formula(self):
+        params = init_params(["t"], embed_dim=6, n_layers=2, head_hidden=4, seed=5)
+        z = gin_forward(batch_of("C=C"), params, train=False)
+
+        g = featurize_smiles("C=C")
+        # h0 sums one row of each node table
+        h = np.stack(
+            [sum(params.node_tables[i].data[row[i]] for i in range(7)) for row in g.atom_indices]
+        )
+        for layer in params.layers:
+            # layer k sums layer k's own bond tables
+            bond = sum(layer.edge_tables[j].data[g.bond_indices[0, j]] for j in range(3))
+            s = h + h[::-1] + bond + layer.self_loop.data  # each atom's one neighbour
+            t = np.maximum(s @ layer.w1.data + layer.b1.data, 0.0)
+            u = t @ layer.w2.data + layer.b2.data
+            x_hat = u / np.sqrt(1.0 + layer.bn_state.eps)
+            h = np.maximum(layer.bn_gamma.data * x_hat + layer.bn_beta.data, 0.0)
+        np.testing.assert_allclose(z.data[0], h.mean(axis=0), rtol=1e-12)
+
+    @staticmethod
+    def _watch_bond_lookups(monkeypatch, batch):
+        """Wraps embedding_lookup; for each bond lookup, records whether
+        every earlier bond-state array was already freed when it ran."""
+        lookup, states, all_dead = ops.embedding_lookup, [], []
+
+        def watched(tables, indices, tape=None):
+            bonds = indices is batch.bond_indices
+            if bonds:
+                all_dead.append(all(ref() is None for ref in states))
+            out = lookup(tables, indices, tape=tape)
+            if bonds:
+                states.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(ops, "embedding_lookup", watched)
+        return all_dead
+
+    def test_eval_forward_holds_one_bond_state(self, monkeypatch):
+        batch = batch_of("CC(=O)O", "c1ccccc1")
+        params = init_params(["t"], embed_dim=8, n_layers=4, seed=0)
+        all_dead = self._watch_bond_lookups(monkeypatch, batch)
+        gin_forward(batch, params, train=False)
+        assert all_dead == [True] * 4
+
+    def test_bondless_batch_looks_up_no_bonds(self, monkeypatch):
+        batch = batch_of("C", "[Na+]")
+        params = init_params(["t"], embed_dim=8, n_layers=3, seed=0)
+        all_dead = self._watch_bond_lookups(monkeypatch, batch)
+        tape = Tape()
+        z = gin_forward(batch, params, train=True, rng_path=(0, 0), tape=tape)
+        tape.backward(ops.masked_sse(z, np.zeros(z.shape), np.ones(z.shape), tape=tape))
+        assert all_dead == []
+        assert all(t.grad is None for layer in params.layers for t in layer.edge_tables)
+        assert all(t.grad is not None for t in params.node_tables)
 
 
 class TestForward:
