@@ -194,6 +194,53 @@ class TestPackingOracle:
         self._assert_matches_reference([featurize_smiles(s) for s in ("C", "[Na+]", "O")])
 
 
+class TestEmbedInputs:
+    """The embedding lookups gin_forward makes: h0 from the node tables
+    once, then each layer's bond states from that layer's own tables."""
+
+    @staticmethod
+    def _record_lookups(monkeypatch, batch):
+        """Wraps embedding_lookup; returns (node outputs, bond outputs)."""
+        lookup, nodes, bonds = ops.embedding_lookup, [], []
+
+        def recorded(tables, indices, tape=None):
+            out = lookup(tables, indices, tape=tape)
+            if indices is batch.atom_indices:
+                nodes.append(out.data.copy())
+            elif indices is batch.bond_indices:
+                bonds.append((tables, out.data.copy()))
+            return out
+
+        monkeypatch.setattr(ops, "embedding_lookup", recorded)
+        return nodes, bonds
+
+    def test_h0_is_sum_of_table_rows(self, monkeypatch):
+        params = init_params(["t"], embed_dim=8, n_layers=1, seed=0)
+        batch = batch_of("C")
+        nodes, _ = self._record_lookups(monkeypatch, batch)
+        gin_forward(batch, params, train=False)
+        assert len(nodes) == 1
+        idx = featurize_smiles("C").atom_indices[0]
+        expected = sum(
+            params.node_tables[i].data[idx[i]] for i in range(7)
+        )
+        np.testing.assert_allclose(nodes[0][0], expected, rtol=1e-15)
+
+    def test_edge_states_are_sums_per_layer(self, monkeypatch):
+        params = init_params(["t"], embed_dim=8, n_layers=2, seed=0)
+        batch = batch_of("C=C")
+        _, bonds = self._record_lookups(monkeypatch, batch)
+        gin_forward(batch, params, train=False)
+        assert len(bonds) == 2
+        idx = featurize_smiles("C=C").bond_indices[0]
+        for k, (tables, edge_state) in enumerate(bonds):
+            assert tables is params.layers[k].edge_tables
+            expected = sum(
+                params.layers[k].edge_tables[j].data[idx[j]] for j in range(3)
+            )
+            np.testing.assert_allclose(edge_state[0], expected, rtol=1e-15)
+
+
 class TestLayerBondEmbedding:
     """Each GIN layer embeds its own bonds inside the layer."""
 
