@@ -82,7 +82,11 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     def backward(up):
         return (up * keep,)
 
-    return _result(np.where(keep, x.data, 0.0), (x,), backward, tape)
+    # fmax maps NaN to 0.0 and adding +0.0 turns -0.0 into +0.0: the bits of
+    # np.where(keep, x, 0.0), in less time
+    out = np.fmax(x.data, 0.0)
+    out += 0.0
+    return _result(out, (x,), backward, tape)
 
 
 def dropout(

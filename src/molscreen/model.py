@@ -163,13 +163,14 @@ class ModelParams:
             yield f"layer.{k}.bn_running_var", layer.bn_state.running_var
 
     def backbone_hash(self) -> str:
+        # sha256 reads each C-contiguous array's buffer in place, no copy
         digest = hashlib.sha256()
         for name, p in self.backbone_named_parameters():
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(p.data).tobytes())
+            digest.update(np.ascontiguousarray(p.data))
         for name, arr in self.named_state_arrays():
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(arr).tobytes())
+            digest.update(np.ascontiguousarray(arr))
         return digest.hexdigest()
 
     def copy(self) -> "ModelParams":

@@ -148,27 +148,16 @@ def batch_plan(n: int, batch_size: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _forward_loss(
+def _head_loss(
+    z: Tensor,
     params: ModelParams,
-    batch: GraphBatch,
     labels: np.ndarray,
     mask: np.ndarray,
     *,
     train: bool,
     rng_path=None,
-    update_running: bool | None = None,
     tape: Tape | None = None,
 ) -> Tensor:
-    if update_running is None:
-        update_running = train
-    z = gin_forward(
-        batch,
-        params,
-        train=train,
-        rng_path=rng_path,
-        update_running=update_running,
-        tape=tape,
-    )
     cols = predict_heads(
         z, params, range(len(params.heads)), train=train, rng_path=rng_path, tape=tape
     )
@@ -177,28 +166,38 @@ def _forward_loss(
 
 
 class _EvalBatches:
-    """Pre-built eval batches (fixed ascending row order) for one mask."""
+    """Pre-built eval batches (fixed ascending row order) for one mask.
 
-    def __init__(self, ds: TaskDataset, mask: np.ndarray, batch_size: int):
+    Given ``frozen`` parameters, each batch is encoded once, here, and only
+    its embeddings are kept, so ``loss`` runs just the heads.  This is exact
+    while the backbone weights and batch-norm running statistics stay as
+    ``frozen`` had them, and ``loss`` must then be given those parameters.
+    """
+
+    def __init__(
+        self,
+        ds: TaskDataset,
+        mask: np.ndarray,
+        batch_size: int,
+        frozen: ModelParams | None = None,
+    ):
         rows = np.flatnonzero(mask.any(axis=1))
         if rows.size == 0:
             raise ValueError("mask selects no compounds")
+        self.encoded = frozen is not None
         self.batches = []
         for s in range(0, rows.size, batch_size):
             chunk = rows[s : s + batch_size]
-            self.batches.append(
-                (
-                    GraphBatch.from_graphs([ds.graphs[i] for i in chunk]),
-                    ds.labels[chunk],
-                    mask[chunk],
-                )
-            )
+            inputs = GraphBatch.from_graphs([ds.graphs[i] for i in chunk])
+            if self.encoded:
+                inputs = gin_forward(inputs, frozen, train=False)
+            self.batches.append((inputs, ds.labels[chunk], mask[chunk]))
 
     def loss(self, params: ModelParams) -> float:
-        values = [
-            _forward_loss(params, batch, labels, mask, train=False).item()
-            for batch, labels, mask in self.batches
-        ]
+        values = []
+        for inputs, labels, mask in self.batches:
+            z = inputs if self.encoded else gin_forward(inputs, params, train=False)
+            values.append(_head_loss(z, params, labels, mask, train=False).item())
         return sum(values) / len(values)
 
 
@@ -231,9 +230,15 @@ def train_with_split(
     ``params`` continues from existing parameters (default: fresh init).
     ``trainable_names`` restricts optimization to a parameter-name subset,
     with batch-norm running statistics frozen while any backbone parameter is
-    excluded.  ``epoch_offset`` shifts logged epoch numbers; a given
-    ``stop_after`` runs exactly that many epochs, without early stopping;
-    ``epoch_callback(epoch, params)`` runs after each epoch's bookkeeping.
+    excluded.  When it names no backbone parameter at all, the backbone is
+    frozen, as neither Adam nor batch norm can change it: each training batch
+    runs the backbone without a tape (the same dropout streams and batch
+    statistics, so the same embeddings), backward stops at the embeddings,
+    and each eval batch is encoded once and reused every epoch.  Losses and
+    parameters equal the full tape's bit for bit.  ``epoch_offset`` shifts
+    logged epoch numbers; a given ``stop_after`` runs exactly that many
+    epochs, without early stopping; ``epoch_callback(epoch, params)`` runs
+    after each epoch's bookkeeping.
     """
     train_rows = np.flatnonzero(masks.train.any(axis=1))
     if train_rows.size < 2:
@@ -252,6 +257,7 @@ def train_with_split(
     if trainable_names is None:
         trainable = [t for _, t in all_named]
         update_running = True
+        frozen = False
     else:
         wanted = set(trainable_names)
         unknown = wanted - {name for name, _ in all_named}
@@ -260,8 +266,10 @@ def train_with_split(
         trainable = [t for name, t in all_named if name in wanted]
         backbone_names = {name for name, _ in params.backbone_named_parameters()}
         update_running = backbone_names <= wanted
-    train_eval = _EvalBatches(ds, masks.train, config.batch_size)
-    val_eval = _EvalBatches(ds, masks.val, config.batch_size)
+        frozen = not backbone_names & wanted
+    encode_once = params if frozen else None
+    train_eval = _EvalBatches(ds, masks.train, config.batch_size, encode_once)
+    val_eval = _EvalBatches(ds, masks.val, config.batch_size, encode_once)
     stopper = EarlyStopping(min_epochs=config.min_epochs, patience=config.patience)
     adam = AdamState(lr=config.lr)
     log = TrainLog()
@@ -276,14 +284,22 @@ def train_with_split(
             rows = order[s:e]
             tape = Tape()
             batch = GraphBatch.from_graphs([ds.graphs[i] for i in rows])
-            loss = _forward_loss(
-                params,
+            rng_path = (config.seed, 1, epoch, b_idx)
+            z = gin_forward(
                 batch,
+                params,
+                train=True,
+                rng_path=rng_path,
+                update_running=update_running,
+                tape=None if frozen else tape,
+            )
+            loss = _head_loss(
+                z,
+                params,
                 ds.labels[rows],
                 masks.train[rows],
                 train=True,
-                rng_path=(config.seed, 1, epoch, b_idx),
-                update_running=update_running,
+                rng_path=rng_path,
                 tape=tape,
             )
             value = loss.item()

@@ -6,6 +6,13 @@ pretrained model, attaches a freshly initialized head, and trains only the
 head for a fixed number of epochs with running statistics frozen.  Phase 2
 continues training all parameters under the standard early-stopping protocol
 with a fresh optimizer; the epoch counter keeps running across the phases.
+
+Phase 1 names only head parameters as trainable, so ``train_with_split``
+treats the backbone as frozen: nothing can change its weights or running
+statistics, so it runs the backbone without a tape (backward stops at the
+embeddings) and encodes each evaluation batch once for the whole phase.
+Both are exact: the losses, head weights and backbone hashes are those the
+full tape gives, bit for bit.
 """
 
 from __future__ import annotations

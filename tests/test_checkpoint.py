@@ -1,5 +1,6 @@
 """Checkpoint format: JSON header + named float64 arrays, bit-exact."""
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -163,6 +164,19 @@ def _with_header(path, header_value, arrays: bytes):
         GOLDEN.read_bytes()[:8] + struct.pack("<Q", len(header)) + header + arrays
     )
     return path
+
+
+class TestBackboneHash:
+    def test_golden_digest_equals_tobytes_formula(self):
+        params = load_checkpoint(GOLDEN).params
+        digest = hashlib.sha256()
+        for name, p in params.backbone_named_parameters():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(p.data).tobytes())
+        for name, arr in params.named_state_arrays():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        assert params.backbone_hash() == digest.hexdigest()
 
 
 class TestHeaderValidation:

@@ -609,6 +609,42 @@ class TestSegmentExactness:
         _assert_same_bits(b.grad, np.array([[8.0, 0.0]]))
 
 
+class TestReluExactness:
+    """relu gives the bits np.where(x > 0, x, 0.0) gave: -0.0, NaN of
+    either sign and negative subnormals become +0.0; +inf and positive
+    subnormals pass through."""
+
+    SPECIAL = np.array(
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+         2.2e-308, -2.2e-308, 1.0, -1.0]
+    )
+
+    def _values(self, n, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        pick = rng.random(n) < 0.5
+        values[pick] = rng.choice(self.SPECIAL, size=int(pick.sum()))
+        # every special value at least once where the length allows
+        k = min(n, self.SPECIAL.size)
+        values[rng.permutation(n)[:k]] = rng.permutation(self.SPECIAL)[:k]
+        return values
+
+    @pytest.mark.parametrize("n", list(range(1, 70)) + [1000, 4097, 65537])
+    def test_bits_match_where_reference(self, n):
+        base = self._values(n + 3, n)
+        views = [base[:n], base[1 : n + 1], base[3:], base[::2], base[::-1]]
+        if n % 2 == 0:
+            views.append(base[:n].reshape(2, -1).T)
+        for view in views:
+            got = ops.relu(Tensor(view)).data
+            want = np.where(view > 0, view, 0.0)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(
+                np.ascontiguousarray(got).view(np.int64),
+                np.ascontiguousarray(want).view(np.int64),
+            )
+
+
 class TestBatchNormSemantics:
     def test_train_normalizes_batch(self):
         rng = np.random.default_rng(0)
