@@ -89,6 +89,21 @@ class TaskDataset:
             schema=schema,
         )
 
+    def _take(self, rows, labels, task_indices=None) -> "TaskDataset":
+        """A dataset of the compounds at ``rows``, with those rows of
+        ``labels`` (a matrix over this dataset's compounds) and the tasks at
+        ``task_indices`` (default: all)."""
+        if task_indices is None:
+            task_indices = range(self.n_tasks)
+        return TaskDataset(
+            smiles=[self.smiles[i] for i in rows],
+            graphs=[self.graphs[i] for i in rows],
+            labels=labels[rows],
+            task_names=[self.task_names[t] for t in task_indices],
+            hit_directions=[self.hit_directions[t] for t in task_indices],
+            schema=self.schema,
+        )
+
     def restrict_to_tasks(self, task_indices) -> "TaskDataset":
         """Keep the given label columns (in the given order) and only the
         compounds that carry at least one label among them."""
@@ -98,25 +113,10 @@ class TaskDataset:
                 raise IndexError(f"unknown task index {t}")
         labels = self.labels[:, task_indices]
         keep = np.flatnonzero(np.isfinite(labels).any(axis=1))
-        return TaskDataset(
-            smiles=[self.smiles[i] for i in keep],
-            graphs=[self.graphs[i] for i in keep],
-            labels=labels[keep],
-            task_names=[self.task_names[t] for t in task_indices],
-            hit_directions=[self.hit_directions[t] for t in task_indices],
-            schema=self.schema,
-        )
+        return self._take(keep, labels, task_indices)
 
     def subset(self, compound_indices) -> "TaskDataset":
-        idx = list(compound_indices)
-        return TaskDataset(
-            smiles=[self.smiles[i] for i in idx],
-            graphs=[self.graphs[i] for i in idx],
-            labels=self.labels[idx],
-            task_names=list(self.task_names),
-            hit_directions=list(self.hit_directions),
-            schema=self.schema,
-        )
+        return self._take(list(compound_indices), self.labels)
 
 
 def subsample_task_labels(
@@ -139,15 +139,7 @@ def subsample_task_labels(
         if rows.size > limit:
             perm = rng_stream(seed, 4, t).permutation(rows.size)
             labels[rows[perm[limit:]], t] = np.nan
-    keep = np.flatnonzero(np.isfinite(labels).any(axis=1))
-    return TaskDataset(
-        smiles=[ds.smiles[i] for i in keep],
-        graphs=[ds.graphs[i] for i in keep],
-        labels=labels[keep],
-        task_names=list(ds.task_names),
-        hit_directions=list(ds.hit_directions),
-        schema=ds.schema,
-    )
+    return ds._take(np.flatnonzero(np.isfinite(labels).any(axis=1)), labels)
 
 
 @dataclass

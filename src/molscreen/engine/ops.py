@@ -90,19 +90,14 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def dropout(
-    x: Tensor,
-    rate: float,
-    rng: np.random.Generator | None,
-    train: bool,
-    tape: Tape | None = None,
+    x: Tensor, rate: float, rng: np.random.Generator, tape: Tape | None = None
 ) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale by 1/(1-rate)."""
+    """Inverted dropout: zero with probability ``rate``, scale by 1/(1-rate).
+    Train mode only; an eval-mode forward does not call it."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("train-mode dropout needs a random stream")
     keep = rng.random(x.shape) >= rate
     factor = keep / (1.0 - rate)
 
@@ -305,31 +300,23 @@ def segment_mean(
     return _result(means, (values,), backward, tape)
 
 
+BN_MOMENTUM = 0.1  # weight of each train batch's statistics in the running ones
+BN_EPS = 1e-5  # added to the variance before its square root
+
+
 @dataclass
 class BatchNormState:
     """Per-feature running statistics for batch normalization."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @classmethod
-    def initial(cls, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
-        return cls(
-            running_mean=np.zeros(num_features),
-            running_var=np.ones(num_features),
-            momentum=momentum,
-            eps=eps,
-        )
+    def initial(cls, num_features: int) -> "BatchNormState":
+        return cls(running_mean=np.zeros(num_features), running_var=np.ones(num_features))
 
     def copy(self) -> "BatchNormState":
-        return BatchNormState(
-            running_mean=self.running_mean.copy(),
-            running_var=self.running_var.copy(),
-            momentum=self.momentum,
-            eps=self.eps,
-        )
+        return BatchNormState(self.running_mean.copy(), self.running_var.copy())
 
 
 def batch_norm(
@@ -348,7 +335,7 @@ def batch_norm(
         mean = x.data.mean(axis=0)
         var = x.data.var(axis=0)
         if update_running:
-            m = state.momentum
+            m = BN_MOMENTUM
             state.running_mean *= 1.0 - m
             state.running_mean += m * mean
             state.running_var *= 1.0 - m
@@ -356,7 +343,7 @@ def batch_norm(
     else:
         mean = state.running_mean
         var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (x.data - mean) * inv_std
     out = gamma.data * x_hat + beta.data
 

@@ -13,12 +13,14 @@ class NonFiniteGradientError(RuntimeError):
     """A gradient contained NaN or infinity; the step was not applied."""
 
 
+BETA1 = 0.9  # decay of the first-moment estimate
+BETA2 = 0.999  # decay of the second-moment estimate
+EPS = 1e-8  # added to the root of the second moment
+
+
 @dataclass
 class AdamState:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     # first/second moment estimates keyed by parameter position
     m: dict[int, np.ndarray] = field(default_factory=dict)
@@ -41,16 +43,16 @@ def adam_step(params, grads, state: AdamState) -> None:
             raise NonFiniteGradientError("non-finite gradient; step rejected")
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     for i, (p, g) in enumerate(zip(params, grads)):
         m = state.m.get(i)
         v = state.v.get(i)
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
         state.m[i] = m
         state.v[i] = v
-        p.data -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        p.data -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

@@ -70,14 +70,6 @@ class FeatureSchema:
     atom_widths: tuple[int, ...] = ATOM_FEATURE_WIDTHS
     bond_widths: tuple[int, ...] = BOND_FEATURE_WIDTHS
 
-    @property
-    def total_atom_width(self) -> int:
-        return sum(self.atom_widths)
-
-    @property
-    def total_bond_width(self) -> int:
-        return sum(self.bond_widths)
-
     def schema_hash(self) -> str:
         payload = json.dumps(
             {"atom": list(self.atom_widths), "bond": list(self.bond_widths)},

@@ -33,29 +33,13 @@ class GraphBatch:
     folds its terms.  The three slot layouts are built once per batch and
     serve every layer, forward and backward: neighbor states and bond states
     summed into each destination node, and node states pooled per graph.
-    The forward pass reads only the layouts; ``graph_ids`` and the three
-    ``edge_*`` arrays are the same structure as a plain edge list, kept for
-    inspection and for tests that rebuild the unfused computation.
     """
 
     atom_indices: np.ndarray  # (n_nodes, 7)
     bond_indices: np.ndarray  # (n_bonds, 3)
-    graph_ids: np.ndarray  # (n_nodes,) sorted
-    node_counts: np.ndarray  # (n_graphs,)
-    edge_src: np.ndarray  # (2 * n_bonds,)
-    edge_dst: np.ndarray  # (2 * n_bonds,)
-    edge_bond: np.ndarray  # (2 * n_bonds,)
-    neighbor_layout: ops.SegmentLayout  # h[edge_src] summed by edge_dst
-    bond_layout: ops.SegmentLayout  # bond state[edge_bond] summed by edge_dst
-    pool_layout: ops.SegmentLayout  # node states summed by graph_ids
-
-    @property
-    def n_nodes(self) -> int:
-        return self.atom_indices.shape[0]
-
-    @property
-    def n_graphs(self) -> int:
-        return self.node_counts.shape[0]
+    neighbor_layout: ops.SegmentLayout  # source node states summed by destination
+    bond_layout: ops.SegmentLayout  # bond states summed by destination node
+    pool_layout: ops.SegmentLayout  # node states summed by graph
 
     @classmethod
     def from_graphs(cls, graphs: list[FeaturizedGraph]) -> "GraphBatch":
@@ -79,11 +63,6 @@ class GraphBatch:
         return cls(
             atom_indices=np.concatenate([g.atom_indices for g in graphs]),
             bond_indices=np.concatenate([g.bond_indices for g in graphs]),
-            graph_ids=graph_ids,
-            node_counts=node_counts,
-            edge_src=edge_src,
-            edge_dst=edge_dst,
-            edge_bond=edge_bond,
             neighbor_layout=ops.SegmentLayout(
                 edge_dst, n_nodes, rows=edge_src, num_rows=n_nodes
             ),
@@ -328,7 +307,7 @@ def gin_forward(
         h = ops.relu(normed, tape=tape)
         if train and params.dropout > 0.0:
             stream = rng_stream(rng_path[0], *rng_path[1:], 1, 0, k)
-            h = ops.dropout(h, params.dropout, stream, train=True, tape=tape)
+            h = ops.dropout(h, params.dropout, stream, tape=tape)
     return ops.segment_mean(h, batch.pool_layout, tape=tape)
 
 
@@ -350,7 +329,7 @@ def predict_heads(
         hidden = ops.relu(ops.matmul(z, head.w1, head.b1, tape=tape), tape=tape)
         if train and params.dropout > 0.0:
             stream = rng_stream(rng_path[0], *rng_path[1:], 1, 1, t)
-            hidden = ops.dropout(hidden, params.dropout, stream, train=True, tape=tape)
+            hidden = ops.dropout(hidden, params.dropout, stream, tape=tape)
         outs.append(ops.matmul(hidden, head.w2, head.b2, tape=tape))
     return outs
 

@@ -24,6 +24,10 @@ _SYMBOL = {6: "C", 7: "N", 8: "O"}
 # weights over (atom count, ring-bond count, heteroatom count, mean degree)
 DESCRIPTOR_WEIGHTS = np.array([0.08, -0.15, 0.25, -0.4])
 
+# consecutive draws without a new molecule after which synth_dataset decides
+# the atom-count range holds too few distinct molecules
+MAX_STALE_DRAWS = 10_000
+
 
 def descriptor_vector(smiles: str) -> np.ndarray:
     graph = parse_smiles(smiles)
@@ -167,19 +171,38 @@ def synth_dataset(
     min_atoms: int = 4,
     max_atoms: int = 14,
 ) -> tuple[TaskDataset, SynthMeta]:
-    """Distinct random molecules, densely labeled for every task."""
+    """Distinct random molecules, densely labeled for every task.
+
+    Raises ``ValueError`` when ``MAX_STALE_DRAWS`` draws in a row add no new
+    molecule: the atom-count range holds fewer than ``n_per_task``."""
     if n_tasks < 2:
         raise ValueError("need at least 2 tasks")
+    if min_atoms < 1:
+        raise ValueError(f"min_atoms must be >= 1, got {min_atoms}")
+    if min_atoms > max_atoms:
+        raise ValueError(
+            f"min_atoms ({min_atoms}) must not exceed max_atoms ({max_atoms})"
+        )
     mol_stream = rng_stream(seed, 0)
     coef_stream = rng_stream(seed, 1)
     noise_stream = rng_stream(seed, 2)
     smiles: list[str] = []
     seen = set()
+    stale = 0
     while len(smiles) < n_per_task:
         smi = random_molecule(mol_stream, min_atoms, max_atoms)
         if smi not in seen:
             seen.add(smi)
             smiles.append(smi)
+            stale = 0
+            continue
+        stale += 1
+        if stale == MAX_STALE_DRAWS:
+            raise ValueError(
+                f"found {len(smiles)} distinct molecules of {min_atoms}-{max_atoms} "
+                f"atoms, then {MAX_STALE_DRAWS} draws in a row gave no new one; "
+                f"n_per_task={n_per_task} needs a wider min_atoms/max_atoms range"
+            )
     a = (
         list(a_values)
         if a_values is not None

@@ -87,15 +87,23 @@ def summarize_log(log: TrainLog) -> dict:
 
 @dataclass
 class EarlyStopping:
-    """Counts consecutive epochs (past the warmup) whose validation loss
-    strictly exceeds the training loss; fires once the count passes
-    ``patience``."""
+    """The epoch loop's best-epoch and stopping rules.
+
+    The best epoch is the earliest one with the smallest validation loss.
+    The stopping rule counts consecutive epochs (past the warmup) whose
+    validation loss strictly exceeds the training loss, and fires once the
+    count passes ``patience``."""
 
     min_epochs: int = 100
     patience: int = 50
     violations: int = 0
+    best_epoch: int = 0
+    best_val_loss: float = math.inf
 
     def observe(self, epoch: int, train_loss: float, val_loss: float) -> bool:
+        """Record one epoch's losses; True when training should stop."""
+        if val_loss < self.best_val_loss:
+            self.best_val_loss, self.best_epoch = val_loss, epoch
         if epoch > self.min_epochs and val_loss > train_loss:
             self.violations += 1
         else:
@@ -106,22 +114,14 @@ class EarlyStopping:
 def simulate_early_stopping(
     curve, min_epochs: int, patience: int, max_epochs: int
 ) -> tuple[int, int, str]:
-    """Run the stopping automaton and best-epoch rule over a scripted list of
-    (train_loss, val_loss) pairs; returns (stop_epoch, best_epoch, reason)."""
+    """Run the epoch loop's rules over a scripted list of (train_loss,
+    val_loss) pairs; returns (stop_epoch, best_epoch, reason)."""
     stopper = EarlyStopping(min_epochs=min_epochs, patience=patience)
-    best_val = math.inf
-    best_epoch = 0
     curve = list(curve)[:max_epochs]
-    stop_epoch = len(curve)
-    reason = "max_epochs"
     for epoch, (train_loss, val_loss) in enumerate(curve, start=1):
-        if val_loss < best_val:
-            best_val, best_epoch = val_loss, epoch
         if stopper.observe(epoch, train_loss, val_loss):
-            stop_epoch = epoch
-            reason = "early_stopping"
-            break
-    return stop_epoch, best_epoch, reason
+            return epoch, stopper.best_epoch, "early_stopping"
+    return len(curve), stopper.best_epoch, "max_epochs"
 
 
 def masked_loss(pred: Tensor, labels, mask, tape: Tape | None = None) -> Tensor:
@@ -222,7 +222,6 @@ def train_with_split(
     *,
     trainable_names=None,
     epoch_offset: int = 0,
-    stop_after: int | None = None,
     epoch_callback=None,
 ) -> tuple[ModelParams, TrainLog]:
     """Core epoch loop.
@@ -236,9 +235,8 @@ def train_with_split(
     statistics, so the same embeddings), backward stops at the embeddings,
     and each eval batch is encoded once and reused every epoch.  Losses and
     parameters equal the full tape's bit for bit.  ``epoch_offset`` shifts
-    logged epoch numbers; a given ``stop_after`` runs exactly that many
-    epochs, without early stopping; ``epoch_callback(epoch, params)`` runs
-    after each epoch's bookkeeping.
+    logged epoch numbers; ``epoch_callback(epoch, params)`` runs after each
+    epoch's bookkeeping.
     """
     train_rows = np.flatnonzero(masks.train.any(axis=1))
     if train_rows.size < 2:
@@ -274,9 +272,8 @@ def train_with_split(
     adam = AdamState(lr=config.lr)
     log = TrainLog()
     best_params = params
-    n_epochs = config.max_epochs if stop_after is None else stop_after
     log.stop_reason = "max_epochs"
-    for epoch_index in range(1, n_epochs + 1):
+    for epoch_index in range(1, config.max_epochs + 1):
         epoch = epoch_offset + epoch_index
         perm = rng_stream(config.seed, 2, epoch).permutation(train_rows.size)
         order = train_rows[perm]
@@ -322,14 +319,14 @@ def train_with_split(
                 f"epoch {epoch}: train {train_loss}, val {val_loss}"
             )
         log.epochs.append(EpochRecord(epoch, train_loss, val_loss))
-        if val_loss < log.best_val_loss:
-            log.best_val_loss = val_loss
-            log.best_epoch = epoch
+        stop = stopper.observe(epoch, train_loss, val_loss)
+        if stopper.best_epoch == epoch:
             best_params = params.copy()
+        log.best_epoch, log.best_val_loss = stopper.best_epoch, stopper.best_val_loss
         log.stop_epoch = epoch
         if epoch_callback is not None:
             epoch_callback(epoch, params)
-        if stop_after is None and stopper.observe(epoch, train_loss, val_loss):
+        if stop:
             log.stop_reason = "early_stopping"
             break
     return best_params, log

@@ -3,7 +3,10 @@
 Phase 1 copies every shared parameter (embedding tables, self-loop vectors,
 layer perceptrons, batch-norm affine weights and running statistics) from the
 pretrained model, attaches a freshly initialized head, and trains only the
-head for a fixed number of epochs with running statistics frozen.  Phase 2
+head for exactly ``head_epochs`` epochs with running statistics frozen: its
+config sets ``min_epochs = max_epochs = head_epochs``, and with the epoch
+count starting at 1 no epoch passes the warmup, so early stopping cannot
+fire and the phase-1 log ends with ``stop_reason == "max_epochs"``.  Phase 2
 continues training all parameters under the standard early-stopping protocol
 with a fresh optimizer; the epoch counter keeps running across the phases.
 
@@ -17,7 +20,7 @@ full tape gives, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .data import TaskDataset, split_train_val
 from .model import ModelParams, init_heads
@@ -74,11 +77,10 @@ def transfer_train(
         head_names = [name for name, _ in params.head_named_parameters()]
         _, phase1_log = train_with_split(
             new_ds,
-            config,
+            replace(config, min_epochs=head_epochs, max_epochs=head_epochs),
             masks,
             params=params,
             trainable_names=head_names,
-            stop_after=head_epochs,
             epoch_callback=lambda _epoch, p: hashes.append(p.backbone_hash()),
         )
     # phase 2 resumes from the post-warmup state (params was updated in

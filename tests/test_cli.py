@@ -90,6 +90,35 @@ class TestSynthGen:
         assert code == 2
         assert json.loads(err)["error"] == "bad-config"
 
+    @pytest.mark.parametrize(
+        "min_atoms, max_atoms, named",
+        [("0", "3", "min_atoms"), ("-2", "3", "min_atoms"), ("5", "3", "max_atoms")],
+    )
+    def test_bad_atom_range(self, tmp_path, capsys, min_atoms, max_atoms, named):
+        code, _, err = run(
+            capsys, "synth-gen", "--n-tasks", "2", "--n-per-task", "5",
+            "--min-atoms", min_atoms, "--max-atoms", max_atoms,
+            "--out", str(tmp_path / "x.csv"), "--meta-out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert named in error["message"]
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_exhausted_atom_range_exits_2(self, tmp_path, capsys):
+        # one heavy atom gives three distinct molecules; five cannot be found
+        code, _, err = run(
+            capsys, "synth-gen", "--n-tasks", "2", "--n-per-task", "5",
+            "--min-atoms", "1", "--max-atoms", "1",
+            "--out", str(tmp_path / "x.csv"), "--meta-out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert "draws in a row" in error["message"]
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestIngest:
     def test_clean_and_report(self, tmp_path, capsys):

@@ -203,9 +203,7 @@ class TestPrimitiveGradients:
         target = self.rng.normal(size=(6, 5))
 
         def build(tape):
-            out = ops.dropout(
-                x, rate=0.4, rng=rng_stream(11, 0), train=True, tape=tape
-            )
+            out = ops.dropout(x, rate=0.4, rng=rng_stream(11, 0), tape=tape)
             return ops.mse_loss(out, target, tape=tape)
 
         self._check(build, [x])
@@ -371,19 +369,14 @@ class TestPrimitiveGradients:
 
 
 class TestDropoutSemantics:
-    def test_eval_is_identity(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = ops.dropout(x, rate=0.5, rng=None, train=False)
-        np.testing.assert_array_equal(out.data, x.data)
-
     def test_rate_zero_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = ops.dropout(x, rate=0.0, rng=rng_stream(0), train=True)
+        out = ops.dropout(x, rate=0.0, rng=rng_stream(0))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_inverted_scaling(self):
         x = Tensor(np.ones((2000, 10)))
-        out = ops.dropout(x, rate=0.3, rng=rng_stream(3), train=True)
+        out = ops.dropout(x, rate=0.3, rng=rng_stream(3))
         kept = out.data[out.data != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7, rtol=1e-12)
         zero_fraction = np.mean(out.data == 0)
@@ -391,16 +384,16 @@ class TestDropoutSemantics:
 
     def test_same_stream_same_mask(self):
         x = Tensor(np.ones((50, 4)))
-        a = ops.dropout(x, rate=0.5, rng=rng_stream(9, 1, 2), train=True)
-        b = ops.dropout(x, rate=0.5, rng=rng_stream(9, 1, 2), train=True)
+        a = ops.dropout(x, rate=0.5, rng=rng_stream(9, 1, 2))
+        b = ops.dropout(x, rate=0.5, rng=rng_stream(9, 1, 2))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_invalid_rate(self):
         x = Tensor(np.ones(3))
         with pytest.raises(ValueError):
-            ops.dropout(x, rate=1.0, rng=rng_stream(0), train=True)
+            ops.dropout(x, rate=1.0, rng=rng_stream(0))
         with pytest.raises(ValueError):
-            ops.dropout(x, rate=-0.1, rng=rng_stream(0), train=True)
+            ops.dropout(x, rate=-0.1, rng=rng_stream(0))
 
 
 class TestSegmentSemantics:

@@ -27,8 +27,6 @@ class TestSchema:
     def test_widths(self):
         assert ATOM_FEATURE_WIDTHS == (119, 16, 11, 4, 9, 2, 5)
         assert BOND_FEATURE_WIDTHS == (7, 4, 2)
-        assert DEFAULT_SCHEMA.total_atom_width == 166
-        assert DEFAULT_SCHEMA.total_bond_width == 13
 
     def test_hash_is_stable_hex(self):
         h = DEFAULT_SCHEMA.schema_hash()

@@ -2,6 +2,7 @@
 small end-to-end gradient check."""
 
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,16 +82,20 @@ class TestInit:
 class TestGraphBatch:
     def test_offsets_and_counts(self):
         batch = batch_of("CCO", "C")
-        assert batch.n_graphs == 2
-        assert batch.node_counts.tolist() == [3, 1]
-        assert batch.graph_ids.tolist() == [0, 0, 0, 1]
+        assert batch.pool_layout.num_segments == 2
+        assert batch.pool_layout.counts.tolist() == [3, 1]
+        # membership[graph, node]: each node pooled into its own graph
+        membership = batch.pool_layout.totals(np.eye(4))
+        assert membership.argmax(axis=0).tolist() == [0, 0, 0, 1]
         # two directed edges per bond
-        assert batch.edge_src.shape == (4,)
+        assert batch.neighbor_layout.counts.sum() == 4
+        assert batch.bond_layout.num_rows == 2
 
     def test_second_graph_edges_are_offset(self):
         batch = batch_of("C", "CC")
-        pairs = set(zip(batch.edge_src.tolist(), batch.edge_dst.tolist()))
-        assert pairs == {(1, 2), (2, 1)}
+        # adjacency[dst, src] counts the directed edges src -> dst
+        adjacency = batch.neighbor_layout.totals(np.eye(3))
+        assert {tuple(p) for p in np.argwhere(adjacency).tolist()} == {(1, 2), (2, 1)}
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -99,15 +104,17 @@ class TestGraphBatch:
 
 def reference_pack(graphs):
     """GraphBatch.from_graphs as a per-graph loop: each graph's forward
-    directions, then its reverse ones, offset by the nodes before it."""
-    atom_rows, bond_rows, graph_ids, counts = [], [], [], []
+    directions, then its reverse ones, offset by the nodes before it.
+    Returns the batch and its plain edge list (``edge_src``, ``edge_dst``,
+    ``edge_bond``, sorted stably by destination) with ``graph_ids`` and
+    ``n_nodes``."""
+    atom_rows, bond_rows, graph_ids = [], [], []
     src, dst, bond_of_edge = [], [], []
     node_offset = bond_offset = 0
     for gid, g in enumerate(graphs):
         atom_rows.append(g.atom_indices)
         bond_rows.append(g.bond_indices)
         graph_ids.append(np.full(g.n_atoms, gid, dtype=np.int64))
-        counts.append(g.n_atoms)
         if g.n_bonds:
             a = g.bond_endpoints[:, 0] + node_offset
             b = g.bond_endpoints[:, 1] + node_offset
@@ -122,24 +129,25 @@ def reference_pack(graphs):
     edge_dst = np.concatenate(dst) if dst else empty
     edge_bond = np.concatenate(bond_of_edge) if bond_of_edge else empty
     order = np.argsort(edge_dst, kind="stable")
-    edge_src, edge_dst, edge_bond = edge_src[order], edge_dst[order], edge_bond[order]
-    graph_ids = np.concatenate(graph_ids)
-    return GraphBatch(
+    edges = SimpleNamespace(
+        edge_src=edge_src[order],
+        edge_dst=edge_dst[order],
+        edge_bond=edge_bond[order],
+        graph_ids=np.concatenate(graph_ids),
+        n_nodes=node_offset,
+    )
+    batch = GraphBatch(
         atom_indices=np.concatenate(atom_rows),
         bond_indices=np.concatenate(bond_rows),
-        graph_ids=graph_ids,
-        node_counts=np.asarray(counts, dtype=np.int64),
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_bond=edge_bond,
         neighbor_layout=ops.SegmentLayout(
-            edge_dst, node_offset, rows=edge_src, num_rows=node_offset
+            edges.edge_dst, node_offset, rows=edges.edge_src, num_rows=node_offset
         ),
         bond_layout=ops.SegmentLayout(
-            edge_dst, node_offset, rows=edge_bond, num_rows=bond_offset
+            edges.edge_dst, node_offset, rows=edges.edge_bond, num_rows=bond_offset
         ),
-        pool_layout=ops.SegmentLayout(graph_ids, len(graphs)),
+        pool_layout=ops.SegmentLayout(edges.graph_ids, len(graphs)),
     )
+    return batch, edges
 
 
 def _assert_same_array(actual, expected, name):
@@ -157,17 +165,14 @@ class TestPackingOracle:
         "C", "[Na+]", "O", "CCO", "c1ccccc1O", "C1CC1C(=O)N", "CC(=O)O",
         "[S](C)(C)(C)(C)(C)(C)(C)(C)(C)C", "c1ccc2ccccc2c1", "N#CC",
     )
-    ARRAYS = (
-        "atom_indices", "bond_indices", "graph_ids", "node_counts",
-        "edge_src", "edge_dst", "edge_bond",
-    )
+    ARRAYS = ("atom_indices", "bond_indices")
     LAYOUT_ARRAYS = ("counts", "short_segments", "long_rows", "long_segments",
                      "long_starts", "used_rows")
     LAYOUT_COLUMNS = ("short_columns", "use_columns")
 
     def _assert_matches_reference(self, graphs):
         packed = GraphBatch.from_graphs(graphs)
-        reference = reference_pack(graphs)
+        reference, _ = reference_pack(graphs)
         for name in self.ARRAYS:
             _assert_same_array(getattr(packed, name), getattr(reference, name), name)
         for layout in ("neighbor_layout", "bond_layout", "pool_layout"):
@@ -259,7 +264,7 @@ class TestLayerBondEmbedding:
             s = h + h[::-1] + bond + layer.self_loop.data  # each atom's one neighbour
             t = np.maximum(s @ layer.w1.data + layer.b1.data, 0.0)
             u = t @ layer.w2.data + layer.b2.data
-            x_hat = u / np.sqrt(1.0 + layer.bn_state.eps)
+            x_hat = u / np.sqrt(1.0 + ops.BN_EPS)
             h = np.maximum(layer.bn_gamma.data * x_hat + layer.bn_beta.data, 0.0)
         np.testing.assert_allclose(z.data[0], h.mean(axis=0), rtol=1e-12)
 
@@ -312,7 +317,7 @@ class TestForward:
         s = h0 + layer.self_loop.data
         t = np.maximum(s @ layer.w1.data + layer.b1.data, 0.0)
         u = t @ layer.w2.data + layer.b2.data
-        x_hat = u / np.sqrt(1.0 + layer.bn_state.eps)
+        x_hat = u / np.sqrt(1.0 + ops.BN_EPS)
         expected = np.maximum(layer.bn_gamma.data * x_hat + layer.bn_beta.data, 0.0)
         np.testing.assert_allclose(z.data[0], expected, rtol=1e-12)
 
@@ -460,17 +465,18 @@ class TestFusedMessagePassing:
     two-op composition it replaced gave: embedding_lookup of one row per
     edge, then a reduceat segment sum whose backward gathers up[edge_dst].
     The sulfur has in-degree 10, past the slot fold's 8-term limit, and the
-    lone carbon has no neighbors."""
+    lone carbon has no neighbors.  The plain edge list comes from
+    reference_pack, which TestPackingOracle ties to GraphBatch.from_graphs."""
 
     SMILES = ("[S](C)(C)(C)(C)(C)(C)(C)(C)(C)C", "CCO", "c1ccccc1O", "C")
 
     @staticmethod
-    def _two_op_segment_sum(batch):
+    def _two_op_segment_sum(batch, edges):
         rows = {
-            id(batch.neighbor_layout): batch.edge_src,
-            id(batch.bond_layout): batch.edge_bond,
+            id(batch.neighbor_layout): edges.edge_src,
+            id(batch.bond_layout): edges.edge_bond,
         }
-        ids, n = batch.edge_dst, batch.n_nodes  # edges are sorted by edge_dst
+        ids, n = edges.edge_dst, edges.n_nodes  # edges are sorted by edge_dst
         counts = np.bincount(ids, minlength=n)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         present = counts > 0
@@ -496,24 +502,26 @@ class TestFusedMessagePassing:
             batch, params, train=True, rng_path=(3, 1), update_running=False, tape=tape
         )
         (pred,) = predict_heads(z, params, [0], train=True, rng_path=(3, 1), tape=tape)
-        labels = np.arange(batch.n_graphs, dtype=np.float64)[:, None]
+        labels = np.arange(batch.pool_layout.num_segments, dtype=np.float64)[:, None]
         tape.backward(ops.masked_sse(pred, labels, np.ones_like(labels), tape=tape))
         return {name: p.grad.copy() for name, p in params.named_parameters()}
 
     def test_predict_bit_identical(self, monkeypatch):
         batch = batch_of(*self.SMILES)
-        assert np.bincount(batch.edge_dst).max() == 10
+        _, edges = reference_pack([featurize_smiles(s) for s in self.SMILES])
+        assert batch.neighbor_layout.counts.max() == 10
         params = init_params(["a", "b"], embed_dim=16, n_layers=3, head_hidden=8, seed=4)
         fused = predict(batch, params)
-        monkeypatch.setattr(ops, "segment_sum", self._two_op_segment_sum(batch))
+        monkeypatch.setattr(ops, "segment_sum", self._two_op_segment_sum(batch, edges))
         reference = predict(batch, params)
         np.testing.assert_array_equal(fused.view(np.int64), reference.view(np.int64))
 
     def test_train_gradients_bit_identical(self, monkeypatch):
         batch = batch_of(*self.SMILES)
+        _, edges = reference_pack([featurize_smiles(s) for s in self.SMILES])
         params = init_params(["a"], embed_dim=8, n_layers=2, head_hidden=8, seed=5)
         fused = self._gradients(batch, params)
-        monkeypatch.setattr(ops, "segment_sum", self._two_op_segment_sum(batch))
+        monkeypatch.setattr(ops, "segment_sum", self._two_op_segment_sum(batch, edges))
         reference = self._gradients(batch, params)
         assert fused.keys() == reference.keys()
         for name in fused:
@@ -572,7 +580,7 @@ class TestLeanTapeComposition:
         z = gin_forward(batch, params, train=True, rng_path=(5, 2), tape=tape)
         preds = predict_heads(z, params, [0, 1], train=True, rng_path=(5, 2), tape=tape)
         matrix = ops.concat_columns(preds, tape=tape)
-        labels = np.arange(2.0 * batch.n_graphs).reshape(-1, 2)
+        labels = np.arange(2.0 * batch.pool_layout.num_segments).reshape(-1, 2)
         tape.backward(ops.masked_sse(matrix, labels, np.ones_like(labels), tape=tape))
         out = {name: p.grad for name, p in params.named_parameters()}
         out.update(params.named_state_arrays())

@@ -6,6 +6,7 @@ import pytest
 from molscreen.smiles import parse_smiles
 from molscreen.synth import (
     DESCRIPTOR_WEIGHTS,
+    MAX_STALE_DRAWS,
     SynthMeta,
     descriptor_vector,
     latent_score,
@@ -110,6 +111,24 @@ class TestSynthDataset:
     def test_requires_two_tasks(self):
         with pytest.raises(ValueError):
             synth_dataset(n_tasks=1, n_per_task=10, seed=0)
+
+    @pytest.mark.parametrize("min_atoms", [0, -2])
+    def test_min_atoms_below_one_rejected(self, min_atoms):
+        with pytest.raises(ValueError, match=f"min_atoms must be >= 1, got {min_atoms}"):
+            synth_dataset(n_tasks=2, n_per_task=5, seed=0, min_atoms=min_atoms)
+
+    def test_min_atoms_above_max_atoms_rejected(self):
+        with pytest.raises(ValueError, match=r"min_atoms \(5\) must not exceed max_atoms \(3\)"):
+            synth_dataset(n_tasks=2, n_per_task=5, seed=0, min_atoms=5, max_atoms=3)
+
+    def test_exhausted_atom_range_raises(self):
+        # one heavy atom gives only C, N and O: three molecules, not five
+        with pytest.raises(ValueError, match=f"found 3 .*{MAX_STALE_DRAWS} draws in a row"):
+            synth_dataset(n_tasks=2, n_per_task=5, seed=0, min_atoms=1, max_atoms=1)
+
+    def test_range_filled_exactly_terminates(self):
+        ds, _ = synth_dataset(n_tasks=2, n_per_task=3, seed=0, min_atoms=1, max_atoms=1)
+        assert sorted(ds.smiles) == ["C", "N", "O"]
 
     def test_meta_json_roundtrip(self):
         _, meta = synth_dataset(n_tasks=2, n_per_task=10, seed=8)

@@ -252,6 +252,21 @@ class TestTrainLoop:
         re_val = evaluate_masked_loss(ds, params, masks.val, cfg.batch_size)
         assert re_val == log.best_val_loss
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"lr": 0.01, "min_epochs": 0, "patience": 1}, {"min_epochs": 8, "max_epochs": 3}],
+        ids=["stops-early", "best-not-first", "runs-to-cap"],
+    )
+    def test_log_follows_the_simulated_rules(self, overrides):
+        # the loop and simulate_early_stopping share one rule: replaying the
+        # logged losses gives the logged stop epoch, best epoch and reason
+        cfg = tiny_config(**overrides)
+        _, log = train(make_dataset(24, 2), cfg)
+        curve = [(r.train_loss, r.val_loss) for r in log.epochs]
+        assert simulate_early_stopping(
+            curve, cfg.min_epochs, cfg.patience, cfg.max_epochs
+        ) == (log.stop_epoch, log.best_epoch, log.stop_reason)
+
     def test_head_count_matches_tasks(self):
         ds = make_dataset(24, 3)
         params, _ = train(ds, tiny_config())

@@ -1,5 +1,6 @@
 """Transfer training: frozen-backbone head warmup, then full fine-tuning."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -158,11 +159,18 @@ class TestTransferValidation:
             transfer_train(pre, new_task_dataset(), cfg, head_epochs=-1)
 
 
-def reference_train_with_split(ds, config, masks, params, trainable_names, stop_after,
+def fixed_epochs(config, epochs):
+    """``config`` for exactly ``epochs`` epochs: with min_epochs at the cap
+    and the count starting at 1, early stopping cannot fire."""
+    return dataclasses.replace(config, min_epochs=epochs, max_epochs=epochs)
+
+
+def reference_train_with_split(ds, config, masks, params, trainable_names,
                                epoch_callback=None):
-    """train_with_split for a fixed number of epochs as it ran before frozen
+    """train_with_split under a fixed_epochs config as it ran before frozen
     backbones were special-cased: every training batch records the whole
     model on the tape, and every epoch re-encodes every eval batch."""
+    assert config.min_epochs >= config.max_epochs
     all_named = list(params.named_parameters())
     wanted = set(trainable_names)
     trainable = [t for name, t in all_named if name in wanted]
@@ -189,7 +197,7 @@ def reference_train_with_split(ds, config, masks, params, trainable_names, stop_
     log = TrainLog()
     best_params = params
     log.stop_reason = "max_epochs"
-    for epoch in range(1, stop_after + 1):
+    for epoch in range(1, config.max_epochs + 1):
         order = train_rows[rng_stream(config.seed, 2, epoch).permutation(train_rows.size)]
         for b_idx, (s, e) in enumerate(batch_plan(order.size, config.batch_size)):
             rows = order[s:e]
@@ -282,8 +290,8 @@ class TestFrozenPhaseOracle:
         params = warmup_start(cfg, ds)
         hashes = []
         best, log = trainer(
-            ds, cfg, masks, params=params, trainable_names=head_names(params),
-            stop_after=self.EPOCHS,
+            ds, fixed_epochs(cfg, self.EPOCHS), masks, params=params,
+            trainable_names=head_names(params),
             epoch_callback=lambda _epoch, p: hashes.append(p.backbone_hash()),
         )
         return params, best, log, hashes
@@ -317,8 +325,8 @@ class TestFrozenPhaseOracle:
         cfg, ds, masks = self._setup()
         params = warmup_start(cfg, ds)
         recorded = spy_on_tape(monkeypatch)
-        train_with_split(ds, cfg, masks, params=params,
-                         trainable_names=head_names(params), stop_after=2)
+        train_with_split(ds, fixed_epochs(cfg, 2), masks, params=params,
+                         trainable_names=head_names(params))
         backbone = {id(t) for _, t in params.backbone_named_parameters()}
         heads = {id(t) for _, t in params.head_named_parameters()}
         assert heads <= recorded
@@ -339,12 +347,12 @@ class TestFrozenPhaseOracle:
         n_train = len(batch_plan(int(masks.train.any(axis=1).sum()), cfg.batch_size))
         assert n_eval >= 3
         params = warmup_start(cfg, ds)
-        train_with_split(ds, cfg, masks, params=params,
-                         trainable_names=head_names(params), stop_after=self.EPOCHS)
+        train_with_split(ds, fixed_epochs(cfg, self.EPOCHS), masks, params=params,
+                         trainable_names=head_names(params))
         assert calls == {False: n_eval, True: n_train * self.EPOCHS}
         # unfrozen, every epoch re-encodes every eval batch
         calls.update({True: 0, False: 0})
-        train_with_split(ds, cfg, masks, params=params, stop_after=2)
+        train_with_split(ds, fixed_epochs(cfg, 2), masks, params=params)
         assert calls == {False: 2 * n_eval, True: 2 * n_train}
 
 
@@ -361,9 +369,10 @@ class TestPartialFreeze:
         names = head_names(start) + ["layer.0.w1"]
         params, ref_params = warmup_start(cfg, ds), warmup_start(cfg, ds)
         recorded = spy_on_tape(monkeypatch)
+        cfg = fixed_epochs(cfg, 3)
         best, log = train_with_split(ds, cfg, masks, params=params,
-                                     trainable_names=names, stop_after=3)
-        ref_best, ref_log = reference_train_with_split(ds, cfg, masks, ref_params, names, 3)
+                                     trainable_names=names)
+        ref_best, ref_log = reference_train_with_split(ds, cfg, masks, ref_params, names)
         _assert_same_logs(log, ref_log)
         _assert_same_params(params, ref_params)
         _assert_same_params(best, ref_best)
