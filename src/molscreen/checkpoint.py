@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import HIT_DIRECTIONS
 from .featurize import FeatureSchema
-from .model import ModelParams, init_params
+from .model import ModelParams, empty_params
 
 MAGIC = b"MSCK"
 FORMAT_VERSION = 1
@@ -99,7 +99,7 @@ def _is_list_of(value, check) -> bool:
 
 
 def _check_header(header, version: int) -> None:
-    """Reject a header that ``init_params`` and the loader cannot use."""
+    """Reject a header that ``empty_params`` and the loader cannot use."""
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
     missing = [key for key in _HEADER_KEYS if key not in header]
@@ -134,11 +134,13 @@ def _check_header(header, version: int) -> None:
 
 
 class _Reader:
+    """Consecutive slices of the file's bytes, as views that copy nothing."""
+
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise CheckpointError("checkpoint file is truncated")
         out = self.blob[self.pos : self.pos + n]
@@ -158,7 +160,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (header_len,) = struct.unpack("<Q", reader.take(8))
     try:
-        header = json.loads(reader.take(header_len).decode())
+        header = json.loads(bytes(reader.take(header_len)).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     _check_header(header, version)
@@ -174,17 +176,16 @@ def load_checkpoint(path) -> Checkpoint:
         shape = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim))
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         data = np.frombuffer(reader.take(8 * count), dtype="<f8")
-        # astype copies, so each array is fresh and writable
+        # astype makes the one copy, so each array is fresh and writable
         loaded[name] = data.reshape(shape).astype(np.float64)
     if reader.pos != len(reader.blob):
         raise CheckpointError("trailing bytes after final array")
-    params = init_params(
+    params = empty_params(
         header["task_names"],
         embed_dim=header["embed_dim"],
         n_layers=header["n_layers"],
         head_hidden=header["head_hidden"],
         dropout=header["dropout"],
-        seed=0,
         schema=schema,
     )
     expected = dict(_named_arrays(params))

@@ -49,10 +49,24 @@ def adam_step(params, grads, state: AdamState) -> None:
         m = state.m.get(i)
         v = state.v.get(i)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * (g * g)
-        state.m[i] = m
-        state.v[i] = v
-        p.data -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
+            m = state.m[i] = np.zeros_like(p.data)
+            v = state.v[i] = np.zeros_like(p.data)
+        # in place, in the operand order of
+        #   m = BETA1 * m + (1 - BETA1) * g
+        #   v = BETA2 * v + (1 - BETA2) * (g * g)
+        #   p -= lr * (m / bias1) / (sqrt(v / bias2) + EPS)
+        # so every value is bit-identical to that formula
+        step = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - BETA2
+        v *= BETA2
+        v += step
+        denom = np.divide(v, bias2)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        np.divide(m, bias1, out=step)
+        step *= state.lr
+        step /= denom
+        p.data -= step

@@ -187,15 +187,88 @@ class ModelParams:
         )
 
 
-def _embedding(stream, rows: int, dim: int) -> Tensor:
-    return Tensor(stream.normal(0.0, _EMBED_STD, size=(rows, dim)), requires_grad=True)
+def _drawn(seed: int | None, path: tuple[int, ...], shape, draw) -> Tensor:
+    """A trainable tensor that ``draw(stream, shape)`` fills from the stream
+    at ``(seed, 0, *path)``.  With no seed nothing is drawn: the tensor holds
+    a read-only zero view of the right shape for a loader to replace."""
+    if seed is None:
+        data = np.broadcast_to(np.float64(0.0), shape)
+    else:
+        data = draw(rng_stream(seed, 0, *path), shape)
+    return Tensor(data, requires_grad=True)
 
 
-def _linear(stream, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
+def _normal(stream, shape) -> np.ndarray:
+    return stream.normal(0.0, _EMBED_STD, size=shape)
+
+
+def _glorot(stream, shape) -> np.ndarray:
+    fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    w = Tensor(stream.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
+    return stream.uniform(-limit, limit, size=shape)
+
+
+def _linear(seed, path, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
+    w = _drawn(seed, path, (fan_in, fan_out), _glorot)
     b = Tensor(np.zeros(fan_out), requires_grad=True)
     return w, b
+
+
+def _build_params(
+    task_names: list[str],
+    embed_dim: int,
+    n_layers: int,
+    head_hidden: int,
+    dropout: float,
+    seed: int | None,
+    schema: FeatureSchema,
+) -> ModelParams:
+    """The model's one layout: every tensor's shape, and the stream path and
+    distribution of its initial values (``seed=None`` draws nothing)."""
+    d = embed_dim
+    node_tables = [
+        _drawn(seed, (0, i), (width, d), _normal) for i, width in enumerate(schema.atom_widths)
+    ]
+    layers = []
+    for k in range(n_layers):
+        w1, b1 = _linear(seed, (3, k, 0), d, 2 * d)
+        w2, b2 = _linear(seed, (3, k, 1), 2 * d, d)
+        layers.append(
+            GinLayer(
+                edge_tables=[
+                    _drawn(seed, (1, k, j), (width, d), _normal)
+                    for j, width in enumerate(schema.bond_widths)
+                ],
+                self_loop=_drawn(seed, (2, k), (d,), _normal),
+                w1=w1,
+                b1=b1,
+                w2=w2,
+                b2=b2,
+                bn_gamma=Tensor(np.ones(d), requires_grad=True),
+                bn_beta=Tensor(np.zeros(d), requires_grad=True),
+                bn_state=BatchNormState.initial(d),
+            )
+        )
+    return ModelParams(
+        embed_dim=d,
+        n_layers=n_layers,
+        head_hidden=head_hidden,
+        dropout=dropout,
+        task_names=list(task_names),
+        schema=schema,
+        node_tables=node_tables,
+        layers=layers,
+        heads=_build_heads(len(task_names), d, head_hidden, seed),
+    )
+
+
+def _build_heads(n_tasks: int, embed_dim: int, head_hidden: int, seed) -> list[TaskHead]:
+    heads = []
+    for t in range(n_tasks):
+        w1, b1 = _linear(seed, (4, t, 0), embed_dim, head_hidden)
+        w2, b2 = _linear(seed, (4, t, 1), head_hidden, 1)
+        heads.append(TaskHead(w1=w1, b1=b1, w2=w2, b2=b2))
+    return heads
 
 
 def init_params(
@@ -209,48 +282,22 @@ def init_params(
 ) -> ModelParams:
     """Fresh parameters; every tensor draws from its own seed-derived stream,
     so adding layers or task heads never shifts the others' initial values."""
-    d = embed_dim
-    node_tables = [
-        _embedding(rng_stream(seed, 0, 0, i), width, d)
-        for i, width in enumerate(schema.atom_widths)
-    ]
-    layers = []
-    for k in range(n_layers):
-        edge_tables = [
-            _embedding(rng_stream(seed, 0, 1, k, j), width, d)
-            for j, width in enumerate(schema.bond_widths)
-        ]
-        self_loop = Tensor(
-            rng_stream(seed, 0, 2, k).normal(0.0, _EMBED_STD, size=d),
-            requires_grad=True,
-        )
-        w1, b1 = _linear(rng_stream(seed, 0, 3, k, 0), d, 2 * d)
-        w2, b2 = _linear(rng_stream(seed, 0, 3, k, 1), 2 * d, d)
-        layers.append(
-            GinLayer(
-                edge_tables=edge_tables,
-                self_loop=self_loop,
-                w1=w1,
-                b1=b1,
-                w2=w2,
-                b2=b2,
-                bn_gamma=Tensor(np.ones(d), requires_grad=True),
-                bn_beta=Tensor(np.zeros(d), requires_grad=True),
-                bn_state=BatchNormState.initial(d),
-            )
-        )
-    heads = init_heads(task_names, d, head_hidden, seed)
-    return ModelParams(
-        embed_dim=d,
-        n_layers=n_layers,
-        head_hidden=head_hidden,
-        dropout=dropout,
-        task_names=list(task_names),
-        schema=schema,
-        node_tables=node_tables,
-        layers=layers,
-        heads=heads,
-    )
+    return _build_params(task_names, embed_dim, n_layers, head_hidden, dropout, seed, schema)
+
+
+def empty_params(
+    task_names: list[str],
+    embed_dim: int,
+    n_layers: int,
+    head_hidden: int,
+    dropout: float,
+    schema: FeatureSchema,
+) -> ModelParams:
+    """The layout ``init_params`` builds, for a loader to fill, with no
+    random draws: each randomly initialized tensor holds a read-only zero
+    view of its shape; biases, batch-norm weights and running statistics
+    hold their initial values."""
+    return _build_params(task_names, embed_dim, n_layers, head_hidden, dropout, None, schema)
 
 
 def init_heads(
@@ -258,12 +305,7 @@ def init_heads(
 ) -> list[TaskHead]:
     """Fresh task heads drawn from the same per-head streams init_params
     uses, so a head's initial values depend only on its index and the seed."""
-    heads = []
-    for t in range(len(task_names)):
-        w1, b1 = _linear(rng_stream(seed, 0, 4, t, 0), embed_dim, head_hidden)
-        w2, b2 = _linear(rng_stream(seed, 0, 4, t, 1), head_hidden, 1)
-        heads.append(TaskHead(w1=w1, b1=b1, w2=w2, b2=b2))
-    return heads
+    return _build_heads(len(task_names), embed_dim, head_hidden, seed)
 
 
 def gin_forward(

@@ -177,6 +177,8 @@ def synth_dataset(
     molecule: the atom-count range holds fewer than ``n_per_task``."""
     if n_tasks < 2:
         raise ValueError("need at least 2 tasks")
+    if n_per_task < 1:
+        raise ValueError(f"n_per_task must be >= 1, got {n_per_task}")
     if min_atoms < 1:
         raise ValueError(f"min_atoms must be >= 1, got {min_atoms}")
     if min_atoms > max_atoms:

@@ -209,6 +209,25 @@ def evaluate_masked_loss(
     return _EvalBatches(ds, np.asarray(mask, dtype=bool), batch_size).loss(params)
 
 
+def _changing_arrays(params, best, trainable, update_running):
+    """(live, snapshot) pairs of the arrays of ``params`` that the epoch loop
+    can change: the trainable tensors, plus the batch-norm running
+    statistics when it updates them.  Adam and batch norm update both in
+    place, so each live array stays the same object for the whole loop."""
+    ids = {id(t) for t in trainable}
+    pairs = [
+        (t.data, twin.data)
+        for (_, t), (_, twin) in zip(params.named_parameters(), best.named_parameters())
+        if id(t) in ids
+    ]
+    if update_running:
+        pairs += [
+            (arr, twin)
+            for (_, arr), (_, twin) in zip(params.named_state_arrays(), best.named_state_arrays())
+        ]
+    return pairs
+
+
 def train(ds: TaskDataset, config: TrainConfig) -> tuple[ModelParams, TrainLog]:
     masks = split_train_val(ds, config.seed, config.val_fraction)
     return train_with_split(ds, config, masks)
@@ -237,6 +256,11 @@ def train_with_split(
     parameters equal the full tape's bit for bit.  ``epoch_offset`` shifts
     logged epoch numbers; ``epoch_callback(epoch, params)`` runs after each
     epoch's bookkeeping.
+
+    The returned parameters are the best epoch's, independent of ``params``.
+    The first improvement copies the whole model once; each later one
+    copies, into that snapshot's arrays, only what the loop can change: the
+    trainable tensors, plus the running statistics when they are updated.
     """
     train_rows = np.flatnonzero(masks.train.any(axis=1))
     if train_rows.size < 2:
@@ -271,7 +295,7 @@ def train_with_split(
     stopper = EarlyStopping(min_epochs=config.min_epochs, patience=config.patience)
     adam = AdamState(lr=config.lr)
     log = TrainLog()
-    best_params = params
+    best_params = None
     log.stop_reason = "max_epochs"
     for epoch_index in range(1, config.max_epochs + 1):
         epoch = epoch_offset + epoch_index
@@ -321,7 +345,12 @@ def train_with_split(
         log.epochs.append(EpochRecord(epoch, train_loss, val_loss))
         stop = stopper.observe(epoch, train_loss, val_loss)
         if stopper.best_epoch == epoch:
-            best_params = params.copy()
+            if best_params is None:
+                best_params = params.copy()
+                changing = _changing_arrays(params, best_params, trainable, update_running)
+            else:
+                for live, snapshot in changing:
+                    np.copyto(snapshot, live)
         log.best_epoch, log.best_val_loss = stopper.best_epoch, stopper.best_val_loss
         log.stop_epoch = epoch
         if epoch_callback is not None:

@@ -16,11 +16,21 @@ statistics, so it runs the backbone without a tape (backward stops at the
 embeddings) and encodes each evaluation batch once for the whole phase.
 Both are exact: the losses, head weights and backbone hashes are those the
 full tape gives, bit for bit.
+
+``phase1_backbone_hashes`` holds one ``backbone_hash`` per phase-1 epoch,
+the proof of the freeze.  The backbone is hashed once, when phase 1 starts;
+after each epoch every backbone parameter and running-statistics array is
+compared bit for bit (as int64, so a sign flip of a zero or a changed NaN
+payload counts) with the pretrained one it was copied from.  An epoch whose
+arrays all match records the start hash, which is what hashing them would
+give; any difference records a fresh ``backbone_hash``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .data import TaskDataset, split_train_val
 from .model import ModelParams, init_heads
@@ -37,6 +47,17 @@ class TransferResult:
     phase1_log: TrainLog
     phase2_log: TrainLog
     phase1_backbone_hashes: list[str] = field(default_factory=list)
+
+
+def _backbone_arrays(params: ModelParams) -> list[np.ndarray]:
+    """The arrays ``backbone_hash`` reads, in its order."""
+    arrays = [t.data for _, t in params.backbone_named_parameters()]
+    arrays.extend(arr for _, arr in params.named_state_arrays())
+    return arrays
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def transfer_train(
@@ -75,13 +96,22 @@ def transfer_train(
     phase1_log = TrainLog()
     if head_epochs > 0:
         head_names = [name for name, _ in params.head_named_parameters()]
+        start_hash = params.backbone_hash()
+        reference = _backbone_arrays(pretrained)
+
+        def record_hash(_epoch, p: ModelParams) -> None:
+            unchanged = all(
+                _same_bits(a, b) for a, b in zip(_backbone_arrays(p), reference)
+            )
+            hashes.append(start_hash if unchanged else p.backbone_hash())
+
         _, phase1_log = train_with_split(
             new_ds,
             replace(config, min_epochs=head_epochs, max_epochs=head_epochs),
             masks,
             params=params,
             trainable_names=head_names,
-            epoch_callback=lambda _epoch, p: hashes.append(p.backbone_hash()),
+            epoch_callback=record_hash,
         )
     # phase 2 resumes from the post-warmup state (params was updated in
     # place), not from the warmup's best-validation snapshot

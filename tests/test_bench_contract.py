@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import molscreen.checkpoint as checkpoint_module
 import molscreen.transfer as transfer_module
 from molscreen.engine import Tape, ops
+from molscreen.checkpoint import save_checkpoint
 from molscreen.model import GraphBatch, ModelParams, init_params
 from molscreen.synth import synth_dataset
 from molscreen.train import TrainConfig
@@ -35,10 +37,11 @@ def _patched_names():
         "ModelParams.backbone_hash": ModelParams.__dict__["backbone_hash"],
         "Tape.record": Tape.__dict__["record"],
         "Tape.backward": Tape.__dict__["backward"],
+        "checkpoint.load_checkpoint": checkpoint_module.load_checkpoint,
     }
 
 
-def test_transfer_spans_and_clean_uninstall(tracer_module):
+def test_transfer_spans_and_clean_uninstall(tracer_module, tmp_path):
     ds, _ = synth_dataset(n_tasks=2, n_per_task=20, seed=0, noise_sigma=0.0)
     ds = ds.restrict_to_tasks([0])
     config = TrainConfig(
@@ -46,6 +49,8 @@ def test_transfer_spans_and_clean_uninstall(tracer_module):
         min_epochs=1, patience=1, max_epochs=1, seed=0,
     )
     pretrained = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=8, seed=1)
+    ckpt = tmp_path / "pretrained.ckpt"
+    save_checkpoint(ckpt, pretrained, ["lower_is_better"] * 2, seed=1)
     originals = _patched_names()
 
     tracer = tracer_module.Tracer()
@@ -56,6 +61,7 @@ def test_transfer_spans_and_clean_uninstall(tracer_module):
         )
         tracer.begin("contract")
         try:
+            pretrained = checkpoint_module.load_checkpoint(ckpt).params
             transfer_module.transfer_train(pretrained, ds, config, head_epochs=2)
         finally:
             tracer.end()
@@ -69,8 +75,10 @@ def test_transfer_spans_and_clean_uninstall(tracer_module):
         "transfer.backbone_hash",
         "engine.ops.dropout.fwd",
         "engine.ops.dropout.bwd",
+        "checkpoint.load",
     ):
         assert expected in names, expected
-    assert sum(span[0] == "transfer.backbone_hash" for span in tracer.spans) == 2
+    # phase 1 hashes the backbone once, at its start
+    assert sum(span[0] == "transfer.backbone_hash" for span in tracer.spans) == 1
     restored = _patched_names()
     assert all(restored[name] is original for name, original in originals.items())

@@ -1,6 +1,7 @@
 """Checkpoint format: JSON header + named float64 arrays, bit-exact."""
 
 import hashlib
+import importlib
 import json
 import struct
 from pathlib import Path
@@ -18,6 +19,7 @@ from molscreen.model import GraphBatch, init_params, predict
 from molscreen.train import EpochRecord, TrainLog, summarize_log
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "model.ckpt"
+model_module = importlib.import_module("molscreen.model")
 
 
 def sample_params(seed=0):
@@ -164,6 +166,39 @@ def _with_header(path, header_value, arrays: bytes):
         GOLDEN.read_bytes()[:8] + struct.pack("<Q", len(header)) + header + arrays
     )
     return path
+
+
+def _golden_arrays():
+    """Every array block of the golden checkpoint, parsed straight from the
+    bytes by name."""
+    header, section = _split_golden()
+    arrays, pos = {}, 0
+    for name in header["arrays"]:
+        (ndim,) = struct.unpack("<I", section[pos : pos + 4])
+        shape = struct.unpack(f"<{ndim}Q", section[pos + 4 : pos + 4 + 8 * ndim])
+        pos += 4 + 8 * ndim
+        count = int(np.prod(shape, dtype=np.int64))
+        arrays[name] = np.frombuffer(section[pos : pos + 8 * count], "<f8").reshape(shape)
+        pos += 8 * count
+    assert pos == len(section)
+    return arrays
+
+
+class TestLoadDrawsNothing:
+    def test_golden_loads_bit_for_bit_with_streams_disabled(self, monkeypatch):
+        def no_draws(*path):
+            raise AssertionError(f"stream {path} requested")
+
+        monkeypatch.setattr(model_module, "rng_stream", no_draws)
+        params = load_checkpoint(GOLDEN).params
+        want = _golden_arrays()
+        got = [(n, t.data) for n, t in params.named_parameters()]
+        got += list(params.named_state_arrays())
+        assert [n for n, _ in got] == list(want)
+        for name, arr in got:
+            assert arr.dtype == np.float64 and arr.flags.writeable, name
+            np.testing.assert_array_equal(
+                arr.view(np.int64), want[name].astype(np.float64).view(np.int64), err_msg=name)
 
 
 class TestBackboneHash:

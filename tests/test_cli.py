@@ -90,6 +90,18 @@ class TestSynthGen:
         assert code == 2
         assert json.loads(err)["error"] == "bad-config"
 
+    @pytest.mark.parametrize("n_per_task", ["0", "-3"])
+    def test_bad_compound_count(self, tmp_path, capsys, n_per_task):
+        code, _, err = run(
+            capsys, "synth-gen", "--n-tasks", "2", "--n-per-task", n_per_task,
+            "--out", str(tmp_path / "x.csv"), "--meta-out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert "n_per_task" in error["message"]
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize(
         "min_atoms, max_atoms, named",
         [("0", "3", "min_atoms"), ("-2", "3", "min_atoms"), ("5", "3", "max_atoms")],

@@ -723,6 +723,22 @@ def reference_adam(params, grad_script, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
     return params
 
 
+def formula_adam(params, grad_script, lr=0.001):
+    """Adam written as whole-array expressions, one fresh array per
+    operation: the formula the in-place update must reproduce bit for bit."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_script, start=1):
+        bias1 = 1.0 - 0.9**t
+        bias2 = 1.0 - 0.999**t
+        for i, g in enumerate(grads):
+            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1.0 - 0.999) * (g * g)
+            params[i] -= lr * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + 1e-8)
+    return params, m, v
+
+
 class TestAdam:
     def test_single_step_from_zero(self):
         p = Tensor(np.zeros(1), requires_grad=True)
@@ -747,6 +763,28 @@ class TestAdam:
         for p, e in zip(params, expected):
             np.testing.assert_allclose(p.data, e, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("lr", [0.001, 0.37])
+    def test_in_place_update_matches_formula_bit_for_bit(self, lr):
+        rng = np.random.default_rng(11)
+        shapes = [(5, 3), (7,), (1, 1)]
+        init = [rng.normal(size=s) for s in shapes]
+        script = [[rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
+                  for _ in range(9)]
+        script[2][0][0, 0] = -0.0
+        script[3][1][:] = 0.0
+
+        params = [Tensor(p.copy(), requires_grad=True) for p in init]
+        state = AdamState(lr=lr)
+        for grads in script:
+            adam_step(params, grads, state)
+
+        want, want_m, want_v = formula_adam(init, script, lr=lr)
+        for i, (p, e) in enumerate(zip(params, want)):
+            np.testing.assert_array_equal(p.data.view(np.int64), e.view(np.int64))
+            np.testing.assert_array_equal(state.m[i].view(np.int64), want_m[i].view(np.int64))
+            np.testing.assert_array_equal(state.v[i].view(np.int64), want_v[i].view(np.int64))
+        assert state.step_count == len(script)
+
     def test_custom_learning_rate(self):
         p = Tensor(np.zeros(1), requires_grad=True)
         state = AdamState(lr=0.1)
@@ -758,12 +796,14 @@ class TestAdam:
         q = Tensor(np.ones(2), requires_grad=True)
         state = AdamState()
         adam_step([p, q], [np.ones(2), np.ones(2)], state)
-        before_p, before_q = p.data.copy(), q.data.copy()
-        with pytest.raises(NonFiniteGradientError):
-            adam_step([p, q], [np.ones(2), np.array([1.0, np.inf])], state)
-        # step rejected atomically: neither parameter moved, count unchanged
-        np.testing.assert_array_equal(p.data, before_p)
-        np.testing.assert_array_equal(q.data, before_q)
+        before = [a.copy() for a in (p.data, q.data, *state.m.values(), *state.v.values())]
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NonFiniteGradientError):
+                adam_step([p, q], [np.ones(2), np.array([1.0, bad])], state)
+        # step rejected atomically: no parameter or moment moved, count unchanged
+        after = (p.data, q.data, *state.m.values(), *state.v.values())
+        for a, b in zip(after, before, strict=True):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
         assert state.step_count == 1
 
 

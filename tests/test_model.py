@@ -1,6 +1,7 @@
 """Model tests: wiring against hand-computed formulas, invariances, and a
 small end-to-end gradient check."""
 
+import importlib
 import weakref
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from molscreen.model import (
     GraphBatch,
     ModelParams,
     INFERENCE_BATCH,
+    empty_params,
     encode_graphs,
     gin_forward,
     init_params,
@@ -20,6 +22,9 @@ from molscreen.model import (
     predict_graphs,
     predict_heads,
 )
+
+
+model_module = importlib.import_module("molscreen.model")
 
 
 def batch_of(*smiles):
@@ -69,6 +74,26 @@ class TestInit:
         assert np.all(p.heads[0].b2.data == 0)
         assert np.all(p.layers[1].bn_gamma.data == 1)
         assert np.all(p.layers[1].bn_beta.data == 0)
+
+    def test_empty_params_has_the_init_layout_and_draws_nothing(self, monkeypatch):
+        fresh = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16, dropout=0.3)
+
+        def no_draws(*path):
+            raise AssertionError(f"stream {path} requested")
+
+        monkeypatch.setattr(model_module, "rng_stream", no_draws)
+        empty = empty_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16,
+                             dropout=0.3, schema=fresh.schema)
+        assert [(n, t.shape) for n, t in empty.named_parameters()] == [
+            (n, t.shape) for n, t in fresh.named_parameters()]
+        assert all(t.requires_grad for _, t in empty.named_parameters())
+        # drawn tensors are read-only zero views until a loader replaces them
+        assert not empty.layers[1].w2.data.flags.writeable
+        assert not empty.heads[1].w1.data.flags.writeable
+        for (name, a), (_, b) in zip(empty.named_state_arrays(), fresh.named_state_arrays()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            assert a.flags.writeable, name
+        assert (empty.head_hidden, empty.dropout, empty.task_names) == (16, 0.3, ["a", "b"])
 
     def test_copy_is_deep(self):
         p = init_params(["a"], embed_dim=4, n_layers=1)

@@ -112,6 +112,11 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(n_tasks=1, n_per_task=10, seed=0)
 
+    @pytest.mark.parametrize("n_per_task", [0, -3])
+    def test_n_per_task_below_one_rejected(self, n_per_task):
+        with pytest.raises(ValueError, match=f"n_per_task must be >= 1, got {n_per_task}"):
+            synth_dataset(n_tasks=2, n_per_task=n_per_task, seed=0)
+
     @pytest.mark.parametrize("min_atoms", [0, -2])
     def test_min_atoms_below_one_rejected(self, min_atoms):
         with pytest.raises(ValueError, match=f"min_atoms must be >= 1, got {min_atoms}"):

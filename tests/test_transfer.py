@@ -8,7 +8,14 @@ import pytest
 
 from molscreen.data import split_train_val
 from molscreen.engine import AdamState, Tape, adam_step, ops, rng_stream
-from molscreen.model import GraphBatch, gin_forward, init_heads, init_params, predict_heads
+from molscreen.model import (
+    GraphBatch,
+    ModelParams,
+    gin_forward,
+    init_heads,
+    init_params,
+    predict_heads,
+)
 from molscreen.synth import synth_dataset
 from molscreen.train import (
     EpochRecord,
@@ -130,6 +137,78 @@ class TestTransferMechanics:
         np.testing.assert_array_equal(
             result.params.heads[0].w2.data, cold_params.heads[0].w2.data
         )
+
+
+transfer_module = importlib.import_module("molscreen.transfer")
+
+
+class TestFreezeCheck:
+    """Phase 1 hashes the backbone once and compares its arrays bit for bit
+    after each epoch; a change anywhere must still show in the hashes."""
+
+    EPOCHS = 5
+
+    def _transfer_changing_at_epoch_3(self, monkeypatch, change):
+        inner = transfer_module.train_with_split
+
+        def wrapped(*args, epoch_callback=None, **kwargs):
+            if kwargs.get("trainable_names") is not None:
+                record = epoch_callback
+
+                def epoch_callback(epoch, p):
+                    if epoch == 3:
+                        change(p)
+                    record(epoch, p)
+
+            return inner(*args, epoch_callback=epoch_callback, **kwargs)
+
+        monkeypatch.setattr(transfer_module, "train_with_split", wrapped)
+        cfg = small_config(max_epochs=1, min_epochs=1)
+        pre = pretrained_backbone(cfg)
+        result = transfer_train(pre, new_task_dataset(), cfg, head_epochs=self.EPOCHS)
+        changed = pre.copy()
+        change(changed)
+        return pre.backbone_hash(), changed.backbone_hash(), result.phase1_backbone_hashes
+
+    def _check(self, monkeypatch, change):
+        start, changed, hashes = self._transfer_changing_at_epoch_3(monkeypatch, change)
+        assert changed != start
+        assert hashes == [start] * 2 + [changed] * (self.EPOCHS - 2)
+
+    def test_value_change_shows_in_the_hashes(self, monkeypatch):
+        def change(p):
+            p.layers[1].w1.data[2, 3] = np.nextafter(p.layers[1].w1.data[2, 3], np.inf)
+
+        self._check(monkeypatch, change)
+
+    def test_zero_sign_flip_shows_in_the_hashes(self, monkeypatch):
+        def change(p):
+            assert _bits(p.layers[0].b2.data[1]) == _bits(0.0)
+            p.layers[0].b2.data[1] = -0.0
+
+        self._check(monkeypatch, change)
+
+    def test_running_statistics_change_shows_in_the_hashes(self, monkeypatch):
+        def change(p):
+            p.layers[1].bn_state.running_var[0] *= 2.0
+
+        self._check(monkeypatch, change)
+
+    def test_one_hash_per_phase_one(self, monkeypatch):
+        calls = []
+        backbone_hash = ModelParams.backbone_hash
+
+        def counting(self):
+            calls.append(1)
+            return backbone_hash(self)
+
+        monkeypatch.setattr(ModelParams, "backbone_hash", counting)
+        cfg = small_config(max_epochs=1, min_epochs=1)
+        result = transfer_train(pretrained_backbone(cfg), new_task_dataset(), cfg,
+                                head_epochs=self.EPOCHS)
+        assert len(calls) == 1
+        assert len(set(result.phase1_backbone_hashes)) == 1
+        assert len(result.phase1_backbone_hashes) == self.EPOCHS
 
 
 class TestTransferValidation:
