@@ -1,10 +1,10 @@
 """Binary model checkpoints.
 
-Layout: 4-byte magic, little-endian uint32 format version, uint64 header
-length, UTF-8 JSON header, then one block per named array in header order.
-Each block is a uint32 rank, that many uint64 dimensions, and the raw
-float64 values, everything little-endian.  Loading a saved file reproduces
-every array bit for bit.
+File layout: 4-byte magic, little-endian uint32 format version, uint64 header
+length, UTF-8 JSON header, then one block per array of the model's one walk,
+``ModelParams.named_arrays()``, in its order.  Each block is a uint32 rank,
+that many uint64 dimensions, and the raw float64 values, all little-endian.
+Loading fills ``empty_params`` with ``fill_params``, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import HIT_DIRECTIONS
 from .featurize import FeatureSchema
-from .model import ModelParams, empty_params
+from .model import ModelParams, empty_params, fill_params
 
 MAGIC = b"MSCK"
 FORMAT_VERSION = 1
@@ -37,12 +37,6 @@ class Checkpoint:
     log_summary: dict | None
 
 
-def _named_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    arrays = [(name, t.data) for name, t in params.named_parameters()]
-    arrays.extend(params.named_state_arrays())
-    return arrays
-
-
 def save_checkpoint(
     path,
     params: ModelParams,
@@ -55,7 +49,7 @@ def save_checkpoint(
     for d in hit_directions:
         if d not in HIT_DIRECTIONS:
             raise ValueError(f"hit direction {d!r} not in {HIT_DIRECTIONS}")
-    arrays = _named_arrays(params)
+    arrays = list(params.named_arrays())
     header = {
         "format_version": FORMAT_VERSION,
         "embed_dim": params.embed_dim,
@@ -188,22 +182,10 @@ def load_checkpoint(path) -> Checkpoint:
         dropout=header["dropout"],
         schema=schema,
     )
-    expected = dict(_named_arrays(params))
-    if set(expected) != set(loaded):
-        raise CheckpointError("checkpoint arrays do not match the model layout")
-    for name, tensor in params.named_parameters():
-        if tensor.data.shape != loaded[name].shape:
-            raise CheckpointError(
-                f"array {name}: shape {loaded[name].shape}, "
-                f"expected {tensor.data.shape}"
-            )
-        tensor.data = loaded[name]
-    for name, arr in params.named_state_arrays():
-        if arr.shape != loaded[name].shape:
-            raise CheckpointError(
-                f"array {name}: shape {loaded[name].shape}, expected {arr.shape}"
-            )
-        arr[...] = loaded[name]
+    try:
+        fill_params(params, loaded)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
     return Checkpoint(
         params=params,
         hit_directions=list(header["hit_directions"]),

@@ -532,6 +532,7 @@ def cmd_active_learn(args) -> None:
 
 
 def cmd_synth_gen(args) -> None:
+    _check_writable(args.out, args.meta_out)
     _print_seed(args.seed)
     ds, meta = synth_dataset(
         n_tasks=args.n_tasks,

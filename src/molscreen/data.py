@@ -44,6 +44,9 @@ class TaskDataset:
             raise DatasetError(
                 f"{t} label columns need {t} task names and hit directions"
             )
+        repeated = sorted({n for n in self.task_names if self.task_names.count(n) > 1})
+        if repeated:
+            raise DatasetError(f"task names must be distinct, repeated: {repeated}")
         for d in self.hit_directions:
             if d not in HIT_DIRECTIONS:
                 raise DatasetError(

@@ -315,9 +315,6 @@ class BatchNormState:
     def initial(cls, num_features: int) -> "BatchNormState":
         return cls(running_mean=np.zeros(num_features), running_var=np.ones(num_features))
 
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(self.running_mean.copy(), self.running_var.copy())
-
 
 def batch_norm(
     x: Tensor,

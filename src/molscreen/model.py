@@ -5,6 +5,10 @@ of message-passing layers (neighbor + edge-state + learnable self-loop sums
 through a two-layer perceptron with batch norm), and mean-pools node states
 into one embedding per molecule.  Each task owns a small two-layer head over
 that shared embedding.
+
+``_build_params`` states the layout once, and ``ModelParams.named_arrays()``
+is its one walk: every other traversal (copy, checkpoint save and load, the
+backbone hash, the transfer freeze check, the best-epoch snapshot) reads it.
 """
 
 from __future__ import annotations
@@ -141,50 +145,34 @@ class ModelParams:
             yield f"layer.{k}.bn_running_mean", layer.bn_state.running_mean
             yield f"layer.{k}.bn_running_var", layer.bn_state.running_var
 
+    def named_arrays(self):
+        """Every array of the model by name, in checkpoint order: each
+        parameter's data, then the batch-norm running statistics."""
+        for name, t in self.named_parameters():
+            yield name, t.data
+        yield from self.named_state_arrays()
+
+    def named_backbone_arrays(self):
+        """``named_arrays()`` without the head parameters, in the same order:
+        everything a frozen backbone keeps."""
+        heads = dict(self.head_named_parameters())
+        return [(name, arr) for name, arr in self.named_arrays() if name not in heads]
+
     def backbone_hash(self) -> str:
         # sha256 reads each C-contiguous array's buffer in place, no copy
         digest = hashlib.sha256()
-        for name, p in self.backbone_named_parameters():
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(p.data))
-        for name, arr in self.named_state_arrays():
+        for name, arr in self.named_backbone_arrays():
             digest.update(name.encode())
             digest.update(np.ascontiguousarray(arr))
         return digest.hexdigest()
 
     def copy(self) -> "ModelParams":
-        def clone(t: Tensor) -> Tensor:
-            return Tensor(t.data.copy(), requires_grad=t.requires_grad)
-
-        return ModelParams(
-            embed_dim=self.embed_dim,
-            n_layers=self.n_layers,
-            head_hidden=self.head_hidden,
-            dropout=self.dropout,
-            task_names=list(self.task_names),
-            schema=self.schema,
-            node_tables=[clone(t) for t in self.node_tables],
-            layers=[
-                GinLayer(
-                    edge_tables=[clone(t) for t in layer.edge_tables],
-                    self_loop=clone(layer.self_loop),
-                    w1=clone(layer.w1),
-                    b1=clone(layer.b1),
-                    w2=clone(layer.w2),
-                    b2=clone(layer.b2),
-                    bn_gamma=clone(layer.bn_gamma),
-                    bn_beta=clone(layer.bn_beta),
-                    bn_state=layer.bn_state.copy(),
-                )
-                for layer in self.layers
-            ],
-            heads=[
-                TaskHead(
-                    w1=clone(h.w1), b1=clone(h.b1), w2=clone(h.w2), b2=clone(h.b2)
-                )
-                for h in self.heads
-            ],
+        """An empty layout of the same shape filled with copies of every array."""
+        layout = empty_params(
+            self.task_names, self.embed_dim, self.n_layers, self.head_hidden,
+            self.dropout, self.schema,
         )
+        return fill_params(layout, {name: arr.copy() for name, arr in self.named_arrays()})
 
 
 def _drawn(seed: int | None, path: tuple[int, ...], shape, draw) -> Tensor:
@@ -293,11 +281,30 @@ def empty_params(
     dropout: float,
     schema: FeatureSchema,
 ) -> ModelParams:
-    """The layout ``init_params`` builds, for a loader to fill, with no
-    random draws: each randomly initialized tensor holds a read-only zero
+    """The layout ``init_params`` builds, for ``fill_params`` to fill, with
+    no random draws: each randomly initialized tensor holds a read-only zero
     view of its shape; biases, batch-norm weights and running statistics
     hold their initial values."""
     return _build_params(task_names, embed_dim, n_layers, head_hidden, dropout, None, schema)
+
+
+def fill_params(params: ModelParams, arrays: dict[str, np.ndarray]) -> ModelParams:
+    """Fill a layout built by ``empty_params`` from ``{name: array}``.
+
+    The names must be exactly those of ``params.named_arrays()`` and every
+    shape must match, else ``ValueError``.  Parameters take the given arrays
+    themselves; running statistics are copied into the layout's own."""
+    layout = dict(params.named_arrays())
+    if layout.keys() != arrays.keys():
+        raise ValueError("arrays do not match the model layout")
+    for name, arr in layout.items():
+        if arr.shape != arrays[name].shape:
+            raise ValueError(f"array {name}: shape {arrays[name].shape}, expected {arr.shape}")
+    for name, tensor in params.named_parameters():
+        tensor.data = arrays[name]
+    for name, arr in params.named_state_arrays():
+        arr[...] = arrays[name]
+    return params
 
 
 def init_heads(

@@ -179,6 +179,8 @@ def synth_dataset(
         raise ValueError("need at least 2 tasks")
     if n_per_task < 1:
         raise ValueError(f"n_per_task must be >= 1, got {n_per_task}")
+    if not 0.0 <= noise_sigma < np.inf:  # false for NaN too
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if min_atoms < 1:
         raise ValueError(f"min_atoms must be >= 1, got {min_atoms}")
     if min_atoms > max_atoms:

@@ -209,25 +209,6 @@ def evaluate_masked_loss(
     return _EvalBatches(ds, np.asarray(mask, dtype=bool), batch_size).loss(params)
 
 
-def _changing_arrays(params, best, trainable, update_running):
-    """(live, snapshot) pairs of the arrays of ``params`` that the epoch loop
-    can change: the trainable tensors, plus the batch-norm running
-    statistics when it updates them.  Adam and batch norm update both in
-    place, so each live array stays the same object for the whole loop."""
-    ids = {id(t) for t in trainable}
-    pairs = [
-        (t.data, twin.data)
-        for (_, t), (_, twin) in zip(params.named_parameters(), best.named_parameters())
-        if id(t) in ids
-    ]
-    if update_running:
-        pairs += [
-            (arr, twin)
-            for (_, arr), (_, twin) in zip(params.named_state_arrays(), best.named_state_arrays())
-        ]
-    return pairs
-
-
 def train(ds: TaskDataset, config: TrainConfig) -> tuple[ModelParams, TrainLog]:
     masks = split_train_val(ds, config.seed, config.val_fraction)
     return train_with_split(ds, config, masks)
@@ -276,19 +257,17 @@ def train_with_split(
             schema=ds.schema,
         )
     all_named = list(params.named_parameters())
-    if trainable_names is None:
-        trainable = [t for _, t in all_named]
-        update_running = True
-        frozen = False
-    else:
-        wanted = set(trainable_names)
-        unknown = wanted - {name for name, _ in all_named}
-        if unknown:
-            raise ValueError(f"unknown parameter names: {sorted(unknown)}")
-        trainable = [t for name, t in all_named if name in wanted]
-        backbone_names = {name for name, _ in params.backbone_named_parameters()}
-        update_running = backbone_names <= wanted
-        frozen = not backbone_names & wanted
+    names = {name for name, _ in all_named}
+    wanted = names if trainable_names is None else set(trainable_names)
+    if wanted - names:
+        raise ValueError(f"unknown parameter names: {sorted(wanted - names)}")
+    trainable = [t for name, t in all_named if name in wanted]
+    backbone_names = {name for name, _ in params.backbone_named_parameters()}
+    update_running = backbone_names <= wanted
+    frozen = not backbone_names & wanted
+    tracked = set(wanted)
+    if update_running:
+        tracked.update(name for name, _ in params.named_state_arrays())
     encode_once = params if frozen else None
     train_eval = _EvalBatches(ds, masks.train, config.batch_size, encode_once)
     val_eval = _EvalBatches(ds, masks.val, config.batch_size, encode_once)
@@ -347,7 +326,12 @@ def train_with_split(
         if stopper.best_epoch == epoch:
             if best_params is None:
                 best_params = params.copy()
-                changing = _changing_arrays(params, best_params, trainable, update_running)
+                twins = dict(best_params.named_arrays())
+                changing = [
+                    (live, twins[name])
+                    for name, live in params.named_arrays()
+                    if name in tracked
+                ]
             else:
                 for live, snapshot in changing:
                     np.copyto(snapshot, live)

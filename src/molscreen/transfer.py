@@ -19,7 +19,8 @@ full tape gives, bit for bit.
 
 ``phase1_backbone_hashes`` holds one ``backbone_hash`` per phase-1 epoch,
 the proof of the freeze.  The backbone is hashed once, when phase 1 starts;
-after each epoch every backbone parameter and running-statistics array is
+after each epoch every backbone array (``named_backbone_arrays()``, the
+subset of the model's one walk, ``named_arrays()``, that the hash reads) is
 compared bit for bit (as int64, so a sign flip of a zero or a changed NaN
 payload counts) with the pretrained one it was copied from.  An epoch whose
 arrays all match records the start hash, which is what hashing them would
@@ -47,17 +48,6 @@ class TransferResult:
     phase1_log: TrainLog
     phase2_log: TrainLog
     phase1_backbone_hashes: list[str] = field(default_factory=list)
-
-
-def _backbone_arrays(params: ModelParams) -> list[np.ndarray]:
-    """The arrays ``backbone_hash`` reads, in its order."""
-    arrays = [t.data for _, t in params.backbone_named_parameters()]
-    arrays.extend(arr for _, arr in params.named_state_arrays())
-    return arrays
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def transfer_train(
@@ -97,11 +87,12 @@ def transfer_train(
     if head_epochs > 0:
         head_names = [name for name, _ in params.head_named_parameters()]
         start_hash = params.backbone_hash()
-        reference = _backbone_arrays(pretrained)
+        reference = [arr for _, arr in pretrained.named_backbone_arrays()]
 
         def record_hash(_epoch, p: ModelParams) -> None:
             unchanged = all(
-                _same_bits(a, b) for a, b in zip(_backbone_arrays(p), reference)
+                np.array_equal(a.view(np.int64), b.view(np.int64))
+                for (_, a), b in zip(p.named_backbone_arrays(), reference)
             )
             hashes.append(start_hash if unchanged else p.backbone_hash())
 

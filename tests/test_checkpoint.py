@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -199,6 +200,46 @@ class TestLoadDrawsNothing:
             assert arr.dtype == np.float64 and arr.flags.writeable, name
             np.testing.assert_array_equal(
                 arr.view(np.int64), want[name].astype(np.float64).view(np.int64), err_msg=name)
+
+
+def _blocks(arrays) -> bytes:
+    """An array section holding ``arrays`` (name -> array) in their order."""
+    out = []
+    for arr in arrays.values():
+        out.append(struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        out.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return b"".join(out)
+
+
+class TestLayoutCheck:
+    def test_named_arrays_walk_the_golden_header_order(self):
+        header, _ = _split_golden()
+        params = init_params(
+            header["task_names"], embed_dim=header["embed_dim"],
+            n_layers=header["n_layers"], head_hidden=header["head_hidden"],
+        )
+        assert [name for name, _ in params.named_arrays()] == header["arrays"]
+
+    def test_blocks_helper_rebuilds_the_golden_section(self):
+        _, section = _split_golden()
+        assert _blocks(_golden_arrays()) == section
+
+    def test_renamed_array_rejected(self, tmp_path):
+        header, arrays = _split_golden()
+        header["arrays"][3] = "node_table.99"
+        with pytest.raises(CheckpointError, match="do not match the model layout"):
+            load_checkpoint(_with_header(tmp_path / "m.ckpt", header, arrays))
+
+    def test_changed_dimension_rejected(self, tmp_path):
+        header, _ = _split_golden()
+        arrays = _golden_arrays()
+        want = arrays["layer.1.w2"].shape
+        arrays["layer.1.w2"] = arrays["layer.1.w2"].reshape(want[::-1])
+        assert want[0] != want[1]
+        path = _with_header(tmp_path / "m.ckpt", header, _blocks(arrays))
+        message = f"array layer.1.w2: shape {want[::-1]}, expected {want}"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
 
 
 class TestBackboneHash:

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -118,6 +119,29 @@ class TestSynthGen:
         assert named in error["message"]
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("noise_sigma", ["nan", "inf", "-1"])
+    def test_bad_noise_sigma(self, tmp_path, capsys, noise_sigma):
+        code, _, err = run(
+            capsys, "synth-gen", "--n-tasks", "2", "--n-per-task", "5",
+            "--noise-sigma", noise_sigma,
+            "--out", str(tmp_path / "x.csv"), "--meta-out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert "noise_sigma" in error["message"]
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unwritable_meta_out_writes_no_dataset(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "synth-gen", "--n-tasks", "2", "--n-per-task", "5",
+            "--out", str(tmp_path / "x.csv"),
+            "--meta-out", str(tmp_path / "no-such-dir" / "m.json"),
+        )
+        assert code == 3
+        assert only_error(err)["error"] == "io-failure"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_exhausted_atom_range_exits_2(self, tmp_path, capsys):
         # one heavy atom gives three distinct molecules; five cannot be found
         code, _, err = run(
@@ -146,6 +170,17 @@ class TestIngest:
         assert report["accepted"] == 2
         assert report["rejected"][0]["row"] == 3
         assert [r["smiles"] for r in read_rows(out)] == ["CCO", "CCN"]
+
+    def test_repeated_task_name_is_io_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("smiles,a,a:ic50_molar\nCCO,-7.1,1e-6\nCCN,-5.0,2e-6\n")
+        out = tmp_path / "clean.csv"
+        code, _, err = run(capsys, "ingest", "--input", str(raw), "--out", str(out))
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert "repeated: ['a']" in error["message"]
+        assert not out.exists()
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -804,12 +839,21 @@ class TestUsageErrors:
 
 
 class TestEntryPoint:
+    @staticmethod
+    def _env():
+        """This environment with the checkout's ``src`` first on PYTHONPATH,
+        so the subprocess imports this molscreen, installed or not."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
     def test_module_help(self):
         import subprocess
 
         proc = subprocess.run(
             [sys.executable, "-m", "molscreen.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=self._env(),
         )
         assert proc.returncode == 0
         for command in ("ingest", "train", "active-learn", "transfer", "predict",
@@ -821,7 +865,7 @@ class TestEntryPoint:
 
         proc = subprocess.run(
             [sys.executable, "-m", "molscreen.cli", "frobnicate"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=self._env(),
         )
         assert proc.returncode == 2
         error = only_error(proc.stderr)

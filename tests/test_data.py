@@ -61,6 +61,15 @@ class TestTaskDataset:
                 ["C"], np.array([[1.0]]), ["a"], ["lower_is_better", "extra"]
             )
 
+    def test_repeated_task_name_rejected(self):
+        with pytest.raises(DatasetError, match=r"repeated: \['a'\]"):
+            TaskDataset.from_smiles(
+                ["C", "CC"],
+                np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                ["a", "b", "a"],
+                ["lower_is_better", "lower_is_better", "higher_is_better"],
+            )
+
     def test_bad_hit_direction_rejected(self):
         with pytest.raises(DatasetError):
             TaskDataset.from_smiles(["C"], np.array([[1.0]]), ["a"], ["down"])

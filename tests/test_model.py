@@ -15,6 +15,7 @@ from molscreen.model import (
     ModelParams,
     INFERENCE_BATCH,
     empty_params,
+    init_heads,
     encode_graphs,
     gin_forward,
     init_params,
@@ -102,6 +103,45 @@ class TestInit:
         q.layers[0].bn_state.running_mean[0] += 1.0
         assert p.node_tables[0].data[0, 0] != q.node_tables[0].data[0, 0]
         assert p.layers[0].bn_state.running_mean[0] == 0.0
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.int64)
+
+
+class TestCopy:
+    """``copy()`` is an empty layout filled with copies of every array."""
+
+    @staticmethod
+    def _check_copy(p, monkeypatch):
+        def no_draws(*path):
+            raise AssertionError(f"stream {path} requested")
+
+        monkeypatch.setattr(model_module, "rng_stream", no_draws)
+        q = p.copy()
+        got, want = list(q.named_arrays()), list(p.named_arrays())
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (name, a), (_, b) in zip(got, want):
+            np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=name)
+            assert a.flags.writeable, name
+            assert not np.shares_memory(a, b), name
+        assert all(t.requires_grad for _, t in q.named_parameters())
+        assert (q.embed_dim, q.n_layers, q.head_hidden, q.dropout, q.schema) == (
+            p.embed_dim, p.n_layers, p.head_hidden, p.dropout, p.schema)
+        assert q.task_names == p.task_names and q.task_names is not p.task_names
+
+    def test_trained_shape_model(self, monkeypatch):
+        p = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16, seed=3)
+        p.layers[1].bn_state.running_var[:] = np.linspace(0.5, 2.0, 8)
+        p.layers[0].b1.data[0] = -0.0  # a signed zero must survive the copy
+        self._check_copy(p, monkeypatch)
+
+    def test_transfer_shaped_model(self, monkeypatch):
+        p = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16, seed=3)
+        p.task_names = ["new"]
+        p.head_hidden = 5
+        p.heads = init_heads(["new"], p.embed_dim, 5, seed=4)
+        self._check_copy(p, monkeypatch)
 
 
 class TestGraphBatch:

@@ -117,6 +117,11 @@ class TestSynthDataset:
         with pytest.raises(ValueError, match=f"n_per_task must be >= 1, got {n_per_task}"):
             synth_dataset(n_tasks=2, n_per_task=n_per_task, seed=0)
 
+    @pytest.mark.parametrize("noise_sigma", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_bad_noise_sigma_rejected(self, noise_sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            synth_dataset(n_tasks=2, n_per_task=5, seed=0, noise_sigma=noise_sigma)
+
     @pytest.mark.parametrize("min_atoms", [0, -2])
     def test_min_atoms_below_one_rejected(self, min_atoms):
         with pytest.raises(ValueError, match=f"min_atoms must be >= 1, got {min_atoms}"):
