@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .data import HIT_DIRECTIONS
 from .featurize import FeatureSchema
 from .model import ModelParams, empty_params, fill_params
@@ -66,15 +67,13 @@ def save_checkpoint(
         "arrays": [name for name, _ in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    chunks.append(struct.pack("<Q", len(header_bytes)))
-    chunks.append(header_bytes)
-    for _, arr in arrays:
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    with atomic_write(path, "wb") as handle:
+        handle.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)))
+        handle.write(header_bytes)
+        for _, arr in arrays:
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            handle.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+            handle.write(arr.data)
 
 
 _HEADER_KEYS = (

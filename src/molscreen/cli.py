@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .active import ACQUISITIONS, ALConfig, al_run, log_to_csv
+from .atomic import atomic_write, check_writable
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import HIT_DIRECTIONS, DatasetError, TaskDataset, subsample_task_labels
 from .dataset_io import (
@@ -240,19 +241,19 @@ def _task_indices(ck: Checkpoint, names: list[str]) -> list[int]:
     return indices
 
 
+def _write_text(path, text: str) -> None:
+    with atomic_write(path) as handle:
+        handle.write(text)
+
+
 def _write_csv_text(path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _check_writable(*paths) -> None:
-    """Fail before any training if an output cannot be written; a file the
-    check had to create is removed again."""
-    for path in map(Path, filter(None, paths)):
-        existed = path.exists()
-        with open(path, "ab"):
-            pass
-        if not existed:
-            path.unlink()
+    """Fail before any training if an output cannot be written."""
+    for path in filter(None, paths):
+        check_writable(path)
 
 
 def _print_seed(seed: int) -> None:
@@ -512,7 +513,7 @@ def cmd_active_learn(args) -> None:
         task_name=args.task_name,
         graphs=graphs,
     )
-    Path(args.log_out).write_text(log_to_csv(result.log))
+    _write_text(args.log_out, log_to_csv(result.log))
     if args.acquired_out:
         write_dataset_csv(args.acquired_out, result.labeled_dataset)
     if args.out:
@@ -543,7 +544,7 @@ def cmd_synth_gen(args) -> None:
         max_atoms=args.max_atoms,
     )
     write_dataset_csv(args.out, ds)
-    Path(args.meta_out).write_text(meta.to_json())
+    _write_text(args.meta_out, meta.to_json())
     print(
         json.dumps(
             {

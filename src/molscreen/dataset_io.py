@@ -15,11 +15,13 @@ contributes a compound or is reported with its row number.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .data import TaskDataset
 from .featurize import (
     DEFAULT_SCHEMA,
@@ -104,7 +106,8 @@ def ingest_csv(
     n_tasks = len(task_names)
 
     rejected: list[tuple[int, str]] = []
-    candidates: list[tuple[int, str, np.ndarray]] = []
+    # (row number, SMILES, [(task, label), ...] for the row's present labels)
+    candidates: list[tuple[int, str, list[tuple[int, float]]]] = []
     for row_number, row in enumerate(rows[1:], start=2):
         if len(row) != n_tasks + 1:
             rejected.append(
@@ -112,7 +115,7 @@ def ingest_csv(
             )
             continue
         smiles = row[0].strip()
-        labels = np.full(n_tasks, np.nan)
+        labels: list[tuple[int, float]] = []
         bad = None
         for t, cell in enumerate(row[1:]):
             cell = cell.strip()
@@ -123,7 +126,7 @@ def ingest_csv(
             except ValueError:
                 bad = f"column {task_names[t]!r}: {cell!r} is not a number"
                 break
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 bad = f"column {task_names[t]!r}: {cell!r} is not a finite number"
                 break
             if is_activity[t]:
@@ -132,20 +135,20 @@ def ingest_csv(
                 except MetricError as exc:
                     bad = f"column {task_names[t]!r}: {exc}"
                     break
-            labels[t] = value
+            labels.append((t, value))
         if bad is not None:
             rejected.append((row_number, bad))
             continue
-        if not np.isfinite(labels).any():
+        if not labels:
             rejected.append((row_number, "row has no labels"))
             continue
         candidates.append((row_number, smiles, labels))
 
     results = [_featurize(smi, schema) for _, smi, _ in candidates]
-    order: list[str] = []
-    graphs: dict[str, object] = {}
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, np.ndarray] = {}
+    graphs: dict[str, object] = {}  # insertion order is first-seen order
+    # per SMILES and task: label sum in row order from 0.0, and label count
+    sums: dict[str, list[float]] = {}
+    counts: dict[str, list[int]] = {}
     n_accepted = 0
     for (row_number, smiles, labels), (ok, payload) in zip(candidates, results):
         if not ok:
@@ -153,25 +156,29 @@ def ingest_csv(
             continue
         n_accepted += 1
         if smiles not in graphs:
-            order.append(smiles)
             graphs[smiles] = payload
-            sums[smiles] = np.zeros(n_tasks)
-            counts[smiles] = np.zeros(n_tasks)
-        present = np.isfinite(labels)
-        sums[smiles][present] += labels[present]
-        counts[smiles][present] += 1
+            sums[smiles] = [0.0] * n_tasks
+            counts[smiles] = [0] * n_tasks
+        total, count = sums[smiles], counts[smiles]
+        for t, value in labels:
+            total[t] += value
+            count[t] += 1
     rejected.sort(key=lambda pair: pair[0])
     n_rows = len(rows) - 1
     report = IngestReport(n_rows=n_rows, n_accepted=n_accepted, rejected=rejected)
-    if not order:
+    if not graphs:
         raise IngestError(f"{path}: no valid rows")
-    label_matrix = np.full((len(order), n_tasks), np.nan)
-    for i, smiles in enumerate(order):
-        present = counts[smiles] > 0
-        label_matrix[i, present] = sums[smiles][present] / counts[smiles][present]
+    order = list(graphs)
+    label_matrix = np.array(
+        [
+            [s / c if c else math.nan for s, c in zip(sums[smi], counts[smi])]
+            for smi in order
+        ],
+        dtype=np.float64,
+    )
     ds = TaskDataset(
         smiles=order,
-        graphs=[graphs[s] for s in order],
+        graphs=list(graphs.values()),
         labels=label_matrix,
         task_names=task_names,
         hit_directions=directions,
@@ -216,7 +223,7 @@ def write_dataset_csv(path, ds: TaskDataset) -> None:
         name + DIRECTION_SUFFIX if direction == "higher_is_better" else name
         for name, direction in zip(ds.task_names, ds.hit_directions)
     ]
-    with open(path, "w", newline="") as handle:
+    with atomic_write(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["smiles"] + columns)
         for i, smiles in enumerate(ds.smiles):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,18 @@ class FeatureSchema:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
+    @cached_property
+    def index_limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atom and bond widths as read-only uint64 arrays, built once
+        per schema."""
+        limits = (
+            np.array(self.atom_widths, dtype=np.uint64),
+            np.array(self.bond_widths, dtype=np.uint64),
+        )
+        for array in limits:
+            array.flags.writeable = False
+        return limits
+
 
 DEFAULT_SCHEMA = FeatureSchema()
 
@@ -136,14 +149,24 @@ def bond_feature_indices(bond: Bond) -> tuple[int, int, int]:
 
 
 def featurize(graph: MolGraph, schema: FeatureSchema = DEFAULT_SCHEMA) -> FeaturizedGraph:
-    """Map a parsed molecule to per-atom and per-bond index arrays."""
-    atom_rows = [atom_feature_indices(graph, i) for i in range(len(graph.atoms))]
-    bond_rows = [bond_feature_indices(b) for b in graph.bonds]
-    endpoints = [(b.a, b.b) for b in graph.bonds]
+    """Map a parsed molecule to per-atom and per-bond index arrays: C-ordered
+    views of one int64 array of 7 integers per atom, 3 per bond, then 2
+    endpoints per bond."""
+    n_atoms, n_bonds = len(graph.atoms), len(graph.bonds)
+    values: list[int] = []
+    for i in range(n_atoms):
+        values += atom_feature_indices(graph, i)
+    for bond in graph.bonds:
+        values += bond_feature_indices(bond)
+    for bond in graph.bonds:
+        values += (bond.a, bond.b)
+    flat = np.array(values, dtype=np.int64)
+    atom_end = 7 * n_atoms
+    bond_end = atom_end + 3 * n_bonds
     fg = FeaturizedGraph(
-        atom_indices=np.asarray(atom_rows, dtype=np.int64).reshape(-1, 7),
-        bond_indices=np.asarray(bond_rows, dtype=np.int64).reshape(-1, 3),
-        bond_endpoints=np.asarray(endpoints, dtype=np.int64).reshape(-1, 2),
+        atom_indices=flat[:atom_end].reshape(n_atoms, 7),
+        bond_indices=flat[atom_end:bond_end].reshape(n_bonds, 3),
+        bond_endpoints=flat[bond_end:].reshape(n_bonds, 2),
     )
     _check_ranges(fg, schema)
     return fg
@@ -156,12 +179,12 @@ def featurize_smiles(
 
 
 def _check_ranges(fg: FeaturizedGraph, schema: FeatureSchema) -> None:
-    for matrix, widths, kind in (
-        (fg.atom_indices, schema.atom_widths, "atom"),
-        (fg.bond_indices, schema.bond_widths, "bond"),
+    # Viewed as uint64, a negative index is huge, so one comparison against
+    # the widths catches both ends of the range.
+    atom_limits, bond_limits = schema.index_limits
+    for matrix, limits, kind in (
+        (fg.atom_indices, atom_limits, "atom"),
+        (fg.bond_indices, bond_limits, "bond"),
     ):
-        if matrix.size == 0:
-            continue
-        limits = np.asarray(widths, dtype=np.int64)
-        if np.any(matrix < 0) or np.any(matrix >= limits):
+        if matrix.size and (matrix.view(np.uint64) >= limits).any():
             raise SchemaError(f"{kind} feature index outside schema widths")

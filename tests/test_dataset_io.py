@@ -61,6 +61,22 @@ class TestIngestHappyPath:
         assert ds.labels[row, 0] == 2.0  # mean of 1 and 3
         assert ds.labels[row, 1] == 5.0  # single measurement survives
 
+    def test_duplicates_summed_in_row_order(self, tmp_path):
+        # In row order 1e16 + 1.0 rounds back to 1e16, so the sum is 0.0;
+        # any other order gives 1.0 or 2.0.  A rejected row adds nothing.
+        path = write(
+            tmp_path,
+            "smiles,T0,T1\nCCO,1e16,\nCCO,1.0,0.1\nCCN,2.0,\n"
+            "CCO,nan,\nCCO,-1e16,0.2\n",
+        )
+        ds, report = ingest_csv(path)
+        assert report.n_accepted == 4
+        row = ds.smiles.index("CCO")
+        assert ds.labels[row, 0] == ((0.0 + 1e16) + 1.0 + -1e16) / 3 == 0.0
+        assert ds.labels[row, 1] == (0.0 + 0.1 + 0.2) / 2
+        assert ds.labels.dtype == np.float64
+        assert ds.labels.shape == (2, 2)
+
     def test_whitespace_cells_are_unlabeled(self, tmp_path):
         path = write(tmp_path, "smiles,T0,T1\nCCO,  ,1.5\n")
         ds, _ = ingest_csv(path)

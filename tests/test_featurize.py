@@ -1,18 +1,25 @@
 """Featurizer tests: hand-mapped index vectors and schema invariants."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from molscreen.engine.rng import rng_stream
 from molscreen.featurize import (
     ATOM_FEATURE_WIDTHS,
     BOND_FEATURE_WIDTHS,
     DEFAULT_SCHEMA,
     FeatureSchema,
     SchemaError,
+    atom_feature_indices,
+    bond_feature_indices,
     featurize,
     featurize_smiles,
 )
-from molscreen.smiles import Atom, Bond, BondOrder, MolGraph, parse_smiles
+from molscreen.smiles import Atom, Bond, BondOrder, MolGraph, SmilesError, parse_smiles
+from molscreen.synth import random_molecule
 
 
 def atom_row(smiles, idx=0):
@@ -177,3 +184,135 @@ class TestArrays:
         narrow = FeatureSchema(atom_widths=(119, 16, 11, 4, 3, 2, 5))
         with pytest.raises(SchemaError):
             featurize(parse_smiles("C"), schema=narrow)
+
+
+def reference_featurize(graph, schema=DEFAULT_SCHEMA):
+    """Per-row tuples through ``np.asarray(...).reshape``, then a range check
+    with separate lower and upper comparisons: the construction ``featurize``
+    replaced."""
+    atom_rows = [atom_feature_indices(graph, i) for i in range(len(graph.atoms))]
+    bond_rows = [bond_feature_indices(b) for b in graph.bonds]
+    endpoints = [(b.a, b.b) for b in graph.bonds]
+    arrays = (
+        np.asarray(atom_rows, dtype=np.int64).reshape(-1, 7),
+        np.asarray(bond_rows, dtype=np.int64).reshape(-1, 3),
+        np.asarray(endpoints, dtype=np.int64).reshape(-1, 2),
+    )
+    for matrix, widths, kind in (
+        (arrays[0], schema.atom_widths, "atom"),
+        (arrays[1], schema.bond_widths, "bond"),
+    ):
+        if matrix.size == 0:
+            continue
+        limits = np.asarray(widths, dtype=np.int64)
+        if np.any(matrix < 0) or np.any(matrix >= limits):
+            raise SchemaError(f"{kind} feature index outside schema widths")
+    return arrays
+
+
+def _outcome(function, graph, schema):
+    try:
+        return function(graph, schema)
+    except SchemaError as exc:
+        return str(exc)
+
+
+def assert_matches_reference(graph, schema=DEFAULT_SCHEMA):
+    expected = _outcome(reference_featurize, graph, schema)
+    got = _outcome(featurize, graph, schema)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    for array, want in zip(
+        (got.atom_indices, got.bond_indices, got.bond_endpoints), expected
+    ):
+        assert array.dtype == np.int64
+        assert array.shape == want.shape
+        assert array.flags.c_contiguous
+        np.testing.assert_array_equal(array, want)
+
+
+def _test_file_smiles() -> list[str]:
+    """Every string literal of the SMILES and featurizer test modules that
+    parses as a molecule."""
+    found = []
+    for name in ("test_smiles.py", "test_featurize.py"):
+        tree = ast.parse((Path(__file__).parent / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parse_smiles(node.value)
+                except SmilesError:
+                    continue
+                found.append(node.value)
+    return sorted(set(found))
+
+
+class TestFeaturizeOracle:
+    """``featurize`` builds one flat array and views it as three matrices;
+    the per-row construction it replaced is the reference."""
+
+    def test_every_test_file_smiles(self):
+        corpus = _test_file_smiles()
+        assert len(corpus) > 50
+        for smiles in corpus:
+            assert_matches_reference(parse_smiles(smiles))
+
+    def test_random_library(self):
+        stream = rng_stream(0, 5)
+        for _ in range(500):
+            assert_matches_reference(parse_smiles(random_molecule(stream)))
+
+    @pytest.mark.parametrize(
+        "smiles",
+        ["C", "[Na+]", "[NH4+]", "CC(=O)[O-]", "[O-8]", "[13CH3]O", "N[C@@H](C)O",
+         "F[C@](Cl)(Br)I", "C/C=C\\C", "[CH9]"],
+    )
+    def test_bracket_charged_chiral_and_bondless(self, smiles):
+        assert_matches_reference(parse_smiles(smiles))
+
+    def test_bondless_views(self):
+        fg = featurize_smiles("C")
+        assert fg.atom_indices.shape == (1, 7)
+        assert fg.bond_indices.shape == (0, 3)
+        assert fg.bond_endpoints.shape == (0, 2)
+
+    def test_schema_rejecting_atoms(self):
+        narrow = FeatureSchema(atom_widths=(119, 16, 11, 4, 3, 2, 5))
+        assert_matches_reference(parse_smiles("CCO"), narrow)
+        with pytest.raises(SchemaError, match="^atom feature index"):
+            featurize(parse_smiles("CCO"), narrow)
+
+    def test_schema_rejecting_only_bonds(self):
+        no_rings = FeatureSchema(bond_widths=(7, 4, 1))
+        assert_matches_reference(parse_smiles("C1CC1"), no_rings)
+        with pytest.raises(SchemaError, match="^bond feature index"):
+            featurize(parse_smiles("C1CC1"), no_rings)
+        featurize(parse_smiles("CCC"), no_rings)
+
+    def test_atoms_are_checked_before_bonds(self):
+        both = FeatureSchema(atom_widths=(119, 16, 11, 4, 2, 2, 5), bond_widths=(7, 4, 1))
+        assert_matches_reference(parse_smiles("C1CC1"), both)
+        with pytest.raises(SchemaError, match="^atom feature index"):
+            featurize(parse_smiles("C1CC1"), both)
+
+    def test_negative_index_caught_by_single_comparison(self):
+        graph = MolGraph.from_atoms_and_bonds([Atom(atomic_number=6, hydrogens=-1)], [])
+        assert atom_feature_indices(graph, 0)[4] == -1
+        assert_matches_reference(graph)
+        with pytest.raises(SchemaError, match="^atom feature index"):
+            featurize(graph)
+
+    def test_schemas_do_not_share_limits(self):
+        narrow = FeatureSchema(atom_widths=(119, 16, 11, 4, 3, 2, 5))
+        graph = parse_smiles("CCO")
+        for _ in range(2):
+            featurize(graph, DEFAULT_SCHEMA)
+            with pytest.raises(SchemaError):
+                featurize(graph, narrow)
+        assert narrow.index_limits[0].tolist() == list(narrow.atom_widths)
+        assert DEFAULT_SCHEMA.index_limits[0].tolist() == list(ATOM_FEATURE_WIDTHS)
+        assert DEFAULT_SCHEMA.index_limits[1].tolist() == list(BOND_FEATURE_WIDTHS)
+        assert narrow.index_limits is narrow.index_limits
+        assert not narrow.index_limits[0].flags.writeable
