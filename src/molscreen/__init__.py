@@ -18,7 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TaskDataset
 from .dataset_io import IngestReport, ingest_csv, read_smiles_csv, write_dataset_csv
 from .estimators import GINRegressor, MultiTaskGINRegressor, NotFittedError
-from .featurize import DEFAULT_SCHEMA, FeatureSchema, featurize_smiles
+from .featurize import featurize_smiles
 from .metrics import (
     ScreenResult,
     concordance_index,
@@ -45,8 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALConfig",
     "ALResult",
-    "DEFAULT_SCHEMA",
-    "FeatureSchema",
     "GINRegressor",
     "GraphBatch",
     "IngestReport",

@@ -4,12 +4,16 @@ File layout: 4-byte magic, little-endian uint32 format version, uint64 header
 length, UTF-8 JSON header, then one block per array of the model's one walk,
 ``ModelParams.named_arrays()``, in its order.  Each block is a uint32 rank,
 that many uint64 dimensions, and the raw float64 values, all little-endian.
-Loading fills ``empty_params`` with ``fill_params``, bit for bit.
+Loading checks the header against this build's feature widths and against
+the arrays read, then fills ``empty_params`` with ``fill_params``, bit for
+bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +22,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .data import HIT_DIRECTIONS
-from .featurize import FeatureSchema
+from .featurize import ATOM_FEATURE_WIDTHS, BOND_FEATURE_WIDTHS, SCHEMA_HASH
 from .model import ModelParams, empty_params, fill_params
 
 MAGIC = b"MSCK"
@@ -29,12 +33,15 @@ class CheckpointError(RuntimeError):
     """The file is not a readable checkpoint of a supported version."""
 
 
+class ForeignSchemaError(CheckpointError):
+    """The checkpoint was made for feature widths other than this build's."""
+
+
 @dataclass
 class Checkpoint:
     params: ModelParams
     hit_directions: list[str]
     seed: int
-    schema_hash: str
     log_summary: dict | None
 
 
@@ -59,9 +66,9 @@ def save_checkpoint(
         "dropout": params.dropout,
         "task_names": list(params.task_names),
         "hit_directions": list(hit_directions),
-        "atom_widths": list(params.schema.atom_widths),
-        "bond_widths": list(params.schema.bond_widths),
-        "schema_hash": params.schema.schema_hash(),
+        "atom_widths": list(ATOM_FEATURE_WIDTHS),
+        "bond_widths": list(BOND_FEATURE_WIDTHS),
+        "schema_hash": SCHEMA_HASH,
         "seed": seed,
         "log_summary": log_summary,
         "arrays": [name for name, _ in arrays],
@@ -126,6 +133,27 @@ def _check_header(header, version: int) -> None:
         raise CheckpointError("log_summary must be an object or null")
 
 
+def _check_dimensions(header: dict, loaded: dict[str, np.ndarray]) -> None:
+    """The header's dimensions must be those of the arrays read, so that
+    ``empty_params`` never sizes a layout from the header alone."""
+
+    def width(name: str):
+        arr = loaded.get(name)
+        return arr.shape[1] if arr is not None and arr.ndim == 2 else None
+
+    found = {
+        "embed_dim": width("node_table.0"),
+        "n_layers": sum(1 for name in loaded if re.fullmatch(r"layer\.\d+\.w1", name)),
+        # a model without tasks has no head to size
+        "head_hidden": width("head.0.w1") if header["task_names"] else header["head_hidden"],
+    }
+    for key, value in found.items():
+        if header[key] != value:
+            raise CheckpointError(
+                f"header {key} {header[key]} does not match the arrays ({value})"
+            )
+
+
 class _Reader:
     """Consecutive slices of the file's bytes, as views that copy nothing."""
 
@@ -157,29 +185,31 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     _check_header(header, version)
-    schema = FeatureSchema(
-        atom_widths=tuple(header["atom_widths"]),
-        bond_widths=tuple(header["bond_widths"]),
-    )
-    if schema.schema_hash() != header["schema_hash"]:
+    widths = (header["atom_widths"], header["bond_widths"])
+    if widths != (list(ATOM_FEATURE_WIDTHS), list(BOND_FEATURE_WIDTHS)):
+        raise ForeignSchemaError(
+            f"{path}: checkpoint feature schema {header['schema_hash'][:12]}… does not "
+            f"match this build's schema {SCHEMA_HASH[:12]}…"
+        )
+    if header["schema_hash"] != SCHEMA_HASH:
         raise CheckpointError("schema hash does not match schema widths")
     loaded: dict[str, np.ndarray] = {}
     for name in header["arrays"]:
         (ndim,) = struct.unpack("<I", reader.take(4))
         shape = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        count = math.prod(shape)  # exact, so corrupt dimensions read past the end
         data = np.frombuffer(reader.take(8 * count), dtype="<f8")
         # astype makes the one copy, so each array is fresh and writable
         loaded[name] = data.reshape(shape).astype(np.float64)
     if reader.pos != len(reader.blob):
         raise CheckpointError("trailing bytes after final array")
+    _check_dimensions(header, loaded)
     params = empty_params(
         header["task_names"],
         embed_dim=header["embed_dim"],
         n_layers=header["n_layers"],
         head_hidden=header["head_hidden"],
         dropout=header["dropout"],
-        schema=schema,
     )
     try:
         fill_params(params, loaded)
@@ -189,6 +219,5 @@ def load_checkpoint(path) -> Checkpoint:
         params=params,
         hit_directions=list(header["hit_directions"]),
         seed=header["seed"],
-        schema_hash=header["schema_hash"],
         log_summary=header["log_summary"],
     )

@@ -27,7 +27,13 @@ import numpy as np
 
 from .active import ACQUISITIONS, ALConfig, al_run, log_to_csv
 from .atomic import atomic_write, check_writable
-from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    Checkpoint,
+    CheckpointError,
+    ForeignSchemaError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .data import HIT_DIRECTIONS, DatasetError, TaskDataset, subsample_task_labels
 from .dataset_io import (
     IngestError,
@@ -36,7 +42,6 @@ from .dataset_io import (
     read_smiles_csv,
     write_dataset_csv,
 )
-from .featurize import DEFAULT_SCHEMA
 from .metrics import (
     MetricError,
     ScreenResult,
@@ -208,17 +213,14 @@ def _print_report(path, report) -> None:
 
 
 def _load_ckpt(path) -> Checkpoint:
-    """A checkpoint whose feature schema is this build's."""
+    """``load_checkpoint``, naming the file in an input failure.  A
+    ``ForeignSchemaError`` names it already and goes to ``main`` as is."""
     try:
-        ck = load_checkpoint(path)
+        return load_checkpoint(path)
+    except ForeignSchemaError:
+        raise
     except (OSError, CheckpointError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    if ck.schema_hash != DEFAULT_SCHEMA.schema_hash():
-        raise SchemaMismatchError(
-            f"{path}: checkpoint feature schema {ck.schema_hash[:12]}… does not "
-            f"match this build's schema {DEFAULT_SCHEMA.schema_hash()[:12]}…"
-        )
-    return ck
 
 
 def _load_meta(path) -> SynthMeta:
@@ -226,7 +228,7 @@ def _load_meta(path) -> SynthMeta:
         return SynthMeta.from_json(Path(path).read_text())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # JSONDecodeError included
         raise InputError(f"{path}: not a benchmark metadata file ({exc})") from exc
 
 
@@ -671,6 +673,7 @@ _FAILURES = (
     (TrainingDiverged, TrainingError),
     (OSError, InputError),
     (IngestError, InputError),
+    (ForeignSchemaError, SchemaMismatchError),
     (CheckpointError, InputError),
     (ValueError, ConfigError),
 )

@@ -7,12 +7,12 @@ interest and the remaining columns are auxiliary tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import rng_stream
-from .featurize import DEFAULT_SCHEMA, FeatureSchema, FeaturizedGraph, featurize_smiles
+from .featurize import FeaturizedGraph, featurize_smiles
 
 HIT_DIRECTIONS = ("lower_is_better", "higher_is_better")
 
@@ -28,7 +28,6 @@ class TaskDataset:
     labels: np.ndarray  # (n_compounds, n_tasks), NaN = unlabeled
     task_names: list[str]
     hit_directions: list[str]
-    schema: FeatureSchema = field(default_factory=lambda: DEFAULT_SCHEMA)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.float64)
@@ -74,22 +73,13 @@ class TaskDataset:
         return np.isfinite(self.labels)
 
     @classmethod
-    def from_smiles(
-        cls,
-        smiles,
-        labels,
-        task_names,
-        hit_directions,
-        schema: FeatureSchema = DEFAULT_SCHEMA,
-    ) -> "TaskDataset":
-        graphs = [featurize_smiles(s, schema) for s in smiles]
+    def from_smiles(cls, smiles, labels, task_names, hit_directions) -> "TaskDataset":
         return cls(
             smiles=list(smiles),
-            graphs=graphs,
+            graphs=[featurize_smiles(s) for s in smiles],
             labels=labels,
             task_names=list(task_names),
             hit_directions=list(hit_directions),
-            schema=schema,
         )
 
     def _take(self, rows, labels, task_indices=None) -> "TaskDataset":
@@ -104,7 +94,6 @@ class TaskDataset:
             labels=labels[rows],
             task_names=[self.task_names[t] for t in task_indices],
             hit_directions=[self.hit_directions[t] for t in task_indices],
-            schema=self.schema,
         )
 
     def restrict_to_tasks(self, task_indices) -> "TaskDataset":

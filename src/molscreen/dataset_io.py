@@ -23,13 +23,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .data import TaskDataset
-from .featurize import (
-    DEFAULT_SCHEMA,
-    FeatureSchema,
-    FeaturizedGraph,
-    SchemaError,
-    featurize_smiles,
-)
+from .featurize import FeaturizedGraph, SchemaError, featurize_smiles
 from .metrics import MetricError, pchembl
 from .smiles import SmilesError
 
@@ -52,10 +46,10 @@ class IngestReport:
         return len(self.rejected)
 
 
-def _featurize(smiles: str, schema: FeatureSchema):
+def _featurize(smiles: str):
     """``(True, graph)``, or ``(False, reason)`` for a rejected row."""
     try:
-        return True, featurize_smiles(smiles, schema)
+        return True, featurize_smiles(smiles)
     except (SmilesError, SchemaError) as exc:
         return False, f"SMILES rejected: {exc}"
 
@@ -93,9 +87,7 @@ def _parse_task_header(columns) -> tuple[list[str], list[str], list[bool]]:
     return names, directions, is_activity
 
 
-def ingest_csv(
-    path, schema: FeatureSchema = DEFAULT_SCHEMA
-) -> tuple[TaskDataset, IngestReport]:
+def ingest_csv(path) -> tuple[TaskDataset, IngestReport]:
     rows = _read_rows(path)
     header = [c.strip() for c in rows[0]]
     if not header or header[0] != "smiles":
@@ -144,7 +136,7 @@ def ingest_csv(
             continue
         candidates.append((row_number, smiles, labels))
 
-    results = [_featurize(smi, schema) for _, smi, _ in candidates]
+    results = [_featurize(smi) for _, smi, _ in candidates]
     graphs: dict[str, object] = {}  # insertion order is first-seen order
     # per SMILES and task: label sum in row order from 0.0, and label count
     sums: dict[str, list[float]] = {}
@@ -182,7 +174,6 @@ def ingest_csv(
         labels=label_matrix,
         task_names=task_names,
         hit_directions=directions,
-        schema=schema,
     )
     return ds, report
 
@@ -203,7 +194,7 @@ def read_smiles_csv(path) -> tuple[list[str], list[FeaturizedGraph], IngestRepor
             rejected.append((row_number, "missing smiles cell"))
             continue
         pairs.append((row_number, row[col].strip()))
-    results = [_featurize(s, DEFAULT_SCHEMA) for _, s in pairs]
+    results = [_featurize(s) for _, s in pairs]
     accepted, graphs = [], []
     for (row_number, smiles), (ok, payload) in zip(pairs, results):
         if ok:

@@ -9,14 +9,17 @@ cloning and grid sweeps.  No external ML framework is required.
 
 from __future__ import annotations
 
-import inspect
+import dataclasses
 
 import numpy as np
 
 from .data import TaskDataset
-from .featurize import DEFAULT_SCHEMA, featurize_smiles
+from .featurize import featurize_smiles
 from .model import encode_graphs, predict_graphs
 from .train import TrainConfig, train
+
+# the estimators' hyperparameters: every TrainConfig field, with its default
+_DEFAULTS = dataclasses.asdict(TrainConfig())
 
 
 class NotFittedError(RuntimeError):
@@ -51,55 +54,27 @@ def _as_label_matrix(y, n_samples: int) -> np.ndarray:
 class MultiTaskGINRegressor:
     """Multi-task graph regressor with a shared encoder and per-task heads.
 
-    Parameters mirror :class:`molscreen.train.TrainConfig`.  `fit` accepts a
-    label matrix with NaN marking unlabeled (compound, task) cells; every
+    The keyword parameters are the fields of
+    :class:`molscreen.train.TrainConfig`, with its defaults.  `fit` accepts
+    a label matrix with NaN marking unlabeled (compound, task) cells; every
     compound must carry at least one label.
     """
 
-    def __init__(
-        self,
-        *,
-        embed_dim: int = 256,
-        n_layers: int = 8,
-        head_hidden: int = 256,
-        dropout: float = 0.2,
-        lr: float = 0.001,
-        batch_size: int = 128,
-        val_fraction: float = 0.2,
-        min_epochs: int = 100,
-        patience: int = 50,
-        max_epochs: int = 1000,
-        seed: int = 0,
-    ):
-        self.embed_dim = embed_dim
-        self.n_layers = n_layers
-        self.head_hidden = head_hidden
-        self.dropout = dropout
-        self.lr = lr
-        self.batch_size = batch_size
-        self.val_fraction = val_fraction
-        self.min_epochs = min_epochs
-        self.patience = patience
-        self.max_epochs = max_epochs
-        self.seed = seed
+    def __init__(self, **params):
+        vars(self).update(_DEFAULTS)
+        self.set_params(**params)
 
     # ------------------------------------------------------------------
     # parameter protocol
     # ------------------------------------------------------------------
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in _DEFAULTS}
 
     def set_params(self, **params) -> "MultiTaskGINRegressor":
-        valid = set(self._param_names())
         for name, value in params.items():
-            if name not in valid:
+            if name not in _DEFAULTS:
                 raise ValueError(
-                    f"unknown parameter {name!r}; valid parameters: {sorted(valid)}"
+                    f"unknown parameter {name!r}; valid parameters: {sorted(_DEFAULTS)}"
                 )
             setattr(self, name, value)
         return self
@@ -123,14 +98,12 @@ class MultiTaskGINRegressor:
             labels,
             task_names=list(task_names),
             hit_directions=list(hit_directions),
-            schema=DEFAULT_SCHEMA,
         )
         params, log = train(ds, self._train_config())
         self.params_ = params
         self.log_ = log
         self.task_names_ = list(task_names)
         self.hit_directions_ = list(hit_directions)
-        self.schema_ = ds.schema
         return self
 
     def _check_fitted(self):
@@ -140,7 +113,7 @@ class MultiTaskGINRegressor:
             )
 
     def _featurize(self, X) -> list:
-        return [featurize_smiles(s, self.schema_) for s in _as_smiles_list(X)]
+        return [featurize_smiles(s) for s in _as_smiles_list(X)]
 
     def predict(self, X, *, tasks=None) -> np.ndarray:
         """Predicted scores, shape (n_compounds, n_tasks_requested)."""

@@ -1,9 +1,9 @@
 """Categorical feature indices for molecular graphs.
 
 Every atom maps to seven embedding-table indices and every bond to three.
-The widths form the fixed feature schema; models embed these indices and sum
-the resulting vectors, so the schema must match between training and
-inference (checked via :meth:`FeatureSchema.schema_hash`).
+The table widths are this build's fixed feature schema: models embed these
+indices and sum the resulting vectors, so a checkpoint records the widths and
+their ``SCHEMA_HASH``, and loading one made for other widths fails.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +28,24 @@ from .smiles import (
 ATOM_FEATURE_WIDTHS = (119, 16, 11, 4, 9, 2, 5)
 # direction, type, in-ring
 BOND_FEATURE_WIDTHS = (7, 4, 2)
+
+SCHEMA_HASH = hashlib.sha256(
+    json.dumps(
+        {"atom": list(ATOM_FEATURE_WIDTHS), "bond": list(BOND_FEATURE_WIDTHS)},
+        sort_keys=True,
+    ).encode()
+).hexdigest()
+
+
+def _read_only_limits(widths: tuple[int, ...]) -> np.ndarray:
+    limits = np.array(widths, dtype=np.uint64)
+    limits.flags.writeable = False
+    return limits
+
+
+# the widths as uint64 arrays for the range check, built once
+ATOM_INDEX_LIMITS = _read_only_limits(ATOM_FEATURE_WIDTHS)
+BOND_INDEX_LIMITS = _read_only_limits(BOND_FEATURE_WIDTHS)
 
 # hybridization buckets
 HYB_S = 0
@@ -64,34 +81,6 @@ _BOND_TYPE_INDEX = {
 
 class SchemaError(ValueError):
     """A feature index fell outside its declared table width."""
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    atom_widths: tuple[int, ...] = ATOM_FEATURE_WIDTHS
-    bond_widths: tuple[int, ...] = BOND_FEATURE_WIDTHS
-
-    def schema_hash(self) -> str:
-        payload = json.dumps(
-            {"atom": list(self.atom_widths), "bond": list(self.bond_widths)},
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    @cached_property
-    def index_limits(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atom and bond widths as read-only uint64 arrays, built once
-        per schema."""
-        limits = (
-            np.array(self.atom_widths, dtype=np.uint64),
-            np.array(self.bond_widths, dtype=np.uint64),
-        )
-        for array in limits:
-            array.flags.writeable = False
-        return limits
-
-
-DEFAULT_SCHEMA = FeatureSchema()
 
 
 @dataclass
@@ -148,7 +137,7 @@ def bond_feature_indices(bond: Bond) -> tuple[int, int, int]:
     )
 
 
-def featurize(graph: MolGraph, schema: FeatureSchema = DEFAULT_SCHEMA) -> FeaturizedGraph:
+def featurize(graph: MolGraph) -> FeaturizedGraph:
     """Map a parsed molecule to per-atom and per-bond index arrays: C-ordered
     views of one int64 array of 7 integers per atom, 3 per bond, then 2
     endpoints per bond."""
@@ -168,23 +157,20 @@ def featurize(graph: MolGraph, schema: FeatureSchema = DEFAULT_SCHEMA) -> Featur
         bond_indices=flat[atom_end:bond_end].reshape(n_bonds, 3),
         bond_endpoints=flat[bond_end:].reshape(n_bonds, 2),
     )
-    _check_ranges(fg, schema)
+    _check_ranges(fg)
     return fg
 
 
-def featurize_smiles(
-    smiles: str, schema: FeatureSchema = DEFAULT_SCHEMA
-) -> FeaturizedGraph:
-    return featurize(parse_smiles(smiles), schema)
+def featurize_smiles(smiles: str) -> FeaturizedGraph:
+    return featurize(parse_smiles(smiles))
 
 
-def _check_ranges(fg: FeaturizedGraph, schema: FeatureSchema) -> None:
+def _check_ranges(fg: FeaturizedGraph) -> None:
     # Viewed as uint64, a negative index is huge, so one comparison against
     # the widths catches both ends of the range.
-    atom_limits, bond_limits = schema.index_limits
     for matrix, limits, kind in (
-        (fg.atom_indices, atom_limits, "atom"),
-        (fg.bond_indices, bond_limits, "bond"),
+        (fg.atom_indices, ATOM_INDEX_LIMITS, "atom"),
+        (fg.bond_indices, BOND_INDEX_LIMITS, "bond"),
     ):
         if matrix.size and (matrix.view(np.uint64) >= limits).any():
             raise SchemaError(f"{kind} feature index outside schema widths")

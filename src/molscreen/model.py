@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import BatchNormState, Tape, Tensor, ops, rng_stream
-from .featurize import DEFAULT_SCHEMA, FeatureSchema, FeaturizedGraph
+from .featurize import ATOM_FEATURE_WIDTHS, BOND_FEATURE_WIDTHS, FeaturizedGraph
 
 _EMBED_STD = 0.02
 INFERENCE_BATCH = 256  # graphs packed per eval-mode forward
@@ -105,7 +105,6 @@ class ModelParams:
     head_hidden: int
     dropout: float
     task_names: list[str]
-    schema: FeatureSchema
     node_tables: list[Tensor]
     layers: list[GinLayer]
     heads: list[TaskHead]
@@ -169,8 +168,7 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         """An empty layout of the same shape filled with copies of every array."""
         layout = empty_params(
-            self.task_names, self.embed_dim, self.n_layers, self.head_hidden,
-            self.dropout, self.schema,
+            self.task_names, self.embed_dim, self.n_layers, self.head_hidden, self.dropout
         )
         return fill_params(layout, {name: arr.copy() for name, arr in self.named_arrays()})
 
@@ -209,13 +207,13 @@ def _build_params(
     head_hidden: int,
     dropout: float,
     seed: int | None,
-    schema: FeatureSchema,
 ) -> ModelParams:
-    """The model's one layout: every tensor's shape, and the stream path and
-    distribution of its initial values (``seed=None`` draws nothing)."""
+    """The model's one layout: every tensor's shape, with one embedding table
+    per feature of ``featurize``, and the stream path and distribution of its
+    initial values (``seed=None`` draws nothing)."""
     d = embed_dim
     node_tables = [
-        _drawn(seed, (0, i), (width, d), _normal) for i, width in enumerate(schema.atom_widths)
+        _drawn(seed, (0, i), (width, d), _normal) for i, width in enumerate(ATOM_FEATURE_WIDTHS)
     ]
     layers = []
     for k in range(n_layers):
@@ -225,7 +223,7 @@ def _build_params(
             GinLayer(
                 edge_tables=[
                     _drawn(seed, (1, k, j), (width, d), _normal)
-                    for j, width in enumerate(schema.bond_widths)
+                    for j, width in enumerate(BOND_FEATURE_WIDTHS)
                 ],
                 self_loop=_drawn(seed, (2, k), (d,), _normal),
                 w1=w1,
@@ -243,7 +241,6 @@ def _build_params(
         head_hidden=head_hidden,
         dropout=dropout,
         task_names=list(task_names),
-        schema=schema,
         node_tables=node_tables,
         layers=layers,
         heads=_build_heads(len(task_names), d, head_hidden, seed),
@@ -266,11 +263,10 @@ def init_params(
     head_hidden: int = 256,
     dropout: float = 0.2,
     seed: int = 0,
-    schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> ModelParams:
     """Fresh parameters; every tensor draws from its own seed-derived stream,
     so adding layers or task heads never shifts the others' initial values."""
-    return _build_params(task_names, embed_dim, n_layers, head_hidden, dropout, seed, schema)
+    return _build_params(task_names, embed_dim, n_layers, head_hidden, dropout, seed)
 
 
 def empty_params(
@@ -279,13 +275,12 @@ def empty_params(
     n_layers: int,
     head_hidden: int,
     dropout: float,
-    schema: FeatureSchema,
 ) -> ModelParams:
     """The layout ``init_params`` builds, for ``fill_params`` to fill, with
     no random draws: each randomly initialized tensor holds a read-only zero
     view of its shape; biases, batch-norm weights and running statistics
     hold their initial values."""
-    return _build_params(task_names, embed_dim, n_layers, head_hidden, dropout, None, schema)
+    return _build_params(task_names, embed_dim, n_layers, head_hidden, dropout, None)
 
 
 def fill_params(params: ModelParams, arrays: dict[str, np.ndarray]) -> ModelParams:

@@ -10,6 +10,7 @@ supposed to exploit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,27 @@ def _graph_to_smiles(elements: list[int], adjacent: list[set[int]]) -> str:
     return emit(0)
 
 
+_META_KEYS = ("seed", "n_tasks", "a_values", "b_values", "noise_sigma", "latent_scores")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _is_finite_list(value) -> bool:
+    return isinstance(value, list) and all(_is_finite(v) for v in value)
+
+
 @dataclass
 class SynthMeta:
     """Ground truth behind a generated dataset."""
@@ -150,7 +172,28 @@ class SynthMeta:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthMeta":
+        """Read ``to_json`` output.  ``ValueError`` names the first field
+        that is missing or has the wrong type, length or value."""
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("metadata must be a JSON object")
+        missing = [key for key in _META_KEYS if key not in raw]
+        if missing:
+            raise ValueError(f"metadata lacks {missing}")
+        for key in ("seed", "n_tasks"):
+            if not _is_int(raw[key]):
+                raise ValueError(f"{key} must be an integer, got {raw[key]!r}")
+        n_tasks = raw["n_tasks"]
+        if n_tasks < 1:
+            raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
+        for key in ("a_values", "b_values"):
+            values = raw[key]
+            if not (_is_finite_list(values) and len(values) == n_tasks):
+                raise ValueError(f"{key} must be a list of {n_tasks} finite numbers")
+        if not (_is_finite(raw["noise_sigma"]) and raw["noise_sigma"] >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {raw['noise_sigma']!r}")
+        if not _is_finite_list(raw["latent_scores"]):
+            raise ValueError("latent_scores must be a list of finite numbers")
         return cls(
             seed=raw["seed"],
             n_tasks=raw["n_tasks"],

@@ -254,7 +254,6 @@ def train_with_split(
             head_hidden=config.head_hidden,
             dropout=config.dropout,
             seed=config.seed,
-            schema=ds.schema,
         )
     all_named = list(params.named_parameters())
     names = {name for name, _ in all_named}

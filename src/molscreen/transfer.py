@@ -70,8 +70,6 @@ def transfer_train(
         raise TransferError(
             f"pretrained n_layers {pretrained.n_layers} != config {config.n_layers}"
         )
-    if pretrained.schema.schema_hash() != new_ds.schema.schema_hash():
-        raise TransferError("feature schema mismatch between model and dataset")
 
     params = pretrained.copy()
     params.task_names = list(new_ds.task_names)

@@ -361,7 +361,7 @@ def test_criterion_07_mtl_beats_single_task():
         labels[:200, 1:] = np.nan  # auxiliary tasks: 2000 labels each
         mtl_ds = TaskDataset(
             ds.smiles[:2200], ds.graphs[:2200], labels,
-            ds.task_names, ds.hit_directions, ds.schema,
+            ds.task_names, ds.hit_directions,
         )
         single_ds = mtl_ds.restrict_to_tasks([0])
 
@@ -449,11 +449,11 @@ def test_criterion_09_transfer_beats_cold_start():
 
         new_ds = TaskDataset(
             ds.smiles[:200], ds.graphs[:200], ds.labels[:200, :1],
-            ["task0"], ["lower_is_better"], ds.schema,
+            ["task0"], ["lower_is_better"],
         )
         aux_ds = TaskDataset(
             ds.smiles[200:2200], ds.graphs[200:2200], ds.labels[200:2200, 1:],
-            ds.task_names[1:], ds.hit_directions[1:], ds.schema,
+            ds.task_names[1:], ds.hit_directions[1:],
         )
         config = TrainConfig(
             embed_dim=32, n_layers=3, head_hidden=32, batch_size=128,

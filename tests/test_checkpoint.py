@@ -5,6 +5,8 @@ import importlib
 import json
 import re
 import struct
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +14,21 @@ import pytest
 
 from molscreen.checkpoint import (
     CheckpointError,
+    ForeignSchemaError,
     load_checkpoint,
     save_checkpoint,
 )
-from molscreen.featurize import featurize_smiles
+from molscreen.featurize import (
+    ATOM_FEATURE_WIDTHS,
+    BOND_FEATURE_WIDTHS,
+    SCHEMA_HASH,
+    featurize_smiles,
+)
 from molscreen.model import GraphBatch, init_params, predict
 from molscreen.train import EpochRecord, TrainLog, summarize_log
+
+sys.path.insert(0, str(Path(__file__).parent))
+from test_featurize import widths_hash  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "model.ckpt"
 model_module = importlib.import_module("molscreen.model")
@@ -107,7 +118,10 @@ class TestRoundTrip:
         assert ckpt.params.task_names == ["tgt", "aux"]
         assert ckpt.hit_directions == ["lower_is_better", "higher_is_better"]
         assert ckpt.seed == 123
-        assert ckpt.schema_hash == params.schema.schema_hash()
+        header, _ = _split(path)
+        assert header["atom_widths"] == list(ATOM_FEATURE_WIDTHS)
+        assert header["bond_widths"] == list(BOND_FEATURE_WIDTHS)
+        assert header["schema_hash"] == SCHEMA_HASH
         assert ckpt.params.embed_dim == 8
         assert ckpt.params.n_layers == 2
         assert ckpt.log_summary["best_epoch"] == 2
@@ -153,11 +167,15 @@ class TestValidation:
             load_checkpoint(tmp_path / "absent.ckpt")
 
 
-def _split_golden():
-    """The golden checkpoint as (parsed JSON header, array section bytes)."""
-    blob = GOLDEN.read_bytes()
+def _split(path):
+    """A checkpoint file as (parsed JSON header, array section bytes)."""
+    blob = path.read_bytes()
     (length,) = struct.unpack("<Q", blob[8:16])
     return json.loads(blob[16 : 16 + length]), blob[16 + length :]
+
+
+def _split_golden():
+    return _split(GOLDEN)
 
 
 def _with_header(path, header_value, arrays: bytes):
@@ -316,3 +334,89 @@ class TestHeaderValidation:
                 pass
         # some flips (a digit of a loss, a letter of a task name) are harmless
         assert 0 < loaded < len(variants)
+
+
+class TestForeignSchema:
+    def test_golden_header_holds_the_build_widths_and_hash(self):
+        header, _ = _split_golden()
+        assert header["atom_widths"] == list(ATOM_FEATURE_WIDTHS)
+        assert header["bond_widths"] == list(BOND_FEATURE_WIDTHS)
+        assert header["schema_hash"] == SCHEMA_HASH
+        assert SCHEMA_HASH == widths_hash(header["atom_widths"], header["bond_widths"])
+
+    @pytest.mark.parametrize(
+        "atom_widths,bond_widths",
+        [
+            (list(ATOM_FEATURE_WIDTHS), [7, 4, 3]),
+            (list(ATOM_FEATURE_WIDTHS)[:-1], list(BOND_FEATURE_WIDTHS)),
+            (list(ATOM_FEATURE_WIDTHS[:-1]) + [6], list(BOND_FEATURE_WIDTHS)),
+        ],
+    )
+    def test_foreign_widths_are_a_typed_checkpoint_error(
+        self, tmp_path, atom_widths, bond_widths
+    ):
+        header, arrays = _split_golden()
+        header["atom_widths"], header["bond_widths"] = atom_widths, bond_widths
+        header["schema_hash"] = widths_hash(atom_widths, bond_widths)
+        path = _with_header(tmp_path / "foreign.ckpt", header, arrays)
+        message = (
+            f"{path}: checkpoint feature schema {header['schema_hash'][:12]}… does not "
+            f"match this build's schema {SCHEMA_HASH[:12]}…"
+        )
+        with pytest.raises(ForeignSchemaError, match=re.escape(message)) as info:
+            load_checkpoint(path)
+        assert isinstance(info.value, CheckpointError)
+
+    def test_hash_disagreeing_with_build_widths_is_a_plain_checkpoint_error(
+        self, tmp_path
+    ):
+        header, arrays = _split_golden()
+        header["schema_hash"] = widths_hash(list(ATOM_FEATURE_WIDTHS), [7, 4, 3])
+        path = _with_header(tmp_path / "m.ckpt", header, arrays)
+        with pytest.raises(CheckpointError, match="schema hash") as info:
+            load_checkpoint(path)
+        assert not isinstance(info.value, ForeignSchemaError)
+
+
+class TestHeaderDimensions:
+    """The header's dimensions are checked against the arrays read before
+    any layout is built from them."""
+
+    # the golden model: embed_dim 8, n_layers 2, head_hidden 8
+    @pytest.mark.parametrize(
+        "key,value",
+        [("embed_dim", 9), ("embed_dim", 10**12), ("n_layers", 1), ("n_layers", 3),
+         ("head_hidden", 16)],
+    )
+    def test_dimension_unlike_the_arrays_rejected(self, tmp_path, key, value):
+        header, arrays = _split_golden()
+        assert header[key] != value
+        header[key] = value
+        path = _with_header(tmp_path / "m.ckpt", header, arrays)
+        with pytest.raises(CheckpointError, match=f"header {key} .* does not match the arrays"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63, 2), (2**64 - 1, 1)])
+    def test_corrupt_array_dimensions_rejected(self, tmp_path, dims):
+        # the product of the first block's dimensions does not fit in an int64
+        header, section = _split_golden()
+        (ndim,) = struct.unpack("<I", section[:4])
+        assert ndim == 2
+        blocks = struct.pack("<I2Q", 2, *dims) + section[4 + 16 :]
+        path = _with_header(tmp_path / "m.ckpt", header, blocks)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_huge_embed_dim_allocates_no_layout(self, tmp_path):
+        header, arrays = _split_golden()
+        header["embed_dim"] = 2**22
+        path = _with_header(tmp_path / "m.ckpt", header, arrays)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 array of 2**22 values is 32 MiB
+        assert peak < 2**22 * 8 // 16

@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 
 from molscreen.active import ALConfig, al_run
-from molscreen.checkpoint import load_checkpoint, save_checkpoint
+from molscreen.checkpoint import load_checkpoint
 from molscreen.cli import main
 from molscreen.dataset_io import read_smiles_csv
-from molscreen.featurize import FeatureSchema
-from molscreen.model import init_params, predict_graphs
+from molscreen.featurize import SCHEMA_HASH
+from molscreen.model import predict_graphs
 from molscreen.synth import SynthMeta, task_oracle
 from molscreen.train import TrainConfig
+
+sys.path.insert(0, str(Path(__file__).parent))
+from test_checkpoint import _split_golden, _with_header  # noqa: E402
+from test_featurize import widths_hash  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 GOLDEN_FILES = ("model.ckpt", "input.csv", "expected_predictions.csv")
@@ -416,20 +420,35 @@ class TestPredictCommand:
         assert code == 3
 
     def test_foreign_schema_is_schema_mismatch(self, workdir, tmp_path, capsys):
-        schema = FeatureSchema(
-            atom_widths=(119, 16, 11, 4, 9, 2, 5), bond_widths=(7, 4, 3)
-        )
-        params = init_params(
-            ["task0"], embed_dim=8, n_layers=1, head_hidden=8, seed=0, schema=schema
-        )
-        foreign = tmp_path / "foreign.ckpt"
-        save_checkpoint(foreign, params, ["lower_is_better"], 0)
+        header, arrays = _split_golden()
+        header["bond_widths"] = [7, 4, 3]
+        header["schema_hash"] = widths_hash(header["atom_widths"], header["bond_widths"])
+        foreign = _with_header(tmp_path / "foreign.ckpt", header, arrays)
         code, _, err = run(
             capsys, "predict", "--checkpoint", str(foreign),
             "--input", str(workdir / "data.csv"), "--out", str(tmp_path / "x.csv"),
         )
         assert code == 4
-        assert json.loads(err)["error"] == "schema-mismatch"
+        error = only_error(err)
+        assert error["error"] == "schema-mismatch"
+        assert error["message"] == (
+            f"{foreign}: checkpoint feature schema {header['schema_hash'][:12]}… does not "
+            f"match this build's schema {SCHEMA_HASH[:12]}…"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_header_dimension_unlike_the_arrays_is_io_error(self, workdir, tmp_path, capsys):
+        header, arrays = _split_golden()
+        header["embed_dim"] = 10**12
+        corrupt = _with_header(tmp_path / "corrupt.ckpt", header, arrays)
+        code, _, err = run(
+            capsys, "predict", "--checkpoint", str(corrupt),
+            "--input", str(workdir / "data.csv"), "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert "header embed_dim" in error["message"]
 
 
 class TestScreenCommand:
@@ -725,6 +744,31 @@ class TestActiveLearnCommand:
             "--log-out", str(tmp_path / "x.csv"), "--batch-size", "4",
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("a_values", [], "a_values must be a list of 2 finite numbers"),
+            ("a_values", ["1.0", "2.0"], "a_values must be a list of 2 finite numbers"),
+            ("n_tasks", "2", "n_tasks must be an integer"),
+        ],
+        ids=["short-a-values", "string-a-values", "string-n-tasks"],
+    )
+    def test_malformed_meta_is_io_error(self, workdir, tmp_path, capsys, key, value, message):
+        raw = json.loads((workdir / "meta.json").read_text())
+        assert raw["n_tasks"] == 2
+        raw[key] = value
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(raw))
+        code, _, err = run(
+            capsys, "active-learn", "--pool", str(workdir / "data.csv"),
+            "--meta", str(meta), "--budget", "20", "--rounds", "2",
+            "--log-out", str(tmp_path / "x.csv"), "--batch-size", "4",
+        )
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert message in error["message"]
 
 
 AL_TINY = [

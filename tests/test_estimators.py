@@ -41,8 +41,9 @@ class TestParamsProtocol:
         assert "lr" in params and "patience" in params
 
     def test_defaults_equal_train_config(self):
-        # the constructor restates TrainConfig's defaults; they must not drift
+        # the hyperparameters and their defaults are TrainConfig's fields
         assert MultiTaskGINRegressor()._train_config() == TrainConfig()
+        assert GINRegressor().embed_dim == TrainConfig().embed_dim
         assert GINRegressor(embed_dim=32, seed=3)._train_config() == TrainConfig(
             embed_dim=32, seed=3
         )
@@ -57,6 +58,12 @@ class TestParamsProtocol:
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError):
             GINRegressor().set_params(number_of_layers=3)
+
+    def test_constructor_rejects_unknown(self):
+        with pytest.raises(ValueError, match="number_of_layers"):
+            GINRegressor(number_of_layers=3)
+        with pytest.raises(TypeError):
+            GINRegressor(256)
 
     def test_clone_by_params_reproduces(self):
         a = GINRegressor(**tiny_kwargs())

@@ -1,6 +1,8 @@
 """Featurizer tests: hand-mapped index vectors and schema invariants."""
 
 import ast
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,10 @@ import pytest
 from molscreen.engine.rng import rng_stream
 from molscreen.featurize import (
     ATOM_FEATURE_WIDTHS,
+    ATOM_INDEX_LIMITS,
     BOND_FEATURE_WIDTHS,
-    DEFAULT_SCHEMA,
-    FeatureSchema,
+    BOND_INDEX_LIMITS,
+    SCHEMA_HASH,
     SchemaError,
     atom_feature_indices,
     bond_feature_indices,
@@ -20,6 +23,23 @@ from molscreen.featurize import (
 )
 from molscreen.smiles import Atom, Bond, BondOrder, MolGraph, SmilesError, parse_smiles
 from molscreen.synth import random_molecule
+
+
+def widths_hash(atom_widths, bond_widths):
+    """sha256 of the widths as sorted-key JSON, the formula checkpoints
+    have always recorded."""
+    payload = json.dumps(
+        {"atom": list(atom_widths), "bond": list(bond_widths)}, sort_keys=True
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def out_of_range_graph(*, atom=False, bond=False):
+    """Ethane with its first atom's aromaticity index (width 2) and its
+    bond's in-ring index (width 2) set to 2 where asked."""
+    atoms = [Atom(atomic_number=6, aromatic=2 if atom else False), Atom(atomic_number=6)]
+    bonds = [Bond(a=0, b=1, order=BondOrder.SINGLE, in_ring=2 if bond else False)]
+    return MolGraph.from_atoms_and_bonds(atoms, bonds)
 
 
 def atom_row(smiles, idx=0):
@@ -36,14 +56,20 @@ class TestSchema:
         assert BOND_FEATURE_WIDTHS == (7, 4, 2)
 
     def test_hash_is_stable_hex(self):
-        h = DEFAULT_SCHEMA.schema_hash()
-        assert h == FeatureSchema().schema_hash()
-        assert len(h) == 64
-        int(h, 16)
+        assert SCHEMA_HASH == widths_hash(ATOM_FEATURE_WIDTHS, BOND_FEATURE_WIDTHS)
+        assert len(SCHEMA_HASH) == 64
+        int(SCHEMA_HASH, 16)
 
     def test_hash_changes_with_widths(self):
-        other = FeatureSchema(atom_widths=(119, 16, 11, 4, 9, 2, 6))
-        assert other.schema_hash() != DEFAULT_SCHEMA.schema_hash()
+        other = widths_hash((119, 16, 11, 4, 9, 2, 6), BOND_FEATURE_WIDTHS)
+        assert other != SCHEMA_HASH
+
+    def test_index_limits_are_read_only_module_constants(self):
+        assert ATOM_INDEX_LIMITS.tolist() == list(ATOM_FEATURE_WIDTHS)
+        assert BOND_INDEX_LIMITS.tolist() == list(BOND_FEATURE_WIDTHS)
+        for limits in (ATOM_INDEX_LIMITS, BOND_INDEX_LIMITS):
+            assert limits.dtype == np.uint64
+            assert not limits.flags.writeable
 
 
 class TestAtomRows:
@@ -181,12 +207,11 @@ class TestArrays:
             )
 
     def test_bad_schema_width_raises(self):
-        narrow = FeatureSchema(atom_widths=(119, 16, 11, 4, 3, 2, 5))
         with pytest.raises(SchemaError):
-            featurize(parse_smiles("C"), schema=narrow)
+            featurize(out_of_range_graph(atom=True))
 
 
-def reference_featurize(graph, schema=DEFAULT_SCHEMA):
+def reference_featurize(graph):
     """Per-row tuples through ``np.asarray(...).reshape``, then a range check
     with separate lower and upper comparisons: the construction ``featurize``
     replaced."""
@@ -199,8 +224,8 @@ def reference_featurize(graph, schema=DEFAULT_SCHEMA):
         np.asarray(endpoints, dtype=np.int64).reshape(-1, 2),
     )
     for matrix, widths, kind in (
-        (arrays[0], schema.atom_widths, "atom"),
-        (arrays[1], schema.bond_widths, "bond"),
+        (arrays[0], ATOM_FEATURE_WIDTHS, "atom"),
+        (arrays[1], BOND_FEATURE_WIDTHS, "bond"),
     ):
         if matrix.size == 0:
             continue
@@ -210,16 +235,16 @@ def reference_featurize(graph, schema=DEFAULT_SCHEMA):
     return arrays
 
 
-def _outcome(function, graph, schema):
+def _outcome(function, graph):
     try:
-        return function(graph, schema)
+        return function(graph)
     except SchemaError as exc:
         return str(exc)
 
 
-def assert_matches_reference(graph, schema=DEFAULT_SCHEMA):
-    expected = _outcome(reference_featurize, graph, schema)
-    got = _outcome(featurize, graph, schema)
+def assert_matches_reference(graph):
+    expected = _outcome(reference_featurize, graph)
+    got = _outcome(featurize, graph)
     if isinstance(expected, str):
         assert got == expected
         return
@@ -279,23 +304,23 @@ class TestFeaturizeOracle:
         assert fg.bond_endpoints.shape == (0, 2)
 
     def test_schema_rejecting_atoms(self):
-        narrow = FeatureSchema(atom_widths=(119, 16, 11, 4, 3, 2, 5))
-        assert_matches_reference(parse_smiles("CCO"), narrow)
+        graph = out_of_range_graph(atom=True)
+        assert_matches_reference(graph)
         with pytest.raises(SchemaError, match="^atom feature index"):
-            featurize(parse_smiles("CCO"), narrow)
+            featurize(graph)
 
     def test_schema_rejecting_only_bonds(self):
-        no_rings = FeatureSchema(bond_widths=(7, 4, 1))
-        assert_matches_reference(parse_smiles("C1CC1"), no_rings)
+        graph = out_of_range_graph(bond=True)
+        assert_matches_reference(graph)
         with pytest.raises(SchemaError, match="^bond feature index"):
-            featurize(parse_smiles("C1CC1"), no_rings)
-        featurize(parse_smiles("CCC"), no_rings)
+            featurize(graph)
+        featurize(out_of_range_graph())
 
     def test_atoms_are_checked_before_bonds(self):
-        both = FeatureSchema(atom_widths=(119, 16, 11, 4, 2, 2, 5), bond_widths=(7, 4, 1))
-        assert_matches_reference(parse_smiles("C1CC1"), both)
+        graph = out_of_range_graph(atom=True, bond=True)
+        assert_matches_reference(graph)
         with pytest.raises(SchemaError, match="^atom feature index"):
-            featurize(parse_smiles("C1CC1"), both)
+            featurize(graph)
 
     def test_negative_index_caught_by_single_comparison(self):
         graph = MolGraph.from_atoms_and_bonds([Atom(atomic_number=6, hydrogens=-1)], [])
@@ -303,16 +328,3 @@ class TestFeaturizeOracle:
         assert_matches_reference(graph)
         with pytest.raises(SchemaError, match="^atom feature index"):
             featurize(graph)
-
-    def test_schemas_do_not_share_limits(self):
-        narrow = FeatureSchema(atom_widths=(119, 16, 11, 4, 3, 2, 5))
-        graph = parse_smiles("CCO")
-        for _ in range(2):
-            featurize(graph, DEFAULT_SCHEMA)
-            with pytest.raises(SchemaError):
-                featurize(graph, narrow)
-        assert narrow.index_limits[0].tolist() == list(narrow.atom_widths)
-        assert DEFAULT_SCHEMA.index_limits[0].tolist() == list(ATOM_FEATURE_WIDTHS)
-        assert DEFAULT_SCHEMA.index_limits[1].tolist() == list(BOND_FEATURE_WIDTHS)
-        assert narrow.index_limits is narrow.index_limits
-        assert not narrow.index_limits[0].flags.writeable

@@ -83,8 +83,7 @@ class TestInit:
             raise AssertionError(f"stream {path} requested")
 
         monkeypatch.setattr(model_module, "rng_stream", no_draws)
-        empty = empty_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16,
-                             dropout=0.3, schema=fresh.schema)
+        empty = empty_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16, dropout=0.3)
         assert [(n, t.shape) for n, t in empty.named_parameters()] == [
             (n, t.shape) for n, t in fresh.named_parameters()]
         assert all(t.requires_grad for _, t in empty.named_parameters())
@@ -126,8 +125,8 @@ class TestCopy:
             assert a.flags.writeable, name
             assert not np.shares_memory(a, b), name
         assert all(t.requires_grad for _, t in q.named_parameters())
-        assert (q.embed_dim, q.n_layers, q.head_hidden, q.dropout, q.schema) == (
-            p.embed_dim, p.n_layers, p.head_hidden, p.dropout, p.schema)
+        assert (q.embed_dim, q.n_layers, q.head_hidden, q.dropout) == (
+            p.embed_dim, p.n_layers, p.head_hidden, p.dropout)
         assert q.task_names == p.task_names and q.task_names is not p.task_names
 
     def test_trained_shape_model(self, monkeypatch):

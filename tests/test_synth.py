@@ -1,5 +1,7 @@
 """Synthetic benchmark generator: random molecules with a shared latent score."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,29 @@ class TestSynthDataset:
         assert back.b_values == meta.b_values
         assert back.noise_sigma == meta.noise_sigma
         np.testing.assert_array_equal(back.latent_scores, meta.latent_scores)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("seed", 1.5),
+            ("n_tasks", True),
+            ("n_tasks", 0),
+            ("a_values", [1.0, 2.0, 3.0]),
+            ("b_values", [1.0, float("nan")]),
+            ("b_values", [1.0, 10**400]),
+            ("noise_sigma", -0.1),
+            ("latent_scores", [0.5, "0.5"]),
+        ],
+    )
+    def test_meta_json_rejects_malformed_fields(self, key, value):
+        _, meta = synth_dataset(n_tasks=2, n_per_task=10, seed=8)
+        raw = json.loads(meta.to_json())
+        raw[key] = value
+        with pytest.raises(ValueError, match=key):
+            SynthMeta.from_json(json.dumps(raw))
+
+    def test_meta_json_must_be_a_complete_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            SynthMeta.from_json("[]")
+        with pytest.raises(ValueError, match="lacks"):
+            SynthMeta.from_json(json.dumps({"seed": 1}))
