@@ -4,7 +4,8 @@ Subcommands: ``ingest``, ``train``, ``active-learn``, ``transfer``,
 ``predict``, ``screen``, ``eval``, ``export-embeddings``, ``synth-gen``.
 
 Configuration precedence is flags > JSON config file > defaults (the
-defaults being :class:`molscreen.train.TrainConfig`).  Every subcommand
+defaults being :class:`molscreen.train.TrainConfig`, with ``transfer``
+taking the pretrained checkpoint's encoder dimensions).  Every subcommand
 that consumes or stores randomness prints the effective seed.  Failures,
 usage errors included, exit nonzero with a single JSON error line on
 stderr; the exit code identifies the failure class (2 bad configuration,
@@ -136,14 +137,10 @@ def _config_value(key: str, value):
         raise ConfigError(f"configuration key {key!r}: {exc}") from exc
 
 
-def resolve_train_config(args) -> tuple[TrainConfig, set[str]]:
-    """Merge defaults, config-file entries, and explicit flags.
-
-    Returns the resolved config plus the set of keys the user pinned
-    explicitly (file or flag), so callers can tell overrides from defaults.
-    """
-    merged = dataclasses.asdict(TrainConfig())
-    explicit: set[str] = set()
+def resolve_train_config(args, **base) -> TrainConfig:
+    """Merge, in rising precedence, the defaults, the command's ``base``
+    values, config-file entries and explicit flags."""
+    merged = dataclasses.asdict(TrainConfig()) | base
     if getattr(args, "config", None):
         raw = _read_json(args.config)
         unknown = sorted(set(raw) - set(merged))
@@ -153,13 +150,11 @@ def resolve_train_config(args) -> tuple[TrainConfig, set[str]]:
             )
         for key, value in raw.items():
             merged[key] = _config_value(key, value)
-            explicit.add(key)
     for name in _CONFIG_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-            explicit.add(name)
-    return TrainConfig(**merged), explicit
+    return TrainConfig(**merged)
 
 
 # ----------------------------------------------------------------------
@@ -284,52 +279,42 @@ def cmd_ingest(args) -> None:
 def _apply_train_mode(ds: TaskDataset, args, seed: int) -> TaskDataset:
     """Select task columns and apply label caps.
 
-    Caps are drawn per ORIGINAL task column (stream ``(seed, 4, column)``),
-    so single-task and multi-task runs on the same file keep the identical
-    label subset for the target — the two modes differ only in the
-    auxiliary columns.
+    ``--target`` names the task of interest in both modes: the one task
+    ``--mode single`` trains (by default the dataset's only task), and the
+    task that ``--new-size`` caps.  ``--aux-size`` caps every other task, so
+    it needs ``--mode mtl``.  Caps are drawn per ORIGINAL task column (stream
+    ``(seed, 4, column)``), so single-task and multi-task runs on the same
+    file keep the identical label subset for the target — the two modes
+    differ only in the auxiliary columns.
     """
-
-    def resolve(name: str) -> int:
-        if name not in ds.task_names:
-            raise ConfigError(f"task {name!r} not in dataset tasks {ds.task_names}")
-        return ds.task_names.index(name)
-
+    if args.aux_size is not None and args.mode != "mtl":
+        raise ConfigError("--aux-size caps auxiliary tasks, which only --mode mtl trains")
+    if args.target is not None:
+        if args.target not in ds.task_names:
+            raise ConfigError(f"task {args.target!r} not in dataset tasks {ds.task_names}")
+        target = ds.task_names.index(args.target)
+    elif args.mode == "single":
+        if ds.n_tasks != 1:
+            raise ConfigError(
+                "--mode single needs --target when the dataset has several tasks"
+            )
+        target = 0
+    elif args.new_size is not None or args.aux_size is not None:
+        raise ConfigError("--new-size/--aux-size require --target")
     limits: dict[int, int] = {}
-    if args.mode == "single":
-        target = args.target or args.new_target
-        if target is None:
-            if ds.n_tasks != 1:
-                raise ConfigError(
-                    "--mode single needs --target when the dataset has several tasks"
-                )
-            target_index = 0
-        else:
-            target_index = resolve(target)
-        if args.new_size is not None:
-            limits[target_index] = args.new_size
-        keep = [target_index]
-    else:  # mtl: all task columns
-        keep = list(range(ds.n_tasks))
-        if args.aux_size is not None or args.new_size is not None:
-            if args.new_target is None:
-                raise ConfigError("--aux-size/--new-size require --new-target")
-            new_index = resolve(args.new_target)
-            if args.new_size is not None:
-                limits[new_index] = args.new_size
-            if args.aux_size is not None:
-                for t in range(ds.n_tasks):
-                    if t != new_index:
-                        limits[t] = args.aux_size
+    if args.new_size is not None:
+        limits[target] = args.new_size
+    if args.aux_size is not None:
+        limits.update((t, args.aux_size) for t in range(ds.n_tasks) if t != target)
     if limits:
         ds = subsample_task_labels(ds, limits, seed)
-    if keep != list(range(ds.n_tasks)):
-        ds = ds.restrict_to_tasks(keep)
+    if args.mode == "single" and ds.n_tasks > 1:
+        ds = ds.restrict_to_tasks([target])
     return ds
 
 
 def cmd_train(args) -> None:
-    config, _ = resolve_train_config(args)
+    config = resolve_train_config(args)
     _check_writable(args.out)
     _print_seed(config.seed)
     ds = _load_dataset(args.data)
@@ -448,18 +433,14 @@ def cmd_export_embeddings(args) -> None:
 
 def cmd_transfer(args) -> None:
     ck = _load_ckpt(args.pretrained)
-    config, explicit = resolve_train_config(args)
     # Encoder dimensions are fixed by the pretrained model; adopt them unless
     # the user pinned conflicting values (which transfer_train rejects).
-    updates = {}
-    if "embed_dim" not in explicit:
-        updates["embed_dim"] = ck.params.embed_dim
-    if "n_layers" not in explicit:
-        updates["n_layers"] = ck.params.n_layers
-    if "head_hidden" not in explicit:
-        updates["head_hidden"] = ck.params.head_hidden
-    if updates:
-        config = dataclasses.replace(config, **updates)
+    config = resolve_train_config(
+        args,
+        embed_dim=ck.params.embed_dim,
+        n_layers=ck.params.n_layers,
+        head_hidden=ck.params.head_hidden,
+    )
     _check_writable(args.out)
     _print_seed(config.seed)
     ds = _load_dataset(args.data)
@@ -487,7 +468,7 @@ def cmd_transfer(args) -> None:
 
 
 def cmd_active_learn(args) -> None:
-    config, _ = resolve_train_config(args)
+    config = resolve_train_config(args)
     _print_seed(config.seed)
     al_config = ALConfig(
         total_budget=args.budget,
@@ -586,10 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="labeled dataset CSV")
     p.add_argument("--out", required=True, help="checkpoint file to write")
     p.add_argument("--mode", choices=["single", "mtl"], default="single")
-    p.add_argument("--target", help="task column for --mode single")
-    p.add_argument("--new-target", help="task of interest for --mode mtl")
-    p.add_argument("--new-size", type=int, help="cap on labels for --new-target")
-    p.add_argument("--aux-size", type=int, help="cap on labels per auxiliary task")
+    p.add_argument("--target", help="task of interest (the task --mode single trains)")
+    p.add_argument("--new-size", type=int, help="cap on labels for --target")
+    p.add_argument("--aux-size", type=int, help="cap on labels per other task (--mode mtl)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -683,7 +663,10 @@ _CAUGHT = tuple(kind for kind, _ in _FAILURES)
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.func(args)
+        # An overflow or NaN surfaces as a typed failure where it matters (the
+        # loss, the gradients, the metric inputs), not as a NumPy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.func(args)
     except _CAUGHT as exc:
         typed = next(typed for kind, typed in _FAILURES if isinstance(exc, kind))
         failure = exc if typed is None else typed(str(exc))

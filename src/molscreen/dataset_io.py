@@ -8,8 +8,9 @@ to their negative log10 on ingest (and the task ranks higher-is-better); a
 column named ``<target>:higher_is_better`` holds already-converted values
 that rank higher-is-better (this is how such tasks are written back).
 Plain columns rank lower-is-better (docking-score convention).  Duplicate
-SMILES rows are averaged per task after conversion.  Every data row either
-contributes a compound or is reported with its row number.
+SMILES rows are averaged per task after conversion, and each distinct SMILES
+is featurized once.  Every data row either contributes a compound or is
+reported with its row number, in row order.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ class IngestReport:
     @property
     def n_rejected(self) -> int:
         return len(self.rejected)
-
-
-def _featurize(smiles: str):
-    """``(True, graph)``, or ``(False, reason)`` for a rejected row."""
-    try:
-        return True, featurize_smiles(smiles)
-    except (SmilesError, SchemaError) as exc:
-        return False, f"SMILES rejected: {exc}"
 
 
 def _read_rows(path) -> list[list[str]]:
@@ -98,8 +91,14 @@ def ingest_csv(path) -> tuple[TaskDataset, IngestReport]:
     n_tasks = len(task_names)
 
     rejected: list[tuple[int, str]] = []
-    # (row number, SMILES, [(task, label), ...] for the row's present labels)
-    candidates: list[tuple[int, str, list[tuple[int, float]]]] = []
+    # per distinct SMILES that passed the label checks: its graph, or why
+    # featurizing it failed
+    outcomes: dict[str, FeaturizedGraph | str] = {}
+    # per accepted SMILES in first-seen order, and per task: label sum in row
+    # order from 0.0, and label count
+    sums: dict[str, list[float]] = {}
+    counts: dict[str, list[int]] = {}
+    n_accepted = 0
     for row_number, row in enumerate(rows[1:], start=2):
         if len(row) != n_tasks + 1:
             rejected.append(
@@ -134,33 +133,25 @@ def ingest_csv(path) -> tuple[TaskDataset, IngestReport]:
         if not labels:
             rejected.append((row_number, "row has no labels"))
             continue
-        candidates.append((row_number, smiles, labels))
-
-    results = [_featurize(smi) for _, smi, _ in candidates]
-    graphs: dict[str, object] = {}  # insertion order is first-seen order
-    # per SMILES and task: label sum in row order from 0.0, and label count
-    sums: dict[str, list[float]] = {}
-    counts: dict[str, list[int]] = {}
-    n_accepted = 0
-    for (row_number, smiles, labels), (ok, payload) in zip(candidates, results):
-        if not ok:
-            rejected.append((row_number, payload))
+        if smiles not in outcomes:
+            try:
+                outcomes[smiles] = featurize_smiles(smiles)
+            except (SmilesError, SchemaError) as exc:
+                outcomes[smiles] = f"SMILES rejected: {exc}"
+        if isinstance(outcomes[smiles], str):
+            rejected.append((row_number, outcomes[smiles]))
             continue
         n_accepted += 1
-        if smiles not in graphs:
-            graphs[smiles] = payload
-            sums[smiles] = [0.0] * n_tasks
-            counts[smiles] = [0] * n_tasks
-        total, count = sums[smiles], counts[smiles]
+        total = sums.setdefault(smiles, [0.0] * n_tasks)
+        count = counts.setdefault(smiles, [0] * n_tasks)
         for t, value in labels:
             total[t] += value
             count[t] += 1
-    rejected.sort(key=lambda pair: pair[0])
     n_rows = len(rows) - 1
     report = IngestReport(n_rows=n_rows, n_accepted=n_accepted, rejected=rejected)
-    if not graphs:
+    if not sums:
         raise IngestError(f"{path}: no valid rows")
-    order = list(graphs)
+    order = list(sums)
     label_matrix = np.array(
         [
             [s / c if c else math.nan for s, c in zip(sums[smi], counts[smi])]
@@ -170,7 +161,7 @@ def ingest_csv(path) -> tuple[TaskDataset, IngestReport]:
     )
     ds = TaskDataset(
         smiles=order,
-        graphs=list(graphs.values()),
+        graphs=[outcomes[smi] for smi in order],
         labels=label_matrix,
         task_names=task_names,
         hit_directions=directions,
@@ -188,21 +179,18 @@ def read_smiles_csv(path) -> tuple[list[str], list[FeaturizedGraph], IngestRepor
         raise IngestError(f"{path}: no 'smiles' column in header")
     col = header.index("smiles")
     rejected: list[tuple[int, str]] = []
-    pairs: list[tuple[int, str]] = []
+    accepted, graphs = [], []
     for row_number, row in enumerate(rows[1:], start=2):
         if len(row) <= col:
             rejected.append((row_number, "missing smiles cell"))
             continue
-        pairs.append((row_number, row[col].strip()))
-    results = [_featurize(s) for _, s in pairs]
-    accepted, graphs = [], []
-    for (row_number, smiles), (ok, payload) in zip(pairs, results):
-        if ok:
-            accepted.append(smiles)
-            graphs.append(payload)
-        else:
-            rejected.append((row_number, payload))
-    rejected.sort(key=lambda pair: pair[0])
+        smiles = row[col].strip()
+        try:
+            graphs.append(featurize_smiles(smiles))
+        except (SmilesError, SchemaError) as exc:
+            rejected.append((row_number, f"SMILES rejected: {exc}"))
+            continue
+        accepted.append(smiles)
     report = IngestReport(
         n_rows=len(rows) - 1, n_accepted=len(accepted), rejected=rejected
     )

@@ -125,11 +125,8 @@ class ModelParams:
             yield f"layer.{k}.bn_gamma", layer.bn_gamma
             yield f"layer.{k}.bn_beta", layer.bn_beta
 
-    def head_named_parameters(self, task_indices=None):
-        if task_indices is None:
-            task_indices = range(len(self.heads))
-        for t in task_indices:
-            head = self.heads[t]
+    def head_named_parameters(self):
+        for t, head in enumerate(self.heads):
             yield f"head.{t}.w1", head.w1
             yield f"head.{t}.b1", head.b1
             yield f"head.{t}.w2", head.w2

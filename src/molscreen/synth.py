@@ -209,8 +209,6 @@ def synth_dataset(
     n_per_task: int,
     seed: int,
     noise_sigma: float = 0.1,
-    a_values=None,
-    b_values=None,
     min_atoms: int = 4,
     max_atoms: int = 14,
 ) -> tuple[TaskDataset, SynthMeta]:
@@ -250,18 +248,8 @@ def synth_dataset(
                 f"atoms, then {MAX_STALE_DRAWS} draws in a row gave no new one; "
                 f"n_per_task={n_per_task} needs a wider min_atoms/max_atoms range"
             )
-    a = (
-        list(a_values)
-        if a_values is not None
-        else coef_stream.uniform(0.5, 1.5, n_tasks).tolist()
-    )
-    b = (
-        list(b_values)
-        if b_values is not None
-        else coef_stream.uniform(-1.0, 1.0, n_tasks).tolist()
-    )
-    if len(a) != n_tasks or len(b) != n_tasks:
-        raise ValueError("one coefficient pair per task required")
+    a = coef_stream.uniform(0.5, 1.5, n_tasks).tolist()
+    b = coef_stream.uniform(-1.0, 1.0, n_tasks).tolist()
     latent = np.array([latent_score(s) for s in smiles])
     # unit draws scaled afterwards: zero sigma gives exact zeros while
     # consuming the same stream state as any other sigma

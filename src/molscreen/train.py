@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SplitMasks, TaskDataset, split_train_val
-from .engine import AdamState, Tape, Tensor, adam_step, ops, rng_stream
+from .engine import AdamState, NonFiniteGradientError, Tape, Tensor, adam_step, ops, rng_stream
 from .model import GraphBatch, ModelParams, gin_forward, init_params, predict_heads
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss became NaN or infinite during training."""
+    """A loss or a gradient became NaN or infinite during training."""
 
 
 @dataclass
@@ -201,14 +201,6 @@ class _EvalBatches:
         return sum(values) / len(values)
 
 
-def evaluate_masked_loss(
-    ds: TaskDataset, params: ModelParams, mask, batch_size: int = 128
-) -> float:
-    """Eval-mode masked loss over the compounds the mask selects, averaged
-    over fixed-order batches (the quantity the training log records)."""
-    return _EvalBatches(ds, np.asarray(mask, dtype=bool), batch_size).loss(params)
-
-
 def train(ds: TaskDataset, config: TrainConfig) -> tuple[ModelParams, TrainLog]:
     masks = split_train_val(ds, config.seed, config.val_fraction)
     return train_with_split(ds, config, masks)
@@ -313,7 +305,12 @@ def train_with_split(
                 t.grad if t.grad is not None else np.zeros_like(t.data)
                 for t in trainable
             ]
-            adam_step(trainable, grads, adam)
+            try:
+                adam_step(trainable, grads, adam)
+            except NonFiniteGradientError as exc:
+                raise TrainingDiverged(
+                    f"non-finite gradient at epoch {epoch}, batch {b_idx}"
+                ) from exc
         train_loss = train_eval.loss(params)
         val_loss = val_eval.loss(params)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):

@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import molscreen.cli
 from molscreen.active import ALConfig, al_run
-from molscreen.checkpoint import load_checkpoint
+from molscreen.checkpoint import load_checkpoint, save_checkpoint
 from molscreen.cli import main
 from molscreen.dataset_io import read_smiles_csv
 from molscreen.featurize import SCHEMA_HASH
-from molscreen.model import predict_graphs
+from molscreen.model import init_params, predict_graphs
 from molscreen.synth import SynthMeta, task_oracle
 from molscreen.train import TrainConfig
 
@@ -71,6 +72,31 @@ def workdir(tmp_path_factory):
         "--mode", "mtl", *TINY,
     ])
     assert code == 0
+    return tmp
+
+
+@pytest.fixture(scope="module")
+def diverging(tmp_path_factory):
+    """A dataset, and a checkpoint whose values are all finite but whose
+    gradients are not: layer 0's ReLU outputs are all zero, so layer 1's
+    first linear layer sees only its bias and the loss stays finite, while
+    its ``w1 = 1e307`` overflows the gradient sent back to its input."""
+    tmp = tmp_path_factory.mktemp("diverging")
+    code = main([
+        "synth-gen", "--n-tasks", "2", "--n-per-task", "60", "--seed", "3",
+        "--out", str(tmp / "data.csv"), "--meta-out", str(tmp / "meta.json"),
+    ])
+    assert code == 0
+    params = init_params(["a"], embed_dim=8, n_layers=2, head_hidden=8, seed=1)
+    first, second = params.layers
+    first.bn_gamma.data[:] = 0.0
+    first.bn_beta.data[:] = -1e300
+    for table in second.edge_tables:
+        table.data[:] = 0.0
+    second.self_loop.data[:] = 0.0
+    second.w1.data[:] = 1e307
+    second.b1.data[:] = 1.0
+    save_checkpoint(tmp / "bad.ckpt", params, ["lower_is_better"], seed=1)
     return tmp
 
 
@@ -290,7 +316,7 @@ class TestTrainCommand:
         assert code == 0
         assert "seed=4" in out.splitlines()
 
-    def test_aux_size_requires_new_target(self, workdir, tmp_path, capsys):
+    def test_aux_size_requires_target(self, workdir, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--data", str(workdir / "data.csv"),
             "--out", str(tmp_path / "x.ckpt"), "--mode", "mtl",
@@ -305,6 +331,66 @@ class TestTrainCommand:
             "--out", str(tmp_path / "x.ckpt"), "--mode", "single", *TINY,
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--mode", "mtl", "--target", "nosuch"], "nosuch"),
+            (["--mode", "single", "--target", "task0", "--aux-size", "5"], "--aux-size"),
+            (["--mode", "single", "--target", "task0", "--new-target", "task1"],
+             "--new-target"),
+        ],
+        ids=["unknown-mtl-target", "aux-size-single", "new-target-flag"],
+    )
+    def test_target_flags_checked(self, argv, named, workdir, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "train", "--data", str(workdir / "data.csv"),
+            "--out", str(tmp_path / "x.ckpt"), *argv, *TINY,
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert named in error["message"]
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_scarce_target_caps(self, workdir, tmp_path, capsys, monkeypatch):
+        original = molscreen.cli.train
+        trained = []
+
+        def capturing(ds, config):
+            trained.append(ds)
+            return original(ds, config)
+
+        monkeypatch.setattr(molscreen.cli, "train", capturing)
+        for mode, extra in (("mtl", ["--aux-size", "20"]), ("single", [])):
+            code, _, _ = run(
+                capsys, "train", "--data", str(workdir / "data.csv"),
+                "--out", str(tmp_path / f"{mode}.ckpt"), "--mode", mode,
+                "--target", "task1", "--new-size", "5", *extra, *TINY,
+            )
+            assert code == 0
+        mtl, single = trained
+        assert mtl.task_names == ["task0", "task1"]
+        assert mtl.label_mask.sum(axis=0).tolist() == [20, 5]
+        assert single.task_names == ["task1"]
+        rows = np.flatnonzero(mtl.label_mask[:, 1])
+        assert single.smiles == [mtl.smiles[i] for i in rows]
+        np.testing.assert_array_equal(single.labels[:, 0], mtl.labels[rows, 1])
+
+    def test_huge_learning_rate_prints_one_error_line(self, diverging, tmp_path):
+        """NumPy's overflow warnings stay off stderr.  A subprocess, because
+        pytest captures warnings itself."""
+        import subprocess
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "molscreen.cli", "train",
+             "--data", str(diverging / "data.csv"), "--out", str(tmp_path / "x.ckpt"),
+             "--target", "task0", "--embed-dim", "8", "--n-layers", "2",
+             "--head-hidden", "8", "--batch-size", "16", "--lr", "1e150"],
+            capture_output=True, text=True, env=TestEntryPoint._env(),
+        )
+        assert proc.returncode == 5
+        assert only_error(proc.stderr)["error"] == "training-failure"
 
     def test_activity_column_direction_saved(self, tmp_path, capsys):
         rows = ["smiles,act:ic50_molar"]
@@ -664,6 +750,42 @@ class TestTransferCommand:
         )
         assert code == 2
         assert "embed_dim" in json.loads(err)["message"]
+
+    def test_head_width_adopted(self, workdir, tmp_path, capsys):
+        out = tmp_path / "tr.ckpt"
+        code, _, _ = run(
+            capsys, "transfer", "--pretrained", str(workdir / "mtl.ckpt"),
+            "--data", str(workdir / "data.csv"), "--target", "task0",
+            "--head-epochs", "0", "--out", str(out),
+            "--batch-size", "16", "--min-epochs", "1", "--max-epochs", "1",
+        )
+        assert code == 0
+        assert load_checkpoint(out).params.head_hidden == 8  # default is 256
+
+    def test_conflicting_dims_in_config_file_rejected(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embed_dim": 16}))
+        code, _, err = run(
+            capsys, "transfer", "--pretrained", str(workdir / "mtl.ckpt"),
+            "--data", str(workdir / "data.csv"), "--target", "task0",
+            "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg),
+            "--batch-size", "16",
+        )
+        assert code == 2
+        assert "embed_dim" in only_error(err)["message"]
+
+    def test_non_finite_gradient_is_training_failure(self, diverging, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "transfer", "--pretrained", str(diverging / "bad.ckpt"),
+            "--data", str(diverging / "data.csv"), "--target", "task0",
+            "--head-epochs", "0", "--out", str(tmp_path / "x.ckpt"),
+            "--batch-size", "16", "--min-epochs", "1", "--max-epochs", "2",
+        )
+        assert code == 5
+        error = only_error(err)
+        assert error["error"] == "training-failure"
+        assert "gradient" in error["message"]
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestActiveLearnCommand:

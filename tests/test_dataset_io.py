@@ -174,6 +174,58 @@ class TestIngestErrors:
             reader(path)
 
 
+
+class TestRowOrder:
+    def test_mixed_rejections_reported_in_row_order(self, tmp_path):
+        path = write(
+            tmp_path,
+            "smiles,T0,T1:ic50_molar\n"
+            "C(C,1.0,\n"
+            "CCO,1.0,2.0,3.0\n"
+            "CCN,abc,\n"
+            "CCC,,\n"
+            "CCO,1.0,\n"
+            "C(C,2.0,1e-6\n"
+            "CCCC,,0.0\n"
+            "C(C,,1e-5\n"
+            "CCO,,1e-6\n",
+        )
+        ds, report = ingest_csv(path)
+        bad_smiles = "SMILES rejected: unclosed '(' (position 1)"
+        assert report.rejected == [
+            (2, bad_smiles),
+            (3, "expected 3 columns, got 4"),
+            (4, "column 'T0': 'abc' is not a number"),
+            (5, "row has no labels"),
+            (7, bad_smiles),
+            (8, "column 'T1': activity values must be positive and finite"),
+            (9, bad_smiles),
+        ]
+        assert (report.n_rows, report.n_accepted) == (9, 2)
+        assert ds.smiles == ["CCO"]
+        np.testing.assert_array_equal(ds.labels, [[1.0, 6.0]])
+
+    def test_each_distinct_smiles_featurized_once(self, tmp_path, monkeypatch):
+        import molscreen.dataset_io
+
+        original = molscreen.dataset_io.featurize_smiles
+        calls = []
+
+        def counting(smiles):
+            calls.append(smiles)
+            return original(smiles)
+
+        monkeypatch.setattr(molscreen.dataset_io, "featurize_smiles", counting)
+        path = write(
+            tmp_path,
+            "smiles,T0\nCCO,1.0\nC(C,2.0\nCCO,3.0\nC(C,4.0\nCCN,5.0\nCCO,\n",
+        )
+        ds, report = ingest_csv(path)
+        assert calls == ["CCO", "C(C", "CCN"]
+        assert ds.smiles == ["CCO", "CCN"]
+        assert [row for row, _ in report.rejected] == [3, 5, 7]
+        assert report.rejected[0][1] == report.rejected[1][1]
+
 class TestWriteRoundTrip:
     def test_synth_dataset_round_trips(self, tmp_path):
         ds, _ = synth_dataset(n_tasks=3, n_per_task=25, seed=0)

@@ -78,18 +78,6 @@ class TestSynthDataset:
         b, _ = synth_dataset(n_tasks=2, n_per_task=30, seed=2)
         assert a.smiles != b.smiles
 
-    def test_zero_noise_unit_coefficients_identical_columns(self):
-        ds, _ = synth_dataset(
-            n_tasks=3,
-            n_per_task=25,
-            seed=4,
-            noise_sigma=0.0,
-            a_values=[1.0, 1.0, 1.0],
-            b_values=[0.0, 0.0, 0.0],
-        )
-        np.testing.assert_array_equal(ds.labels[:, 0], ds.labels[:, 1])
-        np.testing.assert_array_equal(ds.labels[:, 0], ds.labels[:, 2])
-
     def test_zero_noise_labels_are_affine_in_latent(self):
         ds, meta = synth_dataset(n_tasks=2, n_per_task=20, seed=5, noise_sigma=0.0)
         for t in range(2):

@@ -10,8 +10,8 @@ from molscreen.train import (
     EarlyStopping,
     TrainConfig,
     TrainingDiverged,
+    _EvalBatches,
     batch_plan,
-    evaluate_masked_loss,
     masked_loss,
     simulate_early_stopping,
     train,
@@ -250,7 +250,7 @@ class TestTrainLoop:
         assert log.best_val_loss == min(vals)
         # re-evaluating the returned parameters reproduces the logged minimum
         masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
-        re_val = evaluate_masked_loss(ds, params, masks.val, cfg.batch_size)
+        re_val = _EvalBatches(ds, masks.val, cfg.batch_size).loss(params)
         assert re_val == log.best_val_loss
 
     @pytest.mark.parametrize(
@@ -371,10 +371,10 @@ class TestTrainLoop:
         for name, arr_a in mtl_params.named_state_arrays():
             arr_b = dict(st_params.named_state_arrays())[name]
             np.testing.assert_array_equal(arr_a, arr_b)
-        for (_, pa), (_, pb) in zip(
-            mtl_params.head_named_parameters([0]),
-            st_params.head_named_parameters([0]),
-        ):
+        target_head = [
+            t for n, t in mtl_params.head_named_parameters() if n.startswith("head.0.")
+        ]
+        for pa, (_, pb) in zip(target_head, st_params.head_named_parameters(), strict=True):
             np.testing.assert_array_equal(pa.data, pb.data)
         # auxiliary heads never saw a labeled pair: still at initialization
         fresh = init_params(
