@@ -444,11 +444,11 @@ def cmd_transfer(args) -> None:
     _check_writable(args.out)
     _print_seed(config.seed)
     ds = _load_dataset(args.data)
+    if args.target is not None and args.target not in ds.task_names:
+        raise ConfigError(f"task {args.target!r} not in dataset tasks {ds.task_names}")
     if ds.n_tasks > 1:
         if args.target is None:
             raise ConfigError("--target is required when the dataset has several tasks")
-        if args.target not in ds.task_names:
-            raise ConfigError(f"task {args.target!r} not in dataset tasks {ds.task_names}")
         ds = ds.restrict_to_tasks([ds.task_names.index(args.target)])
     result = transfer_train(ck.params, ds, config, head_epochs=args.head_epochs)
     save_checkpoint(
@@ -594,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer", help="warm-start a new target from a pretrained encoder")
     p.add_argument("--pretrained", required=True, help="checkpoint to start from")
     p.add_argument("--data", required=True, help="new-target dataset CSV")
-    p.add_argument("--target", help="task column when the dataset has several")
+    p.add_argument("--target", help="task column (required when the dataset has several)")
     p.add_argument("--head-epochs", type=int, default=20, help="frozen-encoder warmup epochs")
     p.add_argument("--out", required=True, help="checkpoint file to write")
     _add_config_flags(p)

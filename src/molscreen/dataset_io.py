@@ -56,6 +56,8 @@ def _read_rows(path) -> list[list[str]]:
             rows = list(csv.reader(handle))
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise IngestError(f"{path}: unreadable CSV ({exc})") from exc
     if not rows:
         raise IngestError(f"{path}: empty file (header required)")
     return rows

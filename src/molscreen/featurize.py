@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smiles import (
-    Atom,
-    Bond,
-    BondDirection,
-    BondOrder,
-    Chirality,
-    MolGraph,
-    parse_smiles,
-)
+from .smiles import BondDirection, BondOrder, Chirality, MolGraph, parse_smiles
 
 # atomic type, formal charge, degree, chirality, numH, aromaticity, hybridization
 ATOM_FEATURE_WIDTHS = (119, 16, 11, 4, 9, 2, 5)
@@ -98,57 +90,56 @@ class FeaturizedGraph:
         return self.bond_indices.shape[0]
 
 
-def _hybridization(graph: MolGraph, idx: int) -> int:
-    atom = graph.atoms[idx]
-    if 0 < atom.atomic_number <= 2:
-        return HYB_S
-    doubles = triples = 0
-    for _, bond_idx in graph.neighbors[idx]:
-        order = graph.bonds[bond_idx].order
-        if order is BondOrder.DOUBLE:
-            doubles += 1
-        elif order is BondOrder.TRIPLE:
-            triples += 1
-    if triples >= 1 or doubles >= 2:
-        return HYB_SP
-    if atom.aromatic or (doubles >= 1 and atom.degree + atom.hydrogens <= 3):
-        return HYB_SP2
-    if atom.degree + atom.hydrogens > 0:
-        return HYB_SP3
-    return HYB_MISC
-
-
-def atom_feature_indices(graph: MolGraph, idx: int) -> tuple[int, ...]:
-    atom: Atom = graph.atoms[idx]
-    atomic = atom.atomic_number if 1 <= atom.atomic_number <= 118 else 0
-    charge = atom.formal_charge + 7 if -7 <= atom.formal_charge <= 7 else 15
-    degree = min(atom.degree, 10)
-    chirality = _CHIRALITY_INDEX[atom.chirality]
-    num_h = min(atom.hydrogens, 8)
-    aromatic = int(atom.aromatic)
-    return (atomic, charge, degree, chirality, num_h, aromatic, _hybridization(graph, idx))
-
-
-def bond_feature_indices(bond: Bond) -> tuple[int, int, int]:
-    return (
-        _DIRECTION_INDEX[bond.direction],
-        _BOND_TYPE_INDEX[bond.order],
-        int(bond.in_ring),
-    )
-
-
 def featurize(graph: MolGraph) -> FeaturizedGraph:
     """Map a parsed molecule to per-atom and per-bond index arrays: C-ordered
     views of one int64 array of 7 integers per atom, 3 per bond, then 2
-    endpoints per bond."""
-    n_atoms, n_bonds = len(graph.atoms), len(graph.bonds)
+    endpoints per bond.
+
+    One pass over the bonds writes their rows and tallies each atom's
+    double and triple bonds for its hybridization; a second pass writes the
+    atom rows.
+    """
+    atoms, bonds = graph.atoms, graph.bonds
+    n_atoms, n_bonds = len(atoms), len(bonds)
+    # doubles + 2 * triples per atom (the double and triple type indices are
+    # 1 and 2): 2 or more means sp, 1 means one double bond
+    unsaturation = [0] * n_atoms
+    bond_values: list[int] = []
+    endpoints: list[int] = []
+    for bond in bonds:
+        a, b = bond.a, bond.b
+        bond_type = _BOND_TYPE_INDEX[bond.order]
+        if bond_type == 1 or bond_type == 2:
+            unsaturation[a] += bond_type
+            unsaturation[b] += bond_type
+        bond_values += (_DIRECTION_INDEX[bond.direction], bond_type, int(bond.in_ring))
+        endpoints += (a, b)
     values: list[int] = []
-    for i in range(n_atoms):
-        values += atom_feature_indices(graph, i)
-    for bond in graph.bonds:
-        values += bond_feature_indices(bond)
-    for bond in graph.bonds:
-        values += (bond.a, bond.b)
+    for atom, unsaturated in zip(atoms, unsaturation):
+        z, charge, degree, hydrogens = (
+            atom.atomic_number, atom.formal_charge, atom.degree, atom.hydrogens
+        )
+        if 0 < z <= 2:
+            hybridization = HYB_S
+        elif unsaturated >= 2:
+            hybridization = HYB_SP
+        elif atom.aromatic or (unsaturated == 1 and degree + hydrogens <= 3):
+            hybridization = HYB_SP2
+        elif degree + hydrogens > 0:
+            hybridization = HYB_SP3
+        else:
+            hybridization = HYB_MISC
+        values += (
+            z if 1 <= z <= 118 else 0,
+            charge + 7 if -7 <= charge <= 7 else 15,
+            degree if degree < 10 else 10,
+            _CHIRALITY_INDEX[atom.chirality],
+            hydrogens if hydrogens < 8 else 8,
+            int(atom.aromatic),
+            hybridization,
+        )
+    values += bond_values
+    values += endpoints
     flat = np.array(values, dtype=np.int64)
     atom_end = 7 * n_atoms
     bond_end = atom_end + 3 * n_bonds
@@ -167,10 +158,11 @@ def featurize_smiles(smiles: str) -> FeaturizedGraph:
 
 def _check_ranges(fg: FeaturizedGraph) -> None:
     # Viewed as uint64, a negative index is huge, so one comparison against
-    # the widths catches both ends of the range.
+    # the widths catches both ends of the range; count_nonzero is a plain C
+    # call where ndarray.any goes through Python.
     for matrix, limits, kind in (
         (fg.atom_indices, ATOM_INDEX_LIMITS, "atom"),
         (fg.bond_indices, BOND_INDEX_LIMITS, "bond"),
     ):
-        if matrix.size and (matrix.view(np.uint64) >= limits).any():
+        if np.count_nonzero(matrix.view(np.uint64) >= limits):
             raise SchemaError(f"{kind} feature index outside schema widths")

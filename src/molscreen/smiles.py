@@ -12,14 +12,20 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-class BondOrder(Enum):
+class _IdentityEnum(Enum):
+    # Members compare by identity, so hash them by identity too: Enum's own
+    # __hash__ is a Python-level call on every dict lookup keyed by a member.
+    __hash__ = object.__hash__
+
+
+class BondOrder(_IdentityEnum):
     SINGLE = "single"
     DOUBLE = "double"
     TRIPLE = "triple"
     AROMATIC = "aromatic"
 
 
-class BondDirection(Enum):
+class BondDirection(_IdentityEnum):
     NONE = "none"
     UP = "up"
     DOWN = "down"
@@ -29,7 +35,7 @@ class BondDirection(Enum):
     UNKNOWN = "unknown"
 
 
-class Chirality(Enum):
+class Chirality(_IdentityEnum):
     NONE = "none"
     CLOCKWISE = "clockwise"
     COUNTERCLOCKWISE = "counterclockwise"
@@ -87,10 +93,14 @@ ELEMENTS = (
 
 SYMBOL_TO_NUMBER = {symbol: z for z, symbol in enumerate(ELEMENTS) if z}
 
-# Organic subset: written without brackets, hydrogens filled in by valence.
-ORGANIC_SYMBOLS = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 AROMATIC_SYMBOLS = {"b": 5, "c": 6, "n": 7, "o": 8, "p": 15, "s": 16}
 AROMATIC_BRACKET_SYMBOLS = dict(AROMATIC_SYMBOLS, se=34, te=52)
+
+# Organic subset: written without brackets, hydrogens filled in by valence.
+# One-letter symbol -> (atomic number, aromatic); "Cl" and "Br" are the two
+# two-letter symbols, and they start with "C" and "B".
+_ORGANIC_ATOMS = {symbol: (SYMBOL_TO_NUMBER[symbol], False) for symbol in "BCNOPSFI"}
+_ORGANIC_ATOMS.update((symbol, (z, True)) for symbol, z in AROMATIC_SYMBOLS.items())
 
 # Standard valences used to infer hydrogen counts on organic-subset atoms.
 VALENCES = {
@@ -113,19 +123,25 @@ BOND_ORDER_VALUE = {
     BondOrder.AROMATIC: 1,
 }
 
+# bond symbol -> (order, direction); an unwritten bond is ':' between two
+# aromatic atoms and '-' otherwise
 _BOND_CHARS = {
-    "-": BondOrder.SINGLE,
-    "=": BondOrder.DOUBLE,
-    "#": BondOrder.TRIPLE,
-    ":": BondOrder.AROMATIC,
-    "/": BondOrder.SINGLE,
-    "\\": BondOrder.SINGLE,
+    "-": (BondOrder.SINGLE, BondDirection.NONE),
+    "=": (BondOrder.DOUBLE, BondDirection.NONE),
+    "#": (BondOrder.TRIPLE, BondDirection.NONE),
+    ":": (BondOrder.AROMATIC, BondDirection.NONE),
+    "/": (BondOrder.SINGLE, BondDirection.UP),
+    "\\": (BondOrder.SINGLE, BondDirection.DOWN),
 }
+
+# Ring numbers, bracket isotopes, H counts, charges and atom classes are
+# ASCII digits only: str.isdigit() also accepts '²' or '٣'.
+_DIGITS = "0123456789"
 
 _CHIRAL_CLASSES = ("TH", "AL", "SP", "TB", "OH")
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     atomic_number: int
     aromatic: bool = False
@@ -137,7 +153,7 @@ class Atom:
     degree: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Bond:
     a: int
     b: int
@@ -172,293 +188,236 @@ def parse_smiles(text: str) -> MolGraph:
     membership is perceived before returning.  Raises a subclass of
     :class:`SmilesError` with a byte offset on malformed input.
     """
-    return _Parser(text).parse()
+    if not text:
+        raise EmptySmilesError("empty SMILES string", 0)
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    neighbors: list[list[tuple[int, int]]] = []
+    prev: int | None = None
+    # (bond char, position) for a bond symbol awaiting its second atom
+    pending: tuple[str, int] | None = None
+    # open branch points as (atom index at '(', position of '(')
+    branches: list[tuple[int, int]] = []
+    # ring number -> (atom index, bond char or None, position opened)
+    open_rings: dict[int, tuple[int, str | None, int]] = {}
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.atoms: list[Atom] = []
-        self.bonds: list[Bond] = []
-        self.adjacency: list[set[int]] = []
-        self.prev: int | None = None
-        # (bond char, position) for a bond symbol awaiting its second atom
-        self.pending: tuple[str, int] | None = None
-        # open branch points as (atom index at '(', position of '(')
-        self.stack: list[tuple[int, int]] = []
-        # ring number -> (atom index, bond char or None, position opened)
-        self.open_rings: dict[int, tuple[int, str | None, int]] = {}
-
-    def parse(self) -> MolGraph:
-        if not self.text:
-            raise EmptySmilesError("empty SMILES string", 0)
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in _BOND_CHARS:
-                self._take_bond_char(ch)
-            elif ch == "(":
-                self._open_branch()
-            elif ch == ")":
-                self._close_branch()
-            elif ch.isdigit():
-                self._ring_digit(int(ch), self.pos)
-                self.pos += 1
-            elif ch == "%":
-                self._percent_ring()
-            elif ch == ".":
-                raise MultipleFragmentsError(
-                    "multi-fragment input is not supported", self.pos
-                )
-            elif ch == "[":
-                atom, end = self._bracket_atom()
-                self._add_atom(atom)
-                self.pos = end
-            else:
-                self._organic_atom()
-        self._check_terminal_state()
-        return self._finish()
-
-    # -- token handlers -----------------------------------------------------
-
-    def _take_bond_char(self, ch: str) -> None:
-        if self.prev is None:
-            raise StructureError("bond symbol before any atom", self.pos)
-        if self.pending is not None:
-            raise StructureError("two bond symbols in a row", self.pos)
-        self.pending = (ch, self.pos)
-        self.pos += 1
-
-    def _open_branch(self) -> None:
-        if self.prev is None:
-            raise StructureError("branch opened before any atom", self.pos)
-        if self.pending is not None:
-            raise StructureError("bond symbol before branch", self.pos)
-        self.stack.append((self.prev, self.pos))
-        self.pos += 1
-
-    def _close_branch(self) -> None:
-        if self.pending is not None:
-            raise StructureError("dangling bond at branch close", self.pending[1])
-        if not self.stack:
-            raise UnmatchedParenthesisError("unmatched ')'", self.pos)
-        self.prev, _ = self.stack.pop()
-        self.pos += 1
-
-    def _percent_ring(self) -> None:
-        digits = self.text[self.pos + 1 : self.pos + 3]
-        if len(digits) != 2 or not digits.isdigit():
-            raise StructureError("'%' must be followed by two digits", self.pos)
-        self._ring_digit(int(digits), self.pos)
-        self.pos += 3
-
-    def _ring_digit(self, number: int, position: int) -> None:
-        if self.prev is None:
-            raise StructureError("ring closure before any atom", position)
-        bond_char = None
-        if self.pending is not None:
-            bond_char, _ = self.pending
-            self.pending = None
-        if number not in self.open_rings:
-            self.open_rings[number] = (self.prev, bond_char, position)
-            return
-        other, other_char, _ = self.open_rings.pop(number)
-        if other == self.prev:
-            raise StructureError("ring bond to the same atom", position)
-        if bond_char and other_char and bond_char != other_char:
-            raise StructureError("conflicting ring-closure bond orders", position)
-        self._add_bond(self.prev, other, bond_char or other_char, position)
-
-    def _organic_atom(self) -> None:
-        text = self.text
-        two = text[self.pos : self.pos + 2]
-        if two in ("Cl", "Br"):
-            self._add_atom(Atom(atomic_number=SYMBOL_TO_NUMBER[two]))
-            self.pos += 2
-            return
-        ch = text[self.pos]
-        if ch in ORGANIC_SYMBOLS:
-            self._add_atom(Atom(atomic_number=SYMBOL_TO_NUMBER[ch]))
-        elif ch in AROMATIC_SYMBOLS:
-            self._add_atom(Atom(atomic_number=AROMATIC_SYMBOLS[ch], aromatic=True))
-        else:
-            raise UnknownAtomError(f"unexpected character {ch!r}", self.pos)
-        self.pos += 1
-
-    # -- bracket atoms ------------------------------------------------------
-
-    def _bracket_atom(self) -> tuple[Atom, int]:
-        start = self.pos
-        end = self.text.find("]", start + 1)
-        if end < 0:
-            raise AtomSyntaxError("unterminated bracket atom", start)
-        body = self.text[start + 1 : end]
-        k = 0
-
-        def fail(message: str, offset: int):
-            raise AtomSyntaxError(message, start + 1 + offset)
-
-        # isotope (parsed and discarded)
-        while k < len(body) and body[k].isdigit():
-            k += 1
-        if k == len(body):
-            fail("missing element symbol", k)
-
-        aromatic = False
-        two = body[k : k + 2] if len(body) - k >= 2 else ""
-        if two in AROMATIC_BRACKET_SYMBOLS:
-            number = AROMATIC_BRACKET_SYMBOLS[two]
-            aromatic = True
-            k += 2
-        elif two in SYMBOL_TO_NUMBER:
-            number = SYMBOL_TO_NUMBER[two]
-            k += 2
-        elif body[k] in SYMBOL_TO_NUMBER:
-            number = SYMBOL_TO_NUMBER[body[k]]
-            k += 1
-        elif body[k] in AROMATIC_SYMBOLS:
-            number = AROMATIC_SYMBOLS[body[k]]
-            aromatic = True
-            k += 1
-        else:
-            raise UnknownAtomError(
-                f"unknown element symbol at {body[k:]!r}", start + 1 + k
-            )
-
-        chirality = Chirality.NONE
-        if k < len(body) and body[k] == "@":
-            k += 1
-            if k < len(body) and body[k] == "@":
-                chirality = Chirality.CLOCKWISE
-                k += 1
-            elif body[k : k + 2] in _CHIRAL_CLASSES:
-                chirality = Chirality.OTHER
-                k += 2
-                while k < len(body) and body[k].isdigit():
-                    k += 1
-            else:
-                chirality = Chirality.COUNTERCLOCKWISE
-
-        hydrogens = 0
-        if k < len(body) and body[k] == "H":
-            k += 1
-            digits = ""
-            while k < len(body) and body[k].isdigit():
-                digits += body[k]
-                k += 1
-            hydrogens = int(digits) if digits else 1
-
-        charge = 0
-        if k < len(body) and body[k] in "+-":
-            sign = 1 if body[k] == "+" else -1
-            first = body[k]
-            k += 1
-            digits = ""
-            while k < len(body) and body[k].isdigit():
-                digits += body[k]
-                k += 1
-            if digits:
-                charge = sign * int(digits)
-            else:
-                magnitude = 1
-                while k < len(body) and body[k] == first:
-                    magnitude += 1
-                    k += 1
-                charge = sign * magnitude
-
-        if k < len(body) and body[k] == ":":
-            k += 1
-            digits = ""
-            while k < len(body) and body[k].isdigit():
-                digits += body[k]
-                k += 1
-            if not digits:
-                fail("':' must be followed by an atom-class number", k)
-
-        if k != len(body):
-            fail(f"unexpected bracket content {body[k:]!r}", k)
-
-        atom = Atom(
-            atomic_number=number,
-            aromatic=aromatic,
-            formal_charge=charge,
-            hydrogens=hydrogens,
-            bracket_hydrogens=hydrogens,
-            chirality=chirality,
-        )
-        return atom, end + 1
-
-    # -- graph assembly -----------------------------------------------------
-
-    def _add_atom(self, atom: Atom) -> None:
-        idx = len(self.atoms)
-        self.atoms.append(atom)
-        self.adjacency.append(set())
-        if self.prev is not None:
-            bond_char = None
-            position = self.pos
-            if self.pending is not None:
-                bond_char, position = self.pending
-                self.pending = None
-            self._add_bond(self.prev, idx, bond_char, position)
-        elif self.pending is not None:
-            raise StructureError("bond with no preceding atom", self.pending[1])
-        self.prev = idx
-
-    def _add_bond(
-        self, a: int, b: int, bond_char: str | None, position: int
-    ) -> None:
-        if b in self.adjacency[a]:
-            raise StructureError("duplicate bond between atoms", position)
-        direction = BondDirection.NONE
+    def add_bond(a: int, b: int, bond_char: str | None, position: int) -> None:
+        both_aromatic = atoms[a].aromatic and atoms[b].aromatic
         if bond_char is None:
-            both_aromatic = self.atoms[a].aromatic and self.atoms[b].aromatic
-            order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
+            bond_char = ":" if both_aromatic else "-"
+        elif bond_char == ":" and not both_aromatic:
+            raise StructureError("aromatic bond between non-aromatic atoms", position)
+        order, direction = _BOND_CHARS[bond_char]
+        neighbors[a].append((b, len(bonds)))
+        neighbors[b].append((a, len(bonds)))
+        bonds.append(Bond(a, b, order, direction))
+
+    pos, end = 0, len(text)
+    while pos < end:
+        ch = text[pos]
+        if ch in _ORGANIC_ATOMS:
+            two = text[pos : pos + 2]
+            if two == "Cl" or two == "Br":
+                atom = Atom(SYMBOL_TO_NUMBER[two])
+                pos += 2
+            else:
+                atom = Atom(*_ORGANIC_ATOMS[ch])
+                pos += 1
+        elif ch == "[":
+            atom, pos = _bracket_atom(text, pos)
+        elif ch in _BOND_CHARS:
+            if prev is None:
+                raise StructureError("bond symbol before any atom", pos)
+            if pending is not None:
+                raise StructureError("two bond symbols in a row", pos)
+            pending = (ch, pos)
+            pos += 1
+            continue
+        elif ch == "(":
+            if prev is None:
+                raise StructureError("branch opened before any atom", pos)
+            if pending is not None:
+                raise StructureError("bond symbol before branch", pos)
+            branches.append((prev, pos))
+            pos += 1
+            continue
+        elif ch == ")":
+            if pending is not None:
+                raise StructureError("dangling bond at branch close", pending[1])
+            if not branches:
+                raise UnmatchedParenthesisError("unmatched ')'", pos)
+            prev = branches.pop()[0]
+            pos += 1
+            continue
+        elif ch in _DIGITS or ch == "%":
+            position = pos
+            if ch == "%":
+                digits = text[pos + 1 : pos + 3]
+                if len(digits) != 2 or not (digits.isascii() and digits.isdigit()):
+                    raise StructureError("'%' must be followed by two digits", pos)
+                number = int(digits)
+                pos += 3
+            else:
+                number = int(ch)
+                pos += 1
+            if prev is None:
+                raise StructureError("ring closure before any atom", position)
+            bond_char = None
+            if pending is not None:
+                bond_char = pending[0]
+                pending = None
+            if number not in open_rings:
+                open_rings[number] = (prev, bond_char, position)
+                continue
+            other, other_char, _ = open_rings.pop(number)
+            if other == prev:
+                raise StructureError("ring bond to the same atom", position)
+            if bond_char and other_char and bond_char != other_char:
+                raise StructureError("conflicting ring-closure bond orders", position)
+            if any(u == other for u, _ in neighbors[prev]):
+                raise StructureError("duplicate bond between atoms", position)
+            add_bond(prev, other, bond_char or other_char, position)
+            continue
+        elif ch == ".":
+            raise MultipleFragmentsError("multi-fragment input is not supported", pos)
         else:
-            order = _BOND_CHARS[bond_char]
-            if bond_char == "/":
-                direction = BondDirection.UP
-            elif bond_char == "\\":
-                direction = BondDirection.DOWN
-            if order is BondOrder.AROMATIC and not (
-                self.atoms[a].aromatic and self.atoms[b].aromatic
-            ):
-                raise StructureError(
-                    "aromatic bond between non-aromatic atoms", position
-                )
-        self.bonds.append(Bond(a=a, b=b, order=order, direction=direction))
-        self.adjacency[a].add(b)
-        self.adjacency[b].add(a)
+            raise UnknownAtomError(f"unexpected character {ch!r}", pos)
+        # a new atom: bond it to the previous one, if any
+        idx = len(atoms)
+        atoms.append(atom)
+        neighbors.append([])
+        if prev is not None:
+            if pending is None:
+                add_bond(prev, idx, None, pos)
+            else:
+                add_bond(prev, idx, *pending)
+                pending = None
+        prev = idx
 
-    def _check_terminal_state(self) -> None:
-        if self.pending is not None:
-            raise StructureError("dangling bond at end of input", self.pending[1])
-        if self.stack:
-            raise UnmatchedParenthesisError("unclosed '('", self.stack[-1][1])
-        if self.open_rings:
-            position = min(entry[2] for entry in self.open_rings.values())
-            raise UnclosedRingError("unclosed ring closure digit", position)
+    if pending is not None:
+        raise StructureError("dangling bond at end of input", pending[1])
+    if branches:
+        raise UnmatchedParenthesisError("unclosed '('", branches[-1][1])
+    if open_rings:
+        position = min(entry[2] for entry in open_rings.values())
+        raise UnclosedRingError("unclosed ring closure digit", position)
+    for atom, atom_neighbors in zip(atoms, neighbors):
+        atom.degree = len(atom_neighbors)
+    graph = MolGraph(atoms, bonds, neighbors)
+    _assign_hydrogens(graph)
+    perceive_rings(graph)
+    return graph
 
-    def _finish(self) -> MolGraph:
-        graph = MolGraph.from_atoms_and_bonds(self.atoms, self.bonds)
-        _assign_hydrogens(graph)
-        perceive_rings(graph)
-        return graph
+
+def _skip_digits(body: str, k: int) -> int:
+    while k < len(body) and body[k] in _DIGITS:
+        k += 1
+    return k
+
+
+def _bracket_atom(text: str, start: int) -> tuple[Atom, int]:
+    """The bracket atom opening at ``start``, and the position after its ']'."""
+    end = text.find("]", start + 1)
+    if end < 0:
+        raise AtomSyntaxError("unterminated bracket atom", start)
+    body = text[start + 1 : end]
+
+    def fail(message: str, offset: int):
+        raise AtomSyntaxError(message, start + 1 + offset)
+
+    k = _skip_digits(body, 0)  # isotope (parsed and discarded)
+    if k == len(body):
+        fail("missing element symbol", k)
+
+    aromatic = False
+    two = body[k : k + 2] if len(body) - k >= 2 else ""
+    if two in AROMATIC_BRACKET_SYMBOLS:
+        number = AROMATIC_BRACKET_SYMBOLS[two]
+        aromatic = True
+        k += 2
+    elif two in SYMBOL_TO_NUMBER:
+        number = SYMBOL_TO_NUMBER[two]
+        k += 2
+    elif body[k] in SYMBOL_TO_NUMBER:
+        number = SYMBOL_TO_NUMBER[body[k]]
+        k += 1
+    elif body[k] in AROMATIC_SYMBOLS:
+        number = AROMATIC_SYMBOLS[body[k]]
+        aromatic = True
+        k += 1
+    else:
+        raise UnknownAtomError(f"unknown element symbol at {body[k:]!r}", start + 1 + k)
+
+    chirality = Chirality.NONE
+    if k < len(body) and body[k] == "@":
+        k += 1
+        if k < len(body) and body[k] == "@":
+            chirality = Chirality.CLOCKWISE
+            k += 1
+        elif body[k : k + 2] in _CHIRAL_CLASSES:
+            chirality = Chirality.OTHER
+            k = _skip_digits(body, k + 2)
+        else:
+            chirality = Chirality.COUNTERCLOCKWISE
+
+    hydrogens = 0
+    if k < len(body) and body[k] == "H":
+        digits_end = _skip_digits(body, k + 1)
+        hydrogens = int(body[k + 1 : digits_end]) if digits_end > k + 1 else 1
+        k = digits_end
+
+    charge = 0
+    if k < len(body) and body[k] in "+-":
+        sign = 1 if body[k] == "+" else -1
+        first = body[k]
+        digits_end = _skip_digits(body, k + 1)
+        if digits_end > k + 1:
+            charge = sign * int(body[k + 1 : digits_end])
+            k = digits_end
+        else:
+            k += 1
+            magnitude = 1
+            while k < len(body) and body[k] == first:
+                magnitude += 1
+                k += 1
+            charge = sign * magnitude
+
+    if k < len(body) and body[k] == ":":
+        digits_end = _skip_digits(body, k + 1)
+        if digits_end == k + 1:
+            fail("':' must be followed by an atom-class number", k + 1)
+        k = digits_end
+
+    if k != len(body):
+        fail(f"unexpected bracket content {body[k:]!r}", k)
+
+    atom = Atom(
+        atomic_number=number,
+        aromatic=aromatic,
+        formal_charge=charge,
+        hydrogens=hydrogens,
+        bracket_hydrogens=hydrogens,
+        chirality=chirality,
+    )
+    return atom, end + 1
 
 
 def _assign_hydrogens(graph: MolGraph) -> None:
     """Fill hydrogen counts on organic-subset atoms from standard valences.
 
-    Aromatic bonds count as order one toward the bond sum; aromatic atoms with
-    a remaining hydrogen then give one up to the ring, which reproduces the
-    conventional counts (benzene carbons get one H, pyridine nitrogen none).
+    One pass over the bonds sums each atom's bond orders, aromatic bonds
+    counting as order one; aromatic atoms with a remaining hydrogen then
+    give one up to the ring, which reproduces the conventional counts
+    (benzene carbons get one H, pyridine nitrogen none).
     """
-    for idx, atom in enumerate(graph.atoms):
+    bond_sums = [0] * len(graph.atoms)
+    for bond in graph.bonds:
+        value = BOND_ORDER_VALUE[bond.order]
+        bond_sums[bond.a] += value
+        bond_sums[bond.b] += value
+    for atom, bond_sum in zip(graph.atoms, bond_sums):
         if atom.bracket_hydrogens is not None:
             continue
-        bond_sum = sum(
-            BOND_ORDER_VALUE[graph.bonds[b].order] for _, b in graph.neighbors[idx]
-        )
         hydrogens = 0
         for valence in VALENCES[atom.atomic_number]:
             if valence >= bond_sum:
@@ -475,36 +434,36 @@ def perceive_rings(graph: MolGraph) -> MolGraph:
     Iterative depth-first bridge finding; linear in atoms + bonds.
     Idempotent, and safe on disconnected graphs built directly.
     """
-    n = len(graph.atoms)
-    for bond in graph.bonds:
+    atoms, bonds, neighbors = graph.atoms, graph.bonds, graph.neighbors
+    for bond in bonds:
         bond.in_ring = True
-    disc = [-1] * n
-    low = [0] * n
+    disc = [-1] * len(atoms)
+    low = [0] * len(atoms)
     clock = 0
-    for root in range(n):
+    for root in range(len(atoms)):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = clock
         clock += 1
-        stack = [(root, -1, iter(graph.neighbors[root]))]
+        stack = [(root, -1, iter(neighbors[root]))]
         while stack:
             v, via_bond, it = stack[-1]
-            pushed = False
             for u, bond_idx in it:
                 if bond_idx == via_bond:
                     continue
                 if disc[u] == -1:
                     disc[u] = low[u] = clock
                     clock += 1
-                    stack.append((u, bond_idx, iter(graph.neighbors[u])))
-                    pushed = True
+                    stack.append((u, bond_idx, iter(neighbors[u])))
                     break
-                low[v] = min(low[v], disc[u])
-            if not pushed:
+                if disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:  # every neighbour seen: v is finished
                 stack.pop()
                 if stack:
                     parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                     if low[v] > disc[parent]:
-                        graph.bonds[via_bond].in_ring = False
+                        bonds[via_bond].in_ring = False
     return graph

@@ -201,6 +201,35 @@ class TestIngest:
         assert report["rejected"][0]["row"] == 3
         assert [r["smiles"] for r in read_rows(out)] == ["CCO", "CCN"]
 
+    def test_non_ascii_digit_rows_rejected(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            "smiles,T0\nCCO,-7.1\nC\u00b2,-6.0\nC\u0663CC\u0663,-5.5\nCCN,-5.0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "clean.csv"
+        code, stdout, _ = run(capsys, "ingest", "--input", str(raw), "--out", str(out))
+        assert code == 0
+        report = json.loads(stdout.splitlines()[0])
+        assert report["accepted"] == 2
+        assert report["rejected"] == [
+            {"row": 3, "error": "SMILES rejected: unexpected character '\u00b2' (position 1)"},
+            {"row": 4, "error": "SMILES rejected: unexpected character '\u0663' (position 1)"},
+        ]
+        assert [r["smiles"] for r in read_rows(out)] == ["CCO", "CCN"]
+
+    def test_field_over_csv_limit_is_io_error(self, tmp_path, capsys):
+        raw = tmp_path / "long.csv"
+        raw.write_text("smiles,T0\nCCO,-7.1\n" + "C" * 140_000 + ",-6.0\n")
+        out = tmp_path / "clean.csv"
+        code, _, err = run(capsys, "ingest", "--input", str(raw), "--out", str(out))
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert str(raw) in error["message"]
+        assert "field larger than field limit" in error["message"]
+        assert not out.exists()
+
     def test_repeated_task_name_is_io_error(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         raw.write_text("smiles,a,a:ic50_molar\nCCO,-7.1,1e-6\nCCN,-5.0,2e-6\n")
@@ -567,6 +596,35 @@ class TestScreenCommand:
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("bad", ["C\u00b2", "C\u0663CC\u0663"])
+    def test_non_ascii_digit_row_is_input_error(self, bad, workdir, tmp_path, capsys):
+        library = tmp_path / "library.csv"
+        library.write_text(f"smiles\nCCO\n{bad}\nCCN\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "screen", "--checkpoint", str(workdir / "single.ckpt"),
+            "--library", str(library), "--top-frac", "0.5", "--out", str(out),
+        )
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert "row 3: SMILES rejected: unexpected character" in error["message"]
+        assert not out.exists()
+
+    def test_field_over_csv_limit_is_io_error(self, workdir, tmp_path, capsys):
+        library = tmp_path / "long.csv"
+        library.write_text("smiles\n" + "C" * 140_000 + "\n")
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "screen", "--checkpoint", str(workdir / "single.ckpt"),
+            "--library", str(library), "--top-frac", "0.5", "--out", str(out),
+        )
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert str(library) in error["message"]
+        assert not out.exists()
+
     def test_bad_fraction(self, workdir, tmp_path, capsys):
         code, _, _ = run(
             capsys, "screen", "--checkpoint", str(workdir / "single.ckpt"),
@@ -740,6 +798,43 @@ class TestTransferCommand:
             "--batch-size", "16",
         )
         assert code == 2
+
+    @pytest.fixture
+    def one_task(self, workdir, tmp_path):
+        """The synth set cut to its task0 column and the rows labelled there."""
+        rows = read_rows(workdir / "data.csv")
+        path = tmp_path / "one_task.csv"
+        path.write_text(
+            "smiles,task0\n"
+            + "".join(f"{r['smiles']},{r['task0']}\n" for r in rows if r["task0"])
+        )
+        return path
+
+    def test_unknown_target_on_one_task_data_is_bad_config(self, one_task, workdir,
+                                                           tmp_path, capsys):
+        out = tmp_path / "x.ckpt"
+        code, _, err = run(
+            capsys, "transfer", "--pretrained", str(workdir / "mtl.ckpt"),
+            "--data", str(one_task), "--target", "nosuch", "--out", str(out),
+            "--batch-size", "16",
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert "'nosuch'" in error["message"]
+        assert not out.exists()
+
+    def test_named_target_on_one_task_data(self, one_task, workdir, tmp_path, capsys):
+        out = tmp_path / "x.ckpt"
+        code, stdout, _ = run(
+            capsys, "transfer", "--pretrained", str(workdir / "mtl.ckpt"),
+            "--data", str(one_task), "--target", "task0", "--head-epochs", "0",
+            "--out", str(out), "--batch-size", "16", "--min-epochs", "1",
+            "--max-epochs", "1",
+        )
+        assert code == 0
+        assert json.loads(stdout.splitlines()[-1])["task"] == "task0"
+        assert load_checkpoint(out).params.task_names == ["task0"]
 
     def test_conflicting_dims_rejected(self, workdir, tmp_path, capsys):
         code, _, err = run(

@@ -1,4 +1,5 @@
-"""Featurizer tests: hand-mapped index vectors and schema invariants."""
+"""Featurizer tests: hand-mapped index vectors, schema invariants, and an
+independent per-row oracle."""
 
 import ast
 import hashlib
@@ -16,12 +17,19 @@ from molscreen.featurize import (
     BOND_INDEX_LIMITS,
     SCHEMA_HASH,
     SchemaError,
-    atom_feature_indices,
-    bond_feature_indices,
     featurize,
     featurize_smiles,
 )
-from molscreen.smiles import Atom, Bond, BondOrder, MolGraph, SmilesError, parse_smiles
+from molscreen.smiles import (
+    Atom,
+    Bond,
+    BondDirection,
+    BondOrder,
+    Chirality,
+    MolGraph,
+    SmilesError,
+    parse_smiles,
+)
 from molscreen.synth import random_molecule
 
 
@@ -211,10 +219,75 @@ class TestArrays:
             featurize(out_of_range_graph(atom=True))
 
 
+# The oracle: per-row builders with their own index tables, and a
+# hybridization that walks each atom's neighbours.  ``featurize`` shares none
+# of this code.
+CHIRALITY_INDEX = {
+    Chirality.NONE: 0,
+    Chirality.CLOCKWISE: 1,
+    Chirality.COUNTERCLOCKWISE: 2,
+    Chirality.OTHER: 3,
+}
+DIRECTION_INDEX = {
+    BondDirection.NONE: 0,
+    BondDirection.UP: 1,
+    BondDirection.DOWN: 2,
+    BondDirection.BEGIN_WEDGE: 3,
+    BondDirection.BEGIN_DASH: 4,
+    BondDirection.EITHER: 5,
+    BondDirection.UNKNOWN: 6,
+}
+BOND_TYPE_INDEX = {
+    BondOrder.SINGLE: 0,
+    BondOrder.DOUBLE: 1,
+    BondOrder.TRIPLE: 2,
+    BondOrder.AROMATIC: 3,
+}
+
+
+def hybridization(graph, idx):
+    """s=0, sp=1, sp2=2, sp3=3, misc=4."""
+    atom = graph.atoms[idx]
+    if 0 < atom.atomic_number <= 2:
+        return 0
+    doubles = triples = 0
+    for _, bond_idx in graph.neighbors[idx]:
+        order = graph.bonds[bond_idx].order
+        if order is BondOrder.DOUBLE:
+            doubles += 1
+        elif order is BondOrder.TRIPLE:
+            triples += 1
+    if triples >= 1 or doubles >= 2:
+        return 1
+    if atom.aromatic or (doubles >= 1 and atom.degree + atom.hydrogens <= 3):
+        return 2
+    if atom.degree + atom.hydrogens > 0:
+        return 3
+    return 4
+
+
+def atom_feature_indices(graph, idx):
+    atom = graph.atoms[idx]
+    atomic = atom.atomic_number if 1 <= atom.atomic_number <= 118 else 0
+    charge = atom.formal_charge + 7 if -7 <= atom.formal_charge <= 7 else 15
+    return (
+        atomic,
+        charge,
+        min(atom.degree, 10),
+        CHIRALITY_INDEX[atom.chirality],
+        min(atom.hydrogens, 8),
+        int(atom.aromatic),
+        hybridization(graph, idx),
+    )
+
+
+def bond_feature_indices(bond):
+    return (DIRECTION_INDEX[bond.direction], BOND_TYPE_INDEX[bond.order], int(bond.in_ring))
+
+
 def reference_featurize(graph):
     """Per-row tuples through ``np.asarray(...).reshape``, then a range check
-    with separate lower and upper comparisons: the construction ``featurize``
-    replaced."""
+    with separate lower and upper comparisons."""
     atom_rows = [atom_feature_indices(graph, i) for i in range(len(graph.atoms))]
     bond_rows = [bond_feature_indices(b) for b in graph.bonds]
     endpoints = [(b.a, b.b) for b in graph.bonds]
@@ -274,6 +347,38 @@ def _test_file_smiles() -> list[str]:
     return sorted(set(found))
 
 
+# Bracket, charge, chirality, direction, aromatic-heteroatom and %nn cases:
+# every string of tests/test_smiles.py that parses, plus a few more.
+EDGE_CASES = (
+    "C", "C#N", "C%12CCC%12", "C/C=C/C", "C/C=C\\C", "C1CC1C", "C1CC1C1CC1",
+    "C1CCC2CCCCC2C1", "C1CCCCC1", "C1CCCCC=1", "C=1CCCCC1", "C=C", "CC",
+    "CC(=O)O", "CC(=O)[O-]", "CCO", "CSC", "Cc1ccccc1", "Cc1ccccc1C1CC1",
+    "ClCCl", "FC(F)(F)F", "N#Cc1ccccc1", "NC(C)O", "N[C@@H](C)O", "N[C@H](C)O",
+    "O", "O=C=O", "[13CH4]", "[CH2]", "[CH4:7]", "[CH4]", "[C]", "[Ca++]",
+    "[Fe+2]", "[H][H]", "[NH4+]", "[O--]", "[O-2]", "[OH-]", "c1cc[nH]c1",
+    "c1ccccc1", "c1ccncc1", "c1ccoc1", "c1ccsc1",
+    "[se]1cccc1", "c1cc[te]c1", "[2H]C([2H])([2H])Br", "F[C@](Cl)(Br)I",
+    "[C@TH1H](F)(Cl)Br", "F/C=C/C=C\\F", "C%10CC%10%11CC%11", "C%99CC1CC1%99",
+    "[O-8]", "[O+9]", "[CH9]", "[Na+]", "[13CH3]O", "B1C=CC=C1", "[b-]1cccc1",
+    "Ic1ccc(Br)cc1", "P(=O)(O)(O)O", "S(=O)(=O)(C)C", "C#CC#N", "c1ccc2[nH]ccc2c1",
+)
+
+
+def oracle_corpus():
+    """2000 compounds of 4-14 atoms and 200 of 15-40 from one fixed stream,
+    then the edge cases."""
+    stream = rng_stream(0, 11)
+    small = [random_molecule(stream, 4, 14) for _ in range(2000)]
+    large = [random_molecule(stream, 15, 40) for _ in range(200)]
+    return small + large + list(EDGE_CASES)
+
+
+# sha256 of every array of oracle_corpus() in order (atom indices, bond
+# indices, endpoints per compound), computed with the featurizer of the
+# commit before the single-pass rewrite of the parser and featurizer.
+ORACLE_CORPUS_SHA256 = "6abde2309d41b134c8b512802970d66b7dd63811c999a7e35bdfd3c8f07a22b1"
+
+
 class TestFeaturizeOracle:
     """``featurize`` builds one flat array and views it as three matrices;
     the per-row construction it replaced is the reference."""
@@ -283,6 +388,16 @@ class TestFeaturizeOracle:
         assert len(corpus) > 50
         for smiles in corpus:
             assert_matches_reference(parse_smiles(smiles))
+
+    def test_fixed_corpus_matches_oracle_and_pinned_digest(self):
+        digest = hashlib.sha256()
+        for smiles in oracle_corpus():
+            graph = parse_smiles(smiles)
+            assert_matches_reference(graph)
+            fg = featurize(graph)
+            for array in (fg.atom_indices, fg.bond_indices, fg.bond_endpoints):
+                digest.update(array.tobytes())
+        assert digest.hexdigest() == ORACLE_CORPUS_SHA256
 
     def test_random_library(self):
         stream = rng_stream(0, 5)

@@ -459,6 +459,34 @@ class TestErrors:
             assert 0 <= exc.value.position <= len(bad)
 
 
+class TestAsciiDigits:
+    """Ring numbers and bracket numbers are ASCII digits only; any other
+    Unicode digit is a SmilesError with its position, never a bare
+    ValueError from int() or a silently accepted ring."""
+
+    @pytest.mark.parametrize(
+        "smiles, error, position",
+        [
+            ("C\u00b2", UnknownAtomError, 1),  # superscript two as a ring digit
+            ("C\u0663CC\u0663", UnknownAtomError, 1),  # Arabic-Indic three
+            ("C%\u00b2\u00b3", StructureError, 1),
+            ("[CH\u00b2]", AtomSyntaxError, 3),
+            ("[C+\u00b2]", AtomSyntaxError, 3),
+            ("[\u00b2C]", UnknownAtomError, 1),
+            ("[C:\u00b2]", AtomSyntaxError, 3),
+        ],
+    )
+    def test_non_ascii_digit_is_a_positioned_smiles_error(self, smiles, error, position):
+        with pytest.raises(error) as exc:
+            parse_smiles(smiles)
+        assert exc.value.position == position
+
+    def test_ascii_forms_still_parse(self):
+        assert len(parse_smiles("C%12CC%12").bonds) == 3
+        atom = parse_smiles("[2CH2+2:3]").atoms[0]
+        assert (atom.hydrogens, atom.formal_charge) == (2, 2)
+
+
 class TestRingClosureBonds:
     def test_order_given_at_open(self):
         graph = parse_smiles("C=1CCCCC1")
