@@ -6,12 +6,15 @@ Subcommands: ``ingest``, ``train``, ``active-learn``, ``transfer``,
 Configuration precedence is flags > JSON config file > defaults (the
 defaults being :class:`molscreen.train.TrainConfig`, with ``transfer``
 taking the pretrained checkpoint's encoder dimensions).  Every subcommand
-that consumes or stores randomness prints the effective seed.  Failures,
-usage errors included, exit nonzero with a single JSON error line on
-stderr; the exit code identifies the failure class (2 bad configuration,
-3 input/output, 4 feature-schema mismatch, 5 training failure).  Commands
-let library exceptions propagate, and one table in :func:`main` maps them
-to exit codes; only the loaders catch, to add a path, key or task name.
+that consumes or stores randomness prints the effective seed.
+
+Each ``cmd_*`` returns its summary, and :func:`main` prints it as the last
+line on stdout.  Failures, usage errors included, print no summary: they
+exit nonzero with a single JSON error line on stderr.  Commands let library
+exceptions propagate, and :data:`_FAILURES` maps each to a row of
+``(exception type, category, exit code)``: 2 bad configuration (or out of
+memory), 3 input/output, 4 feature-schema mismatch, 5 training failure.
+Only the loaders catch, to add a path, key or task name.
 """
 
 from __future__ import annotations
@@ -57,37 +60,13 @@ from .synth import SynthMeta, synth_dataset, task_oracle
 from .train import TrainConfig, TrainingDiverged, summarize_log, train
 from .transfer import transfer_train
 
-EXIT_BAD_CONFIG = 2
-EXIT_IO = 3
-EXIT_SCHEMA = 4
-EXIT_TRAINING = 5
+
+class ConfigError(Exception):
+    """An invalid flag, configuration value or task name (exit 2)."""
 
 
-class CliError(Exception):
-    """Base for failures that map to a documented exit code."""
-
-    exit_code = 1
-    category = "error"
-
-
-class ConfigError(CliError):
-    exit_code = EXIT_BAD_CONFIG
-    category = "bad-config"
-
-
-class InputError(CliError):
-    exit_code = EXIT_IO
-    category = "io-failure"
-
-
-class SchemaMismatchError(CliError):
-    exit_code = EXIT_SCHEMA
-    category = "schema-mismatch"
-
-
-class TrainingError(CliError):
-    exit_code = EXIT_TRAINING
-    category = "training-failure"
+class InputError(Exception):
+    """An unreadable or invalid input, or an unwritable output (exit 3)."""
 
 
 # ----------------------------------------------------------------------
@@ -227,15 +206,10 @@ def _load_meta(path) -> SynthMeta:
         raise InputError(f"{path}: not a benchmark metadata file ({exc})") from exc
 
 
-def _task_indices(ck: Checkpoint, names: list[str]) -> list[int]:
-    indices = []
-    for name in names:
-        if name not in ck.params.task_names:
-            raise ConfigError(
-                f"task {name!r} not in checkpoint tasks {ck.params.task_names}"
-            )
-        indices.append(ck.params.task_names.index(name))
-    return indices
+def _task_index(name: str, tasks: list[str], where: str) -> int:
+    if name not in tasks:
+        raise ConfigError(f"task {name!r} not in {where} tasks {tasks}")
+    return tasks.index(name)
 
 
 def _write_text(path, text: str) -> None:
@@ -245,6 +219,13 @@ def _write_text(path, text: str) -> None:
 
 def _write_csv_text(path, lines: list[str]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_matrix(path, smiles: list[str], columns: list[str], matrix) -> None:
+    lines = ["smiles," + ",".join(columns)]
+    for s, row in zip(smiles, matrix):
+        lines.append(s + "," + ",".join(repr(float(v)) for v in row))
+    _write_csv_text(path, lines)
 
 
 def _check_writable(*paths) -> None:
@@ -260,20 +241,16 @@ def _print_seed(seed: int) -> None:
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
-def cmd_ingest(args) -> None:
+def cmd_ingest(args) -> dict:
     ds, report = _ingest(args.input)
     write_dataset_csv(args.out, ds)
     _print_report(args.input, report)
-    print(
-        json.dumps(
-            {
-                "out": str(args.out),
-                "compounds": ds.n_compounds,
-                "tasks": ds.task_names,
-                "hit_directions": ds.hit_directions,
-            }
-        )
-    )
+    return {
+        "out": str(args.out),
+        "compounds": ds.n_compounds,
+        "tasks": ds.task_names,
+        "hit_directions": ds.hit_directions,
+    }
 
 
 def _apply_train_mode(ds: TaskDataset, args, seed: int) -> TaskDataset:
@@ -290,9 +267,7 @@ def _apply_train_mode(ds: TaskDataset, args, seed: int) -> TaskDataset:
     if args.aux_size is not None and args.mode != "mtl":
         raise ConfigError("--aux-size caps auxiliary tasks, which only --mode mtl trains")
     if args.target is not None:
-        if args.target not in ds.task_names:
-            raise ConfigError(f"task {args.target!r} not in dataset tasks {ds.task_names}")
-        target = ds.task_names.index(args.target)
+        target = _task_index(args.target, ds.task_names, "dataset")
     elif args.mode == "single":
         if ds.n_tasks != 1:
             raise ConfigError(
@@ -313,7 +288,7 @@ def _apply_train_mode(ds: TaskDataset, args, seed: int) -> TaskDataset:
     return ds
 
 
-def cmd_train(args) -> None:
+def cmd_train(args) -> dict:
     config = resolve_train_config(args)
     _check_writable(args.out)
     _print_seed(config.seed)
@@ -321,34 +296,27 @@ def cmd_train(args) -> None:
     ds = _apply_train_mode(ds, args, config.seed)
     params, log = train(ds, config)
     save_checkpoint(args.out, params, ds.hit_directions, config.seed, summarize_log(log))
-    print(json.dumps({"checkpoint": str(args.out), "tasks": ds.task_names, **summarize_log(log)}))
+    return {"checkpoint": str(args.out), "tasks": ds.task_names, **summarize_log(log)}
 
 
-def cmd_predict(args) -> None:
+def cmd_predict(args) -> dict:
     ck = _load_ckpt(args.checkpoint)
     _print_seed(ck.seed)
-    names = (
-        [s.strip() for s in args.tasks.split(",")]
-        if args.tasks
-        else list(ck.params.task_names)
-    )
-    indices = _task_indices(ck, names)
+    tasks = ck.params.task_names
+    names = [s.strip() for s in args.tasks.split(",")] if args.tasks else list(tasks)
+    indices = [_task_index(name, tasks, "checkpoint") for name in names]
     smiles, graphs = _load_smiles(args.input, strict=True)
-    preds = predict_graphs(graphs, ck.params, indices)
-    lines = ["smiles," + ",".join(names)]
-    for i, s in enumerate(smiles):
-        lines.append(s + "," + ",".join(repr(float(v)) for v in preds[i]))
-    _write_csv_text(args.out, lines)
-    print(json.dumps({"out": str(args.out), "compounds": len(smiles), "tasks": names}))
+    _write_matrix(args.out, smiles, names, predict_graphs(graphs, ck.params, indices))
+    return {"out": str(args.out), "compounds": len(smiles), "tasks": names}
 
 
-def cmd_screen(args) -> None:
+def cmd_screen(args) -> dict:
     ck = _load_ckpt(args.checkpoint)
     _print_seed(ck.seed)
     if not 0.0 < args.top_frac < 1.0:
         raise ConfigError("--top-frac must be in (0, 1)")
     name = args.task or ck.params.task_names[0]
-    index = _task_indices(ck, [name])[0]
+    index = _task_index(name, ck.params.task_names, "checkpoint")
     direction = ck.hit_directions[index]
     smiles, graphs = _load_smiles(args.library, strict=True)
     scores = predict_graphs(graphs, ck.params, [index])[:, 0]
@@ -359,20 +327,16 @@ def cmd_screen(args) -> None:
         flag = "true" if rank <= n_hits else "false"
         lines.append(f"{smiles[i]},{repr(float(scores[i]))},{rank},{flag}")
     _write_csv_text(args.out, lines)
-    print(
-        json.dumps(
-            {
-                "out": str(args.out),
-                "task": name,
-                "hit_direction": direction,
-                "compounds": len(smiles),
-                "predicted_hits": n_hits,
-            }
-        )
-    )
+    return {
+        "out": str(args.out),
+        "task": name,
+        "hit_direction": direction,
+        "compounds": len(smiles),
+        "predicted_hits": n_hits,
+    }
 
 
-def cmd_eval(args) -> None:
+def cmd_eval(args) -> dict:
     ck = _load_ckpt(args.checkpoint)
     _print_seed(ck.seed)
     ks = args.k or []
@@ -416,22 +380,20 @@ def cmd_eval(args) -> None:
         except MetricError as exc:
             raise ConfigError(f"task {name!r}: {exc}") from exc
     _write_csv_text(args.out, lines)
-    print(json.dumps({"out": str(args.out), "tasks": shared}))
+    return {"out": str(args.out), "tasks": shared}
 
 
-def cmd_export_embeddings(args) -> None:
+def cmd_export_embeddings(args) -> dict:
     ck = _load_ckpt(args.checkpoint)
     _print_seed(ck.seed)
     smiles, graphs = _load_smiles(args.input, strict=True)
     matrix = encode_graphs(graphs, ck.params)
-    lines = ["smiles," + ",".join(f"e{j}" for j in range(matrix.shape[1]))]
-    for i, s in enumerate(smiles):
-        lines.append(s + "," + ",".join(repr(float(v)) for v in matrix[i]))
-    _write_csv_text(args.out, lines)
-    print(json.dumps({"out": str(args.out), "compounds": len(smiles), "dim": matrix.shape[1]}))
+    dim = matrix.shape[1]
+    _write_matrix(args.out, smiles, [f"e{j}" for j in range(dim)], matrix)
+    return {"out": str(args.out), "compounds": len(smiles), "dim": dim}
 
 
-def cmd_transfer(args) -> None:
+def cmd_transfer(args) -> dict:
     ck = _load_ckpt(args.pretrained)
     # Encoder dimensions are fixed by the pretrained model; adopt them unless
     # the user pinned conflicting values (which transfer_train rejects).
@@ -444,30 +406,26 @@ def cmd_transfer(args) -> None:
     _check_writable(args.out)
     _print_seed(config.seed)
     ds = _load_dataset(args.data)
-    if args.target is not None and args.target not in ds.task_names:
-        raise ConfigError(f"task {args.target!r} not in dataset tasks {ds.task_names}")
+    if args.target is not None:
+        column = _task_index(args.target, ds.task_names, "dataset")
+    elif ds.n_tasks > 1:
+        raise ConfigError("--target is required when the dataset has several tasks")
     if ds.n_tasks > 1:
-        if args.target is None:
-            raise ConfigError("--target is required when the dataset has several tasks")
-        ds = ds.restrict_to_tasks([ds.task_names.index(args.target)])
+        ds = ds.restrict_to_tasks([column])
     result = transfer_train(ck.params, ds, config, head_epochs=args.head_epochs)
     save_checkpoint(
         args.out, result.params, ds.hit_directions, config.seed,
         summarize_log(result.phase2_log),
     )
-    print(
-        json.dumps(
-            {
-                "checkpoint": str(args.out),
-                "task": ds.task_names[0],
-                "warmup": summarize_log(result.phase1_log) if result.phase1_log.epochs else None,
-                "finetune": summarize_log(result.phase2_log),
-            }
-        )
-    )
+    return {
+        "checkpoint": str(args.out),
+        "task": ds.task_names[0],
+        "warmup": summarize_log(result.phase1_log) if result.phase1_log.epochs else None,
+        "finetune": summarize_log(result.phase2_log),
+    }
 
 
-def cmd_active_learn(args) -> None:
+def cmd_active_learn(args) -> dict:
     config = resolve_train_config(args)
     _print_seed(config.seed)
     al_config = ALConfig(
@@ -503,19 +461,15 @@ def cmd_active_learn(args) -> None:
         save_checkpoint(
             args.out, result.members[0], [args.hit_direction], config.seed, None
         )
-    print(
-        json.dumps(
-            {
-                "log": str(args.log_out),
-                "labeled": len(result.labeled_indices),
-                "rounds": len(result.log) - 1,
-                "acquisition": al_config.acquisition,
-            }
-        )
-    )
+    return {
+        "log": str(args.log_out),
+        "labeled": len(result.labeled_indices),
+        "rounds": len(result.log) - 1,
+        "acquisition": al_config.acquisition,
+    }
 
 
-def cmd_synth_gen(args) -> None:
+def cmd_synth_gen(args) -> dict:
     _check_writable(args.out, args.meta_out)
     _print_seed(args.seed)
     ds, meta = synth_dataset(
@@ -528,16 +482,12 @@ def cmd_synth_gen(args) -> None:
     )
     write_dataset_csv(args.out, ds)
     _write_text(args.meta_out, meta.to_json())
-    print(
-        json.dumps(
-            {
-                "out": str(args.out),
-                "meta": str(args.meta_out),
-                "compounds": ds.n_compounds,
-                "tasks": ds.task_names,
-            }
-        )
-    )
+    return {
+        "out": str(args.out),
+        "meta": str(args.meta_out),
+        "compounds": ds.n_compounds,
+        "tasks": ds.task_names,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -649,15 +599,17 @@ def build_parser() -> argparse.ArgumentParser:
 # wins, so IngestError (a ValueError) is an input failure.  ValueError also
 # covers DatasetError, TransferError, MetricError and the config checks.
 _FAILURES = (
-    (CliError, None),  # already typed: kept as raised
-    (TrainingDiverged, TrainingError),
-    (OSError, InputError),
-    (IngestError, InputError),
-    (ForeignSchemaError, SchemaMismatchError),
-    (CheckpointError, InputError),
-    (ValueError, ConfigError),
+    (ConfigError, "bad-config", 2),
+    (InputError, "io-failure", 3),
+    (TrainingDiverged, "training-failure", 5),
+    (OSError, "io-failure", 3),
+    (IngestError, "io-failure", 3),
+    (ForeignSchemaError, "schema-mismatch", 4),
+    (CheckpointError, "io-failure", 3),
+    (ValueError, "bad-config", 2),
+    (MemoryError, "bad-config", 2),  # a flag asked for more memory than there is
 )
-_CAUGHT = tuple(kind for kind, _ in _FAILURES)
+_CAUGHT = tuple(kind for kind, _, _ in _FAILURES)
 
 
 def main(argv=None) -> int:
@@ -666,21 +618,14 @@ def main(argv=None) -> int:
         # An overflow or NaN surfaces as a typed failure where it matters (the
         # loss, the gradients, the metric inputs), not as a NumPy warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            args.func(args)
+            summary = args.func(args)
     except _CAUGHT as exc:
-        typed = next(typed for kind, typed in _FAILURES if isinstance(exc, kind))
-        failure = exc if typed is None else typed(str(exc))
-        print(
-            json.dumps(
-                {
-                    "error": failure.category,
-                    "exit_code": failure.exit_code,
-                    "message": str(failure),
-                }
-            ),
-            file=sys.stderr,
-        )
-        return failure.exit_code
+        category, code = next((c, k) for kind, c, k in _FAILURES if isinstance(exc, kind))
+        prefix = "out of memory: " if isinstance(exc, MemoryError) else ""
+        error = {"error": category, "exit_code": code, "message": prefix + str(exc)}
+        print(json.dumps(error), file=sys.stderr)
+        return code
+    print(json.dumps(summary))
     return 0
 
 

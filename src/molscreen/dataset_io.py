@@ -52,7 +52,8 @@ def _read_rows(path) -> list[list[str]]:
     if not path.exists():
         raise IngestError(f"no such file: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        # utf-8-sig also drops a leading byte-order mark ("CSV UTF-8" files)
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc})") from exc

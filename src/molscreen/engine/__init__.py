@@ -1,7 +1,6 @@
-"""Tape-based autodiff engine: tensors, primitives, Adam, and checks."""
+"""Tape-based autodiff engine: tensors, primitives, Adam and RNG streams."""
 
 from . import ops
-from .gradcheck import grad_check
 from .ops import BatchNormState
 from .optim import AdamState, NonFiniteGradientError, adam_step
 from .rng import rng_stream
@@ -14,7 +13,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "adam_step",
-    "grad_check",
     "ops",
     "rng_stream",
 ]

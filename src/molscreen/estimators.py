@@ -126,9 +126,6 @@ class MultiTaskGINRegressor:
         self._check_fitted()
         return encode_graphs(self._featurize(X), self.params_)
 
-    def fit_transform(self, X, y, **fit_kwargs) -> np.ndarray:
-        return self.fit(X, y, **fit_kwargs).transform(X)
-
 
 class GINRegressor(MultiTaskGINRegressor):
     """Single-target convenience wrapper: 1-d y in, 1-d predictions out."""

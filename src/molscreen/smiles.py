@@ -169,17 +169,6 @@ class MolGraph:
     # neighbors[v] lists (neighbor atom index, bond index) in creation order
     neighbors: list[list[tuple[int, int]]] = field(default_factory=list)
 
-    @classmethod
-    def from_atoms_and_bonds(cls, atoms: list[Atom], bonds: list[Bond]) -> "MolGraph":
-        graph = cls(atoms=atoms, bonds=bonds)
-        graph.neighbors = [[] for _ in atoms]
-        for idx, bond in enumerate(bonds):
-            graph.neighbors[bond.a].append((bond.b, idx))
-            graph.neighbors[bond.b].append((bond.a, idx))
-        for v, atom in enumerate(atoms):
-            atom.degree = len(graph.neighbors[v])
-        return graph
-
 
 def parse_smiles(text: str) -> MolGraph:
     """Parse a SMILES string into a :class:`MolGraph`.

@@ -218,6 +218,8 @@ def synth_dataset(
     molecule: the atom-count range holds fewer than ``n_per_task``."""
     if n_tasks < 2:
         raise ValueError("need at least 2 tasks")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_per_task < 1:
         raise ValueError(f"n_per_task must be >= 1, got {n_per_task}")
     if not 0.0 <= noise_sigma < np.inf:  # false for NaN too

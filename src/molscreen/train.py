@@ -39,6 +39,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.patience < 1:

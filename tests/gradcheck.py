@@ -1,10 +1,11 @@
-"""Central-difference gradient verification."""
+"""Central-difference gradient verification, shared by the engine, model
+and acceptance tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tape, Tensor
+from molscreen.engine import Tape
 
 
 def grad_check(f, wrt, h: float = 1e-5) -> float:

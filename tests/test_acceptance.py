@@ -17,7 +17,7 @@ import pytest
 from molscreen.active import ALConfig, al_run
 from molscreen.cli import main as cli_main
 from molscreen.data import TaskDataset
-from molscreen.engine import grad_check, ops
+from molscreen.engine import ops
 from molscreen.featurize import FeaturizedGraph, featurize_smiles
 from molscreen.metrics import (
     ScreenResult,
@@ -46,6 +46,7 @@ from molscreen.train import TrainConfig, simulate_early_stopping, train
 from molscreen.transfer import transfer_train
 
 sys.path.insert(0, str(Path(__file__).parent))
+from gradcheck import grad_check  # noqa: E402
 from test_smiles import CORPUS  # noqa: E402  (hand-verified parser corpus)
 
 

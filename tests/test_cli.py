@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -162,6 +163,17 @@ class TestSynthGen:
         assert "noise_sigma" in error["message"]
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "synth-gen", "--n-tasks", "2", "--n-per-task", "5", "--seed", "-1",
+            "--out", str(tmp_path / "x.csv"), "--meta-out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert only_error(err) == {
+            "error": "bad-config", "exit_code": 2, "message": "seed must be >= 0, got -1",
+        }
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_meta_out_writes_no_dataset(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "synth-gen", "--n-tasks", "2", "--n-per-task", "5",
@@ -241,6 +253,19 @@ class TestIngest:
         assert "repeated: ['a']" in error["message"]
         assert not out.exists()
 
+    def test_byte_order_mark_header_accepted(self, tmp_path, capsys):
+        text = b"smiles,T0\nCCO,-7.1\nCCN,-5.0\n"
+        for name, raw in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / f"{name}.csv").write_bytes(raw)
+            code, _, _ = run(
+                capsys, "ingest", "--input", str(tmp_path / f"{name}.csv"),
+                "--out", str(tmp_path / f"{name}-clean.csv"),
+            )
+            assert code == 0
+        clean = (tmp_path / "bom-clean.csv").read_bytes()
+        assert clean == (tmp_path / "plain-clean.csv").read_bytes()
+        assert clean.startswith(b"smiles,T0")
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "ingest", "--input", str(tmp_path / "nope.csv"),
@@ -289,6 +314,17 @@ class TestTrainCommand:
         assert code == 0
         assert "seed=9" in out
         assert load_checkpoint(tmp_path / "b.ckpt").seed == 9
+
+    def test_negative_seed_names_the_flag(self, workdir, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "train", "--data", str(workdir / "data.csv"),
+            "--out", str(tmp_path / "x.ckpt"), "--mode", "mtl", "--seed", "-1", *TINY,
+        )
+        assert code == 2
+        assert only_error(err) == {
+            "error": "bad-config", "exit_code": 2, "message": "seed must be >= 0, got -1",
+        }
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_config_key(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -623,6 +659,33 @@ class TestScreenCommand:
         error = only_error(err)
         assert error["error"] == "io-failure"
         assert str(library) in error["message"]
+        assert not out.exists()
+
+    def test_byte_order_mark_library_matches_plain(self, workdir, tmp_path, capsys):
+        library = tmp_path / "bom.csv"
+        library.write_bytes(b"\xef\xbb\xbf" + (workdir / "data.csv").read_bytes())
+        for name, path in (("plain", workdir / "data.csv"), ("bom", library)):
+            code, _, _ = run(
+                capsys, "screen", "--checkpoint", str(workdir / "single.ckpt"),
+                "--library", str(path), "--out", str(tmp_path / f"{name}-out.csv"),
+            )
+            assert code == 0
+        screened = (tmp_path / "bom-out.csv").read_bytes()
+        assert screened == (tmp_path / "plain-out.csv").read_bytes()
+
+    def test_non_utf8_library_after_byte_order_mark_is_io_error(self, workdir, tmp_path,
+                                                                 capsys):
+        library = tmp_path / "latin1.csv"
+        library.write_bytes(b"\xef\xbb\xbfsmiles\nCCO\n\xa3\xff\n")
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "screen", "--checkpoint", str(workdir / "single.ckpt"),
+            "--library", str(library), "--out", str(out),
+        )
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert "not UTF-8 text" in error["message"]
         assert not out.exists()
 
     def test_bad_fraction(self, workdir, tmp_path, capsys):
@@ -1068,6 +1131,84 @@ class TestUnwritableOutput:
         assert list(tmp_path.iterdir()) == []
 
 
+SUMMARY_ARGV = {
+    "ingest": ["ingest", "--input", "{data}", "--out", "{out}"],
+    "train": ["train", "--data", "{data}", "--out", "{out}", "--mode", "mtl", *TINY],
+    "active-learn": [
+        "active-learn", "--pool", "{data}", "--meta", "{meta}", "--budget", "20",
+        "--rounds", "2", "--ensemble-size", "2", "--log-out", "{out}",
+        "--embed-dim", "8", "--n-layers", "1", "--head-hidden", "8",
+        "--batch-size", "4", "--min-epochs", "1", "--max-epochs", "1",
+    ],
+    "transfer": [
+        "transfer", "--pretrained", "{ckpt}", "--data", "{data}", "--target", "task1",
+        "--head-epochs", "1", "--out", "{out}",
+        "--batch-size", "16", "--min-epochs", "1", "--max-epochs", "1",
+    ],
+    "predict": ["predict", "--checkpoint", "{ckpt}", "--input", "{data}", "--out", "{out}"],
+    "screen": ["screen", "--checkpoint", "{ckpt}", "--library", "{data}", "--out", "{out}"],
+    "eval": ["eval", "--checkpoint", "{ckpt}", "--data", "{data}", "--out", "{out}"],
+    "export-embeddings": [
+        "export-embeddings", "--checkpoint", "{ckpt}", "--input", "{data}", "--out", "{out}",
+    ],
+    "synth-gen": [
+        "synth-gen", "--n-tasks", "2", "--n-per-task", "5", "--out", "{out}",
+        "--meta-out", "{tmp}/meta.json",
+    ],
+}
+
+
+class TestSummaryLine:
+    """Every subcommand ends a successful run with one JSON summary line on
+    stdout, naming its output, and a failed run prints no summary."""
+
+    @staticmethod
+    def _run(command, out, workdir, tmp_path, capsys):
+        paths = {
+            "data": workdir / "data.csv",
+            "meta": workdir / "meta.json",
+            "ckpt": workdir / "mtl.ckpt",
+            "tmp": tmp_path,
+            "out": out,
+        }
+        return run(capsys, *[a.format(**paths) for a in SUMMARY_ARGV[command]])
+
+    @pytest.mark.parametrize("command", list(SUMMARY_ARGV))
+    def test_success_ends_with_one_summary(self, command, workdir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = self._run(command, out, workdir, tmp_path, capsys)
+        assert code == 0, err
+        lines = stdout.splitlines()
+        summaries = [
+            line for line in lines
+            if line.startswith("{") and str(out) in json.loads(line).values()
+        ]
+        assert summaries == [lines[-1]]
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", list(SUMMARY_ARGV))
+    def test_failure_prints_no_summary(self, command, workdir, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "out"
+        code, stdout, err = self._run(command, out, workdir, tmp_path, capsys)
+        assert code == 3
+        assert only_error(err)["error"] == "io-failure"
+        assert not any(line.startswith("{") for line in stdout.splitlines())
+
+
+class TestExitCodeTable:
+    def test_readme_lists_exactly_the_failure_rows(self):
+        """README's exit-code table names the (code, category) pairs of
+        ``cli._FAILURES``, no more and no fewer."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Exit codes and errors", 1)[1].split("\n## ", 1)[0]
+        documented = {
+            (int(code), category)
+            for code, category in re.findall(r"^\| (\d+) \| `([a-z-]+)` \|", section, re.M)
+        }
+        rows = {(code, category) for _, category, code in molscreen.cli._FAILURES}
+        assert documented == rows
+
+
 class TestUsageErrors:
     """argparse's usage errors are bad-config JSON errors like every other
     failure, not usage text."""
@@ -1120,6 +1261,40 @@ class TestEntryPoint:
         for command in ("ingest", "train", "active-learn", "transfer", "predict",
                         "screen", "eval", "export-embeddings", "synth-gen"):
             assert command in proc.stdout
+
+    def test_allocation_failure_is_bad_config(self, tmp_path):
+        """A model too large for memory is exit 2 with one JSON line, and
+        leaves no output.  The child runs under a 2 GiB address-space limit,
+        so the allocation fails at once whatever the machine's memory."""
+        import subprocess
+
+        resource = pytest.importorskip("resource")
+        data = tmp_path / "data.csv"
+        assert main([
+            "synth-gen", "--n-tasks", "2", "--n-per-task", "20",
+            "--out", str(data), "--meta-out", str(tmp_path / "meta.json"),
+        ]) == 0
+
+        def limit_address_space():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+        env = self._env()
+        # one BLAS thread: per-thread buffers must not eat the limit at import
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
+        out = tmp_path / "model.ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "molscreen.cli", "train", "--data", str(data),
+             "--out", str(out), "--mode", "mtl", "--embed-dim", "1000000000"],
+            capture_output=True, text=True, env=env, preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 2
+        error = only_error(proc.stderr)
+        assert error["error"] == "bad-config"
+        assert error["exit_code"] == 2
+        assert error["message"].startswith("out of memory: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "meta.json"]
 
     def test_unknown_command_exits_2(self):
         import subprocess

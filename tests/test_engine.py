@@ -1,7 +1,9 @@
 """Engine tests: finite-difference oracles per primitive, Adam vs a
 hand-rolled reference, tape behavior, and RNG stream determinism."""
 
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from molscreen.engine import (
     Tape,
     Tensor,
     adam_step,
-    grad_check,
     rng_stream,
 )
 from molscreen.engine import ops
+
+sys.path.insert(0, str(Path(__file__).parent))
+from gradcheck import grad_check  # noqa: E402
 
 
 def fd_grad(f, x, h=1e-6):

@@ -4,6 +4,7 @@ independent per-row oracle."""
 import ast
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,13 @@ from molscreen.smiles import (
     BondDirection,
     BondOrder,
     Chirality,
-    MolGraph,
     SmilesError,
     parse_smiles,
 )
 from molscreen.synth import random_molecule
+
+sys.path.insert(0, str(Path(__file__).parent))
+from test_smiles import graph_of  # noqa: E402
 
 
 def widths_hash(atom_widths, bond_widths):
@@ -47,7 +50,7 @@ def out_of_range_graph(*, atom=False, bond=False):
     bond's in-ring index (width 2) set to 2 where asked."""
     atoms = [Atom(atomic_number=6, aromatic=2 if atom else False), Atom(atomic_number=6)]
     bonds = [Bond(a=0, b=1, order=BondOrder.SINGLE, in_ring=2 if bond else False)]
-    return MolGraph.from_atoms_and_bonds(atoms, bonds)
+    return graph_of(atoms, bonds)
 
 
 def atom_row(smiles, idx=0):
@@ -133,13 +136,13 @@ class TestAtomRows:
         assert atom_row("[CH9]")[4] == 8
 
     def test_unknown_atomic_number_maps_to_misc(self):
-        graph = MolGraph.from_atoms_and_bonds([Atom(atomic_number=200)], [])
+        graph = graph_of([Atom(atomic_number=200)], [])
         assert featurize(graph).atom_indices[0][0] == 0
 
     def test_degree_clamps_at_ten(self):
         atoms = [Atom(atomic_number=6) for _ in range(12)]
         bonds = [Bond(a=0, b=i, order=BondOrder.SINGLE) for i in range(1, 12)]
-        graph = MolGraph.from_atoms_and_bonds(atoms, bonds)
+        graph = graph_of(atoms, bonds)
         assert featurize(graph).atom_indices[0][2] == 10
 
 
@@ -438,7 +441,7 @@ class TestFeaturizeOracle:
             featurize(graph)
 
     def test_negative_index_caught_by_single_comparison(self):
-        graph = MolGraph.from_atoms_and_bonds([Atom(atomic_number=6, hydrogens=-1)], [])
+        graph = graph_of([Atom(atomic_number=6, hydrogens=-1)], [])
         assert atom_feature_indices(graph, 0)[4] == -1
         assert_matches_reference(graph)
         with pytest.raises(SchemaError, match="^atom feature index"):

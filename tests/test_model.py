@@ -2,13 +2,15 @@
 small end-to-end gradient check."""
 
 import importlib
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from molscreen.engine import Tape, Tensor, grad_check, ops
+from molscreen.engine import Tape, Tensor, ops
 from molscreen.featurize import featurize_smiles
 from molscreen.model import (
     GraphBatch,
@@ -23,6 +25,9 @@ from molscreen.model import (
     predict_graphs,
     predict_heads,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from gradcheck import grad_check  # noqa: E402
 
 
 model_module = importlib.import_module("molscreen.model")

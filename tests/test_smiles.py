@@ -245,6 +245,18 @@ CORPUS = {
 }
 
 
+def graph_of(atoms, bonds):
+    """A MolGraph of hand-built atoms and bonds, with the neighbour lists
+    and degrees the parser would give them."""
+    graph = MolGraph(atoms=atoms, bonds=bonds, neighbors=[[] for _ in atoms])
+    for idx, bond in enumerate(bonds):
+        graph.neighbors[bond.a].append((bond.b, idx))
+        graph.neighbors[bond.b].append((bond.a, idx))
+    for v, atom in enumerate(atoms):
+        atom.degree = len(graph.neighbors[v])
+    return graph
+
+
 def ring_edge_oracle(n_atoms, edges):
     """Edge lies on a cycle iff its endpoints stay connected without it."""
 
@@ -549,7 +561,7 @@ class TestPerceiveRings:
             for _ in range(n)
         ]
         bonds = [Bond(a=a, b=b, order=S) for a, b in sorted(edges)]
-        return MolGraph.from_atoms_and_bonds(atoms, bonds)
+        return graph_of(atoms, bonds)
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(20260814)
