@@ -294,7 +294,9 @@ def parse_smiles(text: str) -> MolGraph:
         atom.degree = len(atom_neighbors)
     graph = MolGraph(atoms, bonds, neighbors)
     _assign_hydrogens(graph)
-    perceive_rings(graph)
+    # connected, so fewer bonds than atoms is a tree: every in_ring stays False
+    if len(bonds) >= len(atoms):
+        perceive_rings(graph)
     return graph
 
 

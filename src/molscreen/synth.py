@@ -274,11 +274,6 @@ def synth_dataset(
     return ds, meta
 
 
-def noiseless_labels(meta: SynthMeta, task: int) -> np.ndarray:
-    """Expected (noise-free) labels for one task over the generated compounds."""
-    return meta.a_values[task] * meta.latent_scores + meta.b_values[task]
-
-
 def task_oracle(meta: SynthMeta, task: int):
     """Deterministic labeling function for one task (no noise)."""
     a = meta.a_values[task]

@@ -5,7 +5,9 @@ steps Adam over mini-batches of the masked loss, then records eval-mode train
 and validation losses.  Training stops when the validation loss has exceeded
 the training loss for more than ``patience`` consecutive epochs past the
 ``min_epochs`` warmup, and the parameters from the epoch with the smallest
-validation loss are returned.
+validation loss are returned.  ``TrainLog.observe`` is where both rules live:
+the epoch loop calls it once per epoch, and the tests replay scripted loss
+curves through it.
 """
 
 from __future__ import annotations
@@ -69,11 +71,34 @@ class EpochRecord:
 
 @dataclass
 class TrainLog:
+    """Each epoch's losses, and the state of the two rules ``observe`` applies."""
+
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
     best_val_loss: float = math.inf
     stop_epoch: int = 0
     stop_reason: str = ""
+    violations: int = 0
+
+    def observe(self, record: EpochRecord, min_epochs: int, patience: int) -> bool:
+        """Append one epoch's record and apply both rules; True when
+        training should stop.
+
+        The best epoch is the earliest one with the smallest validation
+        loss.  ``violations`` counts consecutive epochs past ``min_epochs``
+        whose validation loss strictly exceeds the training loss, and
+        training stops once the count passes ``patience``."""
+        self.epochs.append(record)
+        if record.val_loss < self.best_val_loss:
+            self.best_val_loss, self.best_epoch = record.val_loss, record.epoch
+        if record.epoch > min_epochs and record.val_loss > record.train_loss:
+            self.violations += 1
+        else:
+            self.violations = 0
+        stop = self.violations > patience
+        self.stop_epoch = record.epoch
+        self.stop_reason = "early_stopping" if stop else "max_epochs"
+        return stop
 
 
 def summarize_log(log: TrainLog) -> dict:
@@ -85,45 +110,6 @@ def summarize_log(log: TrainLog) -> dict:
         "stop_epoch": log.stop_epoch,
         "stop_reason": log.stop_reason,
     }
-
-
-@dataclass
-class EarlyStopping:
-    """The epoch loop's best-epoch and stopping rules.
-
-    The best epoch is the earliest one with the smallest validation loss.
-    The stopping rule counts consecutive epochs (past the warmup) whose
-    validation loss strictly exceeds the training loss, and fires once the
-    count passes ``patience``."""
-
-    min_epochs: int = 100
-    patience: int = 50
-    violations: int = 0
-    best_epoch: int = 0
-    best_val_loss: float = math.inf
-
-    def observe(self, epoch: int, train_loss: float, val_loss: float) -> bool:
-        """Record one epoch's losses; True when training should stop."""
-        if val_loss < self.best_val_loss:
-            self.best_val_loss, self.best_epoch = val_loss, epoch
-        if epoch > self.min_epochs and val_loss > train_loss:
-            self.violations += 1
-        else:
-            self.violations = 0
-        return self.violations > self.patience
-
-
-def simulate_early_stopping(
-    curve, min_epochs: int, patience: int, max_epochs: int
-) -> tuple[int, int, str]:
-    """Run the epoch loop's rules over a scripted list of (train_loss,
-    val_loss) pairs; returns (stop_epoch, best_epoch, reason)."""
-    stopper = EarlyStopping(min_epochs=min_epochs, patience=patience)
-    curve = list(curve)[:max_epochs]
-    for epoch, (train_loss, val_loss) in enumerate(curve, start=1):
-        if stopper.observe(epoch, train_loss, val_loss):
-            return epoch, stopper.best_epoch, "early_stopping"
-    return len(curve), stopper.best_epoch, "max_epochs"
 
 
 def masked_loss(pred: Tensor, labels, mask, tape: Tape | None = None) -> Tensor:
@@ -264,11 +250,9 @@ def train_with_split(
     encode_once = params if frozen else None
     train_eval = _EvalBatches(ds, masks.train, config.batch_size, encode_once)
     val_eval = _EvalBatches(ds, masks.val, config.batch_size, encode_once)
-    stopper = EarlyStopping(min_epochs=config.min_epochs, patience=config.patience)
     adam = AdamState(lr=config.lr)
     log = TrainLog()
     best_params = None
-    log.stop_reason = "max_epochs"
     for epoch_index in range(1, config.max_epochs + 1):
         epoch = epoch_offset + epoch_index
         perm = rng_stream(config.seed, 2, epoch).permutation(train_rows.size)
@@ -319,9 +303,10 @@ def train_with_split(
             raise TrainingDiverged(
                 f"epoch {epoch}: train {train_loss}, val {val_loss}"
             )
-        log.epochs.append(EpochRecord(epoch, train_loss, val_loss))
-        stop = stopper.observe(epoch, train_loss, val_loss)
-        if stopper.best_epoch == epoch:
+        stop = log.observe(
+            EpochRecord(epoch, train_loss, val_loss), config.min_epochs, config.patience
+        )
+        if log.best_epoch == epoch:
             if best_params is None:
                 best_params = params.copy()
                 twins = dict(best_params.named_arrays())
@@ -333,12 +318,9 @@ def train_with_split(
             else:
                 for live, snapshot in changing:
                     np.copyto(snapshot, live)
-        log.best_epoch, log.best_val_loss = stopper.best_epoch, stopper.best_val_loss
-        log.stop_epoch = epoch
         if epoch_callback is not None:
             epoch_callback(epoch, params)
         if stop:
-            log.stop_reason = "early_stopping"
             break
     return best_params, log
 

@@ -41,12 +41,13 @@ from molscreen.smiles import (
     UnmatchedParenthesisError,
     parse_smiles,
 )
-from molscreen.synth import noiseless_labels, random_molecule, synth_dataset, task_oracle
-from molscreen.train import TrainConfig, simulate_early_stopping, train
+from molscreen.synth import random_molecule, synth_dataset, task_oracle
+from molscreen.train import TrainConfig, train
 from molscreen.transfer import transfer_train
 
 sys.path.insert(0, str(Path(__file__).parent))
 from gradcheck import grad_check  # noqa: E402
+from helpers import noiseless_labels, replay_stopping  # noqa: E402
 from test_smiles import CORPUS  # noqa: E402  (hand-verified parser corpus)
 
 
@@ -271,7 +272,7 @@ def test_criterion_04_pchembl():
 
 
 # ----------------------------------------------------------------------
-# 5. early-stopping automaton vs hand simulation
+# 5. TrainLog.observe's stopping rules vs hand simulation
 # ----------------------------------------------------------------------
 def _hand_simulation(curve, min_epochs, patience, max_epochs):
     violations = 0
@@ -308,7 +309,7 @@ def test_criterion_05_early_stopping_scripts():
     details = []
     ok = True
     for name, (curve, pinned) in scripts.items():
-        got = simulate_early_stopping(curve, min_epochs=100, patience=50, max_epochs=1000)
+        got = replay_stopping(curve, min_epochs=100, patience=50, max_epochs=1000)
         hand = _hand_simulation(curve, min_epochs=100, patience=50, max_epochs=1000)
         details.append(f"{name}: stop={got[0]} best={got[1]}")
         if got != hand or got != pinned:

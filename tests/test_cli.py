@@ -1,7 +1,9 @@
 """CLI subcommands: dispatch, exit codes, outputs, and reproducibility."""
 
 import csv
+import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -19,8 +21,9 @@ from molscreen.cli import main
 from molscreen.dataset_io import read_smiles_csv
 from molscreen.featurize import SCHEMA_HASH
 from molscreen.model import init_params, predict_graphs
-from molscreen.synth import SynthMeta, task_oracle
+from molscreen.synth import SynthMeta, synth_dataset, task_oracle
 from molscreen.train import TrainConfig
+from molscreen.transfer import transfer_train
 
 sys.path.insert(0, str(Path(__file__).parent))
 from test_checkpoint import _split_golden, _with_header  # noqa: E402
@@ -1240,6 +1243,44 @@ class TestUsageErrors:
         assert "--batch-size" in capsys.readouterr().out
 
 
+class TestFlagDefaults:
+    """Each flag's default is the library's own, so a default changed in only
+    one of the two modules fails here."""
+
+    @staticmethod
+    def _parse(*argv):
+        return vars(molscreen.cli.build_parser().parse_args(list(argv)))
+
+    @staticmethod
+    def _keyword_defaults(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+    def test_active_learn(self):
+        args = self._parse("active-learn", "--pool", "p.csv", "--meta", "m.json",
+                           "--budget", "8", "--log-out", "log.csv")
+        config = {f.name: f.default for f in dataclasses.fields(ALConfig)}
+        fields = {"rounds": "n_rounds", "ensemble_size": "ensemble_size",
+                  "init_fraction": "init_fraction", "acquisition": "acquisition",
+                  "ucb_beta": "ucb_beta"}
+        assert {flag: args[flag] for flag in fields} == {
+            flag: config[field] for flag, field in fields.items()}
+        run = self._keyword_defaults(al_run)
+        assert (args["hit_direction"], args["task_name"]) == (
+            run["hit_direction"], run["task_name"])
+
+    def test_transfer(self):
+        args = self._parse("transfer", "--pretrained", "p.ckpt", "--data", "d.csv",
+                           "--out", "o.ckpt")
+        assert args["head_epochs"] == self._keyword_defaults(transfer_train)["head_epochs"]
+
+    def test_synth_gen(self):
+        args = self._parse("synth-gen", "--n-tasks", "2", "--n-per-task", "3",
+                           "--out", "o.csv", "--meta-out", "m.json")
+        library = self._keyword_defaults(synth_dataset)
+        for name in ("noise_sigma", "min_atoms", "max_atoms"):
+            assert args[name] == library[name], name
+
+
 class TestEntryPoint:
     @staticmethod
     def _env():
@@ -1262,10 +1303,23 @@ class TestEntryPoint:
                         "screen", "eval", "export-embeddings", "synth-gen"):
             assert command in proc.stdout
 
-    def test_allocation_failure_is_bad_config(self, tmp_path):
-        """A model too large for memory is exit 2 with one JSON line, and
-        leaves no output.  The child runs under a 2 GiB address-space limit,
-        so the allocation fails at once whatever the machine's memory."""
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--mode", "mtl", "--embed-dim", "1000000000"],
+            ["train", "--mode", "mtl", "--head-hidden", "1000000000"],
+            # one 3072-wide layer fits under the limit; a billion do not, and
+            # the width makes them fill it within seconds
+            ["train", "--mode", "mtl", "--n-layers", "1000000000", "--embed-dim", "3072"],
+            ["synth-gen", "--n-tasks", "1000000000", "--n-per-task", "2"],
+        ],
+        ids=["train-embed-dim", "train-head-hidden", "train-n-layers", "synth-gen-n-tasks"],
+    )
+    def test_allocation_failure_is_bad_config(self, argv, tmp_path):
+        """A model or dataset too large for memory is exit 2 with one JSON
+        line, and leaves no output.  The child runs under a 2 GiB
+        address-space limit, so the allocation fails within seconds whatever
+        the machine's memory."""
         import subprocess
 
         resource = pytest.importorskip("resource")
@@ -1283,10 +1337,13 @@ class TestEntryPoint:
         env = self._env()
         # one BLAS thread: per-thread buffers must not eat the limit at import
         env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
-        out = tmp_path / "model.ckpt"
+        if argv[0] == "train":
+            outputs = ["--data", str(data), "--out", str(tmp_path / "model.ckpt")]
+        else:
+            outputs = ["--out", str(tmp_path / "synth.csv"),
+                       "--meta-out", str(tmp_path / "synth.json")]
         proc = subprocess.run(
-            [sys.executable, "-m", "molscreen.cli", "train", "--data", str(data),
-             "--out", str(out), "--mode", "mtl", "--embed-dim", "1000000000"],
+            [sys.executable, "-m", "molscreen.cli", *argv, *outputs],
             capture_output=True, text=True, env=env, preexec_fn=limit_address_space,
         )
         assert proc.returncode == 2

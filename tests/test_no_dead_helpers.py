@@ -1,0 +1,45 @@
+"""The package ships no dead helpers: every top-level function and class
+under ``src/molscreen/`` is named by another top-level statement of the
+package, by the benchmark (``perfbench/*.py``), or in ``molscreen.__all__``.
+Helpers that only tests call live under ``tests/``."""
+
+import ast
+import re
+from pathlib import Path
+
+import molscreen
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "molscreen"
+
+
+def _names(node) -> set[str]:
+    """Every identifier a statement reads, as a name or an attribute."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def test_every_top_level_definition_has_a_user():
+    statements = []  # (qualified module, statement, names it reads)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            statements.append((module, stmt, _names(stmt)))
+    bench = "\n".join(
+        path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))
+    )
+    exported = set(molscreen.__all__)
+    dead = []
+    for module, stmt, _ in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        name = stmt.name
+        used = any(name in names for _, other, names in statements if other is not stmt)
+        if not (used or name in exported or re.search(rf"\b{re.escape(name)}\b", bench)):
+            dead.append(f"{module}.{name}")
+    assert dead == []

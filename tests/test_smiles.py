@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import molscreen.smiles as smiles_module
 from molscreen.smiles import (
     Atom,
     AtomSyntaxError,
@@ -572,6 +573,22 @@ class TestPerceiveRings:
             assert [b.in_ring for b in graph.bonds] == ring_edge_oracle(
                 len(graph.atoms), edges
             )
+
+    @pytest.mark.parametrize("smiles", sorted(CORPUS))
+    def test_parser_searches_only_cyclic_graphs(self, smiles, monkeypatch):
+        # a parsed molecule is connected, so fewer bonds than atoms means a
+        # tree: the parser skips the search and every flag stays False
+        searched = []
+
+        def spy(graph):
+            searched.append(graph)
+            return perceive_rings(graph)
+
+        monkeypatch.setattr(smiles_module, "perceive_rings", spy)
+        graph = parse_smiles(smiles)
+        oracle = ring_edge_oracle(len(graph.atoms), [(b.a, b.b) for b in graph.bonds])
+        assert [b.in_ring for b in graph.bonds] == oracle
+        assert searched == ([graph] if any(oracle) else [])
 
     def test_idempotent(self):
         graph = parse_smiles("Cc1ccccc1C1CC1")

@@ -1,6 +1,8 @@
 """Synthetic benchmark generator: random molecules with a shared latent score."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from molscreen.synth import (
     SynthMeta,
     descriptor_vector,
     latent_score,
-    noiseless_labels,
     random_molecule,
     synth_dataset,
     task_oracle,
 )
 from molscreen.engine import rng_stream
+
+sys.path.insert(0, str(Path(__file__).parent))
+from helpers import noiseless_labels  # noqa: E402
 
 
 class TestRandomMolecule:

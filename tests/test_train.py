@@ -1,5 +1,8 @@
 """Multi-task trainer: masked loss, early stopping, the epoch loop."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,16 +10,19 @@ from molscreen.data import TaskDataset, split_train_val
 from molscreen.engine import Tape, Tensor
 from molscreen.model import init_params
 from molscreen.train import (
-    EarlyStopping,
+    EpochRecord,
     TrainConfig,
+    TrainLog,
     TrainingDiverged,
     _EvalBatches,
     batch_plan,
     masked_loss,
-    simulate_early_stopping,
     train,
     train_with_split,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from helpers import replay_stopping  # noqa: E402
 
 NAN = float("nan")
 
@@ -104,40 +110,41 @@ class TestMaskedLoss:
 
 class TestEarlyStoppingAutomaton:
     def test_always_violating_stops_at_151(self):
-        stopper = EarlyStopping(min_epochs=100, patience=50)
+        log = TrainLog()
         stopped_at = None
         for epoch in range(1, 500):
-            if stopper.observe(epoch, train_loss=1.0, val_loss=2.0):
+            if log.observe(EpochRecord(epoch, 1.0, 2.0), min_epochs=100, patience=50):
                 stopped_at = epoch
                 break
         assert stopped_at == 151
+        assert (log.stop_epoch, log.stop_reason, log.violations) == (151, "early_stopping", 51)
 
     def test_violation_at_min_epoch_boundary_does_not_count(self):
         # violations during epochs <= min_epochs are ignored entirely
-        stopper = EarlyStopping(min_epochs=100, patience=50)
+        log = TrainLog()
         for epoch in range(1, 151):
-            assert not stopper.observe(epoch, 1.0, 2.0)
-        assert stopper.observe(151, 1.0, 2.0)
+            assert not log.observe(EpochRecord(epoch, 1.0, 2.0), min_epochs=100, patience=50)
+            assert log.stop_reason == "max_epochs"
+        assert log.observe(EpochRecord(151, 1.0, 2.0), min_epochs=100, patience=50)
 
     def test_equal_losses_not_a_violation(self):
-        stopper = EarlyStopping(min_epochs=0, patience=1)
-        assert not stopper.observe(1, 1.0, 1.0)
-        assert not stopper.observe(2, 1.0, 1.0)
-        assert stopper.violations == 0
+        log = TrainLog()
+        assert not log.observe(EpochRecord(1, 1.0, 1.0), min_epochs=0, patience=1)
+        assert not log.observe(EpochRecord(2, 1.0, 1.0), min_epochs=0, patience=1)
+        assert log.violations == 0
 
     def test_recovery_resets_counter(self):
-        stopper = EarlyStopping(min_epochs=0, patience=2)
-        assert not stopper.observe(1, 1.0, 2.0)
-        assert not stopper.observe(2, 1.0, 2.0)
-        assert not stopper.observe(3, 1.0, 0.5)  # recover
-        assert not stopper.observe(4, 1.0, 2.0)
-        assert not stopper.observe(5, 1.0, 2.0)
-        assert stopper.observe(6, 1.0, 2.0)  # third consecutive > patience=2
+        log = TrainLog()
+        script = [(1, 2.0), (2, 2.0), (3, 0.5), (4, 2.0), (5, 2.0)]  # epoch 3 recovers
+        for epoch, val_loss in script:
+            assert not log.observe(EpochRecord(epoch, 1.0, val_loss), min_epochs=0, patience=2)
+        # third consecutive violation > patience=2
+        assert log.observe(EpochRecord(6, 1.0, 2.0), min_epochs=0, patience=2)
 
     def test_simulate_always_violating_best_is_min_val(self):
         # decreasing val that always exceeds train: min val at the stop epoch
         curve = [(0.5, 1.0 + 1.0 / e) for e in range(1, 1001)]
-        stop, best, reason = simulate_early_stopping(
+        stop, best, reason = replay_stopping(
             curve, min_epochs=100, patience=50, max_epochs=1000
         )
         assert stop == 151
@@ -146,7 +153,7 @@ class TestEarlyStoppingAutomaton:
 
     def test_simulate_constant_val_best_is_first(self):
         curve = [(1.0, 2.0)] * 1000
-        stop, best, reason = simulate_early_stopping(
+        stop, best, reason = replay_stopping(
             curve, min_epochs=100, patience=50, max_epochs=1000
         )
         assert stop == 151
@@ -155,7 +162,7 @@ class TestEarlyStoppingAutomaton:
     def test_simulate_never_violating_runs_to_cap(self):
         vals = [0.9 - 0.001 * e for e in range(1, 121)]
         curve = [(1.0, v) for v in vals]
-        stop, best, reason = simulate_early_stopping(
+        stop, best, reason = replay_stopping(
             curve, min_epochs=100, patience=50, max_epochs=120
         )
         assert stop == 120
@@ -175,7 +182,7 @@ class TestEarlyStoppingAutomaton:
         for e in range(141, 300):
             curve[e] = (1.0, 1.2)
         script = [curve[e] for e in sorted(curve)]
-        stop, best, reason = simulate_early_stopping(
+        stop, best, reason = replay_stopping(
             script, min_epochs=100, patience=50, max_epochs=1000
         )
         assert stop == 191
@@ -259,12 +266,12 @@ class TestTrainLoop:
         ids=["stops-early", "best-not-first", "runs-to-cap"],
     )
     def test_log_follows_the_simulated_rules(self, overrides):
-        # the loop and simulate_early_stopping share one rule: replaying the
+        # the loop and replay_stopping share TrainLog.observe: replaying the
         # logged losses gives the logged stop epoch, best epoch and reason
         cfg = tiny_config(**overrides)
         _, log = train(make_dataset(24, 2), cfg)
         curve = [(r.train_loss, r.val_loss) for r in log.epochs]
-        assert simulate_early_stopping(
+        assert replay_stopping(
             curve, cfg.min_epochs, cfg.patience, cfg.max_epochs
         ) == (log.stop_epoch, log.best_epoch, log.stop_reason)
 
