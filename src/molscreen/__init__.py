@@ -20,7 +20,6 @@ from .dataset_io import IngestReport, ingest_csv, read_smiles_csv, write_dataset
 from .estimators import GINRegressor, MultiTaskGINRegressor, NotFittedError
 from .featurize import featurize_smiles
 from .metrics import (
-    ScreenResult,
     concordance_index,
     mse,
     pchembl,
@@ -52,7 +51,6 @@ __all__ = [
     "MolGraph",
     "MultiTaskGINRegressor",
     "NotFittedError",
-    "ScreenResult",
     "SmilesError",
     "SynthMeta",
     "TaskDataset",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import HIT_DIRECTIONS, TaskDataset
+from .data import TaskDataset
 from .engine import rng_stream
 from .featurize import FeaturizedGraph, featurize_smiles
 from .metrics import rank_best_first
@@ -96,8 +96,6 @@ def acquisition_scores(
     (higher_is_better) scores are acquired first."""
     if not members:
         raise ValueError("ensemble is empty")
-    if hit_direction not in HIT_DIRECTIONS:
-        raise ValueError(f"hit direction must be one of {HIT_DIRECTIONS}")
     preds = np.stack([predict_graphs(graphs, m, [0])[:, 0] for m in members])
     mean = preds.mean(axis=0)
     if acquisition == "greedy_mean":
@@ -106,13 +104,6 @@ def acquisition_scores(
     if hit_direction == "lower_is_better":
         return mean - ucb_beta * std  # optimistic lower bound
     return mean + ucb_beta * std
-
-
-def select_batch(scores, candidates, n: int, hit_direction: str) -> list[int]:
-    """The n best-scoring candidates (stable ties by candidate order);
-    ``scores[i]`` is the acquisition score of ``candidates[i]``."""
-    order = rank_best_first(np.asarray(scores, dtype=np.float64), hit_direction)
-    return [candidates[i] for i in order[:n]]
 
 
 def _train_members(
@@ -178,12 +169,13 @@ def al_run(
             config.ucb_beta,
             hit_direction,
         )
-        chosen = select_batch(scores, remaining, config.round_batch, hit_direction)
-        for i in chosen:
+        # scores[j] belongs to remaining[j]; ties go to the earlier candidate
+        picks = rank_best_first(scores, hit_direction)[: config.round_batch]
+        for j in picks:
+            i = remaining[j]
             labels[i] = float(oracle(pool_smiles[i]))
-        labeled.extend(chosen)
-        score_of = {remaining[j]: float(scores[j]) for j in range(len(remaining))}
-        mean_score = float(np.mean([score_of[i] for i in chosen]))
+            labeled.append(i)
+        mean_score = float(np.mean(scores[picks]))
         log.append(ALRound(round_index, len(labeled), n - len(labeled), mean_score))
     members, ds = _train_members(
         pool_smiles, graphs, labeled, labels, config, train_config,
@@ -192,11 +184,3 @@ def al_run(
     return ALResult(
         members=members, labeled_indices=labeled, labeled_dataset=ds, log=log
     )
-
-
-def log_to_csv(rows: list[ALRound]) -> str:
-    lines = ["round,labeled_count,pool_size,mean_acquisition_score"]
-    for r in rows:
-        score = "" if math.isnan(r.mean_acquisition_score) else repr(r.mean_acquisition_score)
-        lines.append(f"{r.round},{r.labeled_count},{r.pool_size},{score}")
-    return "\n".join(lines) + "\n"

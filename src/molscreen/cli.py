@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .active import ACQUISITIONS, ALConfig, al_run, log_to_csv
+from .active import ACQUISITIONS, ALConfig, al_run
 from .atomic import atomic_write, check_writable
 from .checkpoint import (
     Checkpoint,
@@ -44,11 +44,11 @@ from .dataset_io import (
     IngestReport,
     ingest_csv,
     read_smiles_csv,
+    write_csv,
     write_dataset_csv,
 )
 from .metrics import (
     MetricError,
-    ScreenResult,
     concordance_index,
     mse,
     pearson,
@@ -217,15 +217,9 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def _write_csv_text(path, lines: list[str]) -> None:
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 def _write_matrix(path, smiles: list[str], columns: list[str], matrix) -> None:
-    lines = ["smiles," + ",".join(columns)]
-    for s, row in zip(smiles, matrix):
-        lines.append(s + "," + ",".join(repr(float(v)) for v in row))
-    _write_csv_text(path, lines)
+    rows = ([s] + [repr(float(v)) for v in row] for s, row in zip(smiles, matrix))
+    write_csv(path, ["smiles"] + columns, rows)
 
 
 def _check_writable(*paths) -> None:
@@ -322,11 +316,12 @@ def cmd_screen(args) -> dict:
     scores = predict_graphs(graphs, ck.params, [index])[:, 0]
     order = rank_best_first(scores, direction)
     n_hits = math.ceil(args.top_frac * len(smiles))
-    lines = ["smiles,predicted_score,rank,is_predicted_hit"]
-    for rank, i in enumerate(order, start=1):
-        flag = "true" if rank <= n_hits else "false"
-        lines.append(f"{smiles[i]},{repr(float(scores[i]))},{rank},{flag}")
-    _write_csv_text(args.out, lines)
+    ranked = zip(order.tolist(), scores[order].tolist())
+    rows = (
+        [smiles[i], repr(score), str(rank), "true" if rank <= n_hits else "false"]
+        for rank, (i, score) in enumerate(ranked, start=1)
+    )
+    write_csv(args.out, ["smiles", "predicted_score", "rank", "is_predicted_hit"], rows)
     return {
         "out": str(args.out),
         "task": name,
@@ -350,7 +345,7 @@ def cmd_eval(args) -> dict:
             f"no dataset task {ds.task_names} matches a checkpoint task "
             f"{ck.params.task_names}"
         )
-    lines = ["metric,task,value"]
+    table = []
     for name in shared:
         column = ds.task_names.index(name)
         index = ck.params.task_names.index(name)
@@ -360,26 +355,17 @@ def cmd_eval(args) -> dict:
         truth = ds.labels[rows, column]
         graphs = [ds.graphs[i] for i in rows]
         preds = predict_graphs(graphs, ck.params, [index])[:, 0]
-        direction = ck.hit_directions[index]
         try:
-            lines.append(f"mse,{name},{repr(mse(truth, preds))}")
-            lines.append(f"pearson,{name},{repr(pearson(truth, preds))}")
-            lines.append(f"concordance_index,{name},{repr(concordance_index(truth, preds))}")
+            table.append(["mse", name, repr(mse(truth, preds))])
+            table.append(["pearson", name, repr(pearson(truth, preds))])
+            table.append(["concordance_index", name, repr(concordance_index(truth, preds))])
             for k in ks:
                 for frac in fracs:
-                    value = recall_at(
-                        ScreenResult(
-                            true_scores=truth,
-                            predicted_scores=preds,
-                            hit_direction=direction,
-                            k=k,
-                            cutoff_fraction=frac,
-                        )
-                    )
-                    lines.append(f"recall@k={k};p={frac},{name},{repr(value)}")
+                    value = recall_at(truth, preds, ck.hit_directions[index], k, frac)
+                    table.append([f"recall@k={k};p={frac}", name, repr(value)])
         except MetricError as exc:
             raise ConfigError(f"task {name!r}: {exc}") from exc
-    _write_csv_text(args.out, lines)
+    write_csv(args.out, ["metric", "task", "value"], table)
     return {"out": str(args.out), "tasks": shared}
 
 
@@ -454,7 +440,13 @@ def cmd_active_learn(args) -> dict:
         task_name=args.task_name,
         graphs=graphs,
     )
-    _write_text(args.log_out, log_to_csv(result.log))
+    header = ["round", "labeled_count", "pool_size", "mean_acquisition_score"]
+    rows = (
+        [str(r.round), str(r.labeled_count), str(r.pool_size),
+         "" if math.isnan(r.mean_acquisition_score) else repr(r.mean_acquisition_score)]
+        for r in result.log
+    )
+    write_csv(args.log_out, header, rows)
     if args.acquired_out:
         write_dataset_csv(args.acquired_out, result.labeled_dataset)
     if args.out:

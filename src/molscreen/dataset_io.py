@@ -200,16 +200,23 @@ def read_smiles_csv(path) -> tuple[list[str], list[FeaturizedGraph], IngestRepor
     return accepted, graphs, report
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and then each row, every cell already a string, as
+    CSV with ``\n`` line ends.  A cell holding a comma, a quote or a line
+    break is quoted, so every row reads back at its width."""
+    with atomic_write(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_dataset_csv(path, ds: TaskDataset) -> None:
     columns = [
         name + DIRECTION_SUFFIX if direction == "higher_is_better" else name
         for name, direction in zip(ds.task_names, ds.hit_directions)
     ]
-    with atomic_write(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["smiles"] + columns)
-        for i, smiles in enumerate(ds.smiles):
-            cells = [
-                repr(float(v)) if np.isfinite(v) else "" for v in ds.labels[i]
-            ]
-            writer.writerow([smiles] + cells)
+    rows = (
+        [smiles] + [repr(float(v)) if np.isfinite(v) else "" for v in ds.labels[i]]
+        for i, smiles in enumerate(ds.smiles)
+    )
+    write_csv(path, ["smiles"] + columns, rows)

@@ -8,7 +8,6 @@ original index, so results are deterministic for any input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,23 +36,25 @@ def pchembl(ic50_molar):
     return float(out) if np.isscalar(ic50_molar) or arr.ndim == 0 else out
 
 
-def mse(y, yhat) -> float:
+def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
+    """True and predicted values as finite 1-d vectors of one length, with
+    at least 2 samples."""
     y = _finite_vector(y, "y")
     yhat = _finite_vector(yhat, "yhat")
     if y.shape != yhat.shape:
         raise MetricError("length mismatch")
     if y.size < 2:
         raise MetricError("need at least 2 samples")
+    return y, yhat
+
+
+def mse(y, yhat) -> float:
+    y, yhat = _paired(y, yhat)
     return float(np.mean((y - yhat) ** 2))
 
 
 def pearson(y, yhat) -> float:
-    y = _finite_vector(y, "y")
-    yhat = _finite_vector(yhat, "yhat")
-    if y.shape != yhat.shape:
-        raise MetricError("length mismatch")
-    if y.size < 2:
-        raise MetricError("need at least 2 samples")
+    y, yhat = _paired(y, yhat)
     dy = y - y.mean()
     dz = yhat - yhat.mean()
     denom = math.sqrt(float(np.sum(dy * dy)) * float(np.sum(dz * dz)))
@@ -94,13 +95,8 @@ def _ascending_pairs(ranks: np.ndarray) -> int:
 def concordance_index(y, yhat) -> float:
     """Fraction of strictly ordered true pairs whose predictions are ordered
     the same way; tied predictions earn no credit."""
-    y = _finite_vector(y, "y")
-    yhat = _finite_vector(yhat, "yhat")
-    if y.shape != yhat.shape:
-        raise MetricError("length mismatch")
+    y, yhat = _paired(y, yhat)
     n = y.size
-    if n < 2:
-        raise MetricError("need at least 2 samples")
     _, ties = np.unique(y, return_counts=True)
     denom = n * (n - 1) // 2 - int(np.sum(ties * (ties - 1) // 2))
     if denom == 0:
@@ -111,46 +107,31 @@ def concordance_index(y, yhat) -> float:
     return _ascending_pairs(pred_rank[order]) / denom
 
 
-@dataclass
-class ScreenResult:
-    """True and predicted scores for one screened task."""
-
-    true_scores: np.ndarray
-    predicted_scores: np.ndarray
-    hit_direction: str
-    k: int
-    cutoff_fraction: float
-
-    def __post_init__(self):
-        self.true_scores = _finite_vector(self.true_scores, "true_scores")
-        self.predicted_scores = _finite_vector(
-            self.predicted_scores, "predicted_scores"
-        )
-        n = self.true_scores.size
-        if self.predicted_scores.size != n:
-            raise MetricError("score length mismatch")
-        if self.hit_direction not in HIT_DIRECTIONS:
-            raise MetricError(f"hit direction must be one of {HIT_DIRECTIONS}")
-        if not 0 < self.k <= n:
-            raise MetricError(f"k={self.k} out of range for n={n}")
-        if not 0.0 < self.cutoff_fraction < 1.0:
-            raise MetricError("cutoff_fraction must be in (0, 1)")
-
-
-def rank_best_first(scores: np.ndarray, hit_direction: str) -> np.ndarray:
+def rank_best_first(scores, hit_direction: str) -> np.ndarray:
     """Indices sorted best-score-first with stable index tie-breaks."""
+    if hit_direction not in HIT_DIRECTIONS:
+        raise MetricError(f"hit direction must be one of {HIT_DIRECTIONS}")
     scores = np.asarray(scores, dtype=np.float64)
     if hit_direction == "lower_is_better":
         return np.argsort(scores, kind="stable")
     return np.argsort(-scores, kind="stable")
 
 
-def recall_at(result: ScreenResult) -> float:
+def recall_at(
+    true_scores, predicted_scores, hit_direction: str, k: int, cutoff_fraction: float
+) -> float:
     """Fraction of the k best-by-true-score compounds recovered inside the
     top ceil(cutoff_fraction * n) predictions."""
-    n = result.true_scores.size
-    cut = math.ceil(result.cutoff_fraction * n)
-    true_hits = set(rank_best_first(result.true_scores, result.hit_direction)[: result.k])
-    predicted = set(rank_best_first(result.predicted_scores, result.hit_direction)[:cut])
-    return len(true_hits & predicted) / result.k
-
+    true_scores = _finite_vector(true_scores, "true_scores")
+    predicted_scores = _finite_vector(predicted_scores, "predicted_scores")
+    n = true_scores.size
+    if predicted_scores.size != n:
+        raise MetricError("score length mismatch")
+    if not 0 < k <= n:
+        raise MetricError(f"k={k} out of range for n={n}")
+    if not 0.0 < cutoff_fraction < 1.0:
+        raise MetricError("cutoff_fraction must be in (0, 1)")
+    cut = math.ceil(cutoff_fraction * n)
+    true_hits = set(rank_best_first(true_scores, hit_direction)[:k])
+    predicted = set(rank_best_first(predicted_scores, hit_direction)[:cut])
+    return len(true_hits & predicted) / k

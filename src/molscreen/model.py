@@ -14,6 +14,7 @@ backbone hash, the transfer freeze check, the best-epoch snapshot) reads it.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,36 @@ def _linear(seed, path, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
     return w, b
 
 
+def _memory_limit() -> int | None:
+    """The smaller of physical memory and the finite ``RLIMIT_AS`` soft
+    limit, in bytes; None where the platform reports neither (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    limits = [
+        os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),  # -1 if unknown
+        resource.getrlimit(resource.RLIMIT_AS)[0],
+    ]
+    return min((n for n in limits if 0 < n != resource.RLIM_INFINITY), default=None)
+
+
+def _check_layout_fits(n_tasks: int, d: int, n_layers: int, h: int) -> None:
+    """Raise ``MemoryError`` before allocating if the float64 values of the
+    layout ``_build_params`` states exceed the memory limit."""
+    values = (
+        sum(ATOM_FEATURE_WIDTHS) * d
+        + n_layers * (sum(BOND_FEATURE_WIDTHS) * d + 4 * d * d + 8 * d)
+        + n_tasks * (d * h + 2 * h + 1)
+    )
+    limit = _memory_limit()
+    if limit is not None and 8 * values > limit:
+        raise MemoryError(
+            f"embed_dim={d}, n_layers={n_layers}, head_hidden={h}: the parameters "
+            f"need {8 * values} bytes, over the {limit}-byte memory limit"
+        )
+
+
 def _build_params(
     task_names: list[str],
     embed_dim: int,
@@ -208,6 +239,7 @@ def _build_params(
     """The model's one layout: every tensor's shape, with one embedding table
     per feature of ``featurize``, and the stream path and distribution of its
     initial values (``seed=None`` draws nothing)."""
+    _check_layout_fits(len(task_names), embed_dim, n_layers, head_hidden)
     d = embed_dim
     node_tables = [
         _drawn(seed, (0, i), (width, d), _normal) for i, width in enumerate(ATOM_FEATURE_WIDTHS)

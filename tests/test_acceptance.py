@@ -20,7 +20,6 @@ from molscreen.data import TaskDataset
 from molscreen.engine import ops
 from molscreen.featurize import FeaturizedGraph, featurize_smiles
 from molscreen.metrics import (
-    ScreenResult,
     concordance_index,
     mse,
     pchembl,
@@ -234,7 +233,7 @@ def test_criterion_03_metric_oracles():
         direction = "lower_is_better" if stream.integers(2) == 0 else "higher_is_better"
         k = int(stream.integers(1, n + 1))
         frac = float(stream.uniform(0.05, 0.95))
-        got = recall_at(ScreenResult(true, pred, direction, k, frac))
+        got = recall_at(true, pred, direction, k, frac)
         if got != _recall_oracle(true, pred, direction, k, frac):
             recall_exact = False
         if len(set(true.tolist())) > 1:
@@ -379,9 +378,7 @@ def test_criterion_07_mtl_beats_single_task():
             preds = _predict_column(params, test_graphs)
             scores[arm] = (
                 mse(test_truth, preds),
-                recall_at(
-                    ScreenResult(test_truth, preds, "lower_is_better", 20, 0.1)
-                ),
+                recall_at(test_truth, preds, "lower_is_better", 20, 0.1),
             )
         if scores["mtl"][0] < scores["single"][0]:
             wins_mse += 1

@@ -6,16 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from molscreen.active import (
-    ALConfig,
-    acquisition_scores,
-    al_run,
-    log_to_csv,
-    select_batch,
-)
+import molscreen.active
+from molscreen.active import ALConfig, acquisition_scores, al_run
+from molscreen.cli import main
 from molscreen.data import TaskDataset
 from molscreen.engine import rng_stream
 from molscreen.featurize import featurize_smiles
+from molscreen.metrics import rank_best_first
 from molscreen.model import init_params, predict, GraphBatch
 from molscreen.synth import synth_dataset, task_oracle
 from molscreen.train import TrainConfig, train
@@ -82,22 +79,37 @@ class TestALConfig:
 
 
 class TestSelection:
-    def test_select_batch_lower_is_better(self):
+    def test_rank_lower_is_better(self):
         scores = np.array([3.0, 1.0, 2.0, 0.5])
-        assert select_batch(scores, [0, 1, 2, 3], 2, "lower_is_better") == [3, 1]
+        assert rank_best_first(scores, "lower_is_better")[:2].tolist() == [3, 1]
 
-    def test_select_batch_higher_is_better(self):
+    def test_rank_higher_is_better(self):
         scores = np.array([3.0, 1.0, 2.0, 0.5])
-        assert select_batch(scores, [0, 1, 2, 3], 2, "higher_is_better") == [0, 2]
+        assert rank_best_first(scores, "higher_is_better")[:2].tolist() == [0, 2]
 
-    def test_select_batch_stable_ties(self):
+    def test_rank_stable_ties(self):
         scores = np.array([1.0, 1.0, 1.0])
-        assert select_batch(scores, [7, 5, 9], 2, "lower_is_better") == [7, 5]
+        assert rank_best_first(scores, "lower_is_better")[:2].tolist() == [0, 1]
 
-    def test_scores_align_with_candidates(self):
-        # scores[i] belongs to candidates[i], not to pool index i
-        scores = np.array([5.0, 0.0])
-        assert select_batch(scores, [10, 20], 1, "lower_is_better") == [20]
+    def test_scores_align_with_candidates(self, monkeypatch):
+        # scores[j] belongs to the j-th remaining compound, not to pool index j
+        smiles, oracle = small_pool(30)
+        cfg = ALConfig(total_budget=10, ensemble_size=1, n_rounds=1, init_fraction=0.5, seed=2)
+        seen = {}
+
+        def known_scores(members, graphs, acquisition, ucb_beta, hit_direction):
+            seen["graphs"] = graphs
+            return np.arange(len(graphs), 0, -1, dtype=np.float64)  # last is best
+
+        monkeypatch.setattr(molscreen.active, "acquisition_scores", known_scores)
+        result = al_run(smiles, oracle, cfg, tiny_train_config())
+        init = result.labeled_indices[: cfg.init_size]
+        remaining = [i for i in range(len(smiles)) if i not in init]
+        assert len(seen["graphs"]) == len(remaining)
+        assert result.labeled_indices[cfg.init_size :] == remaining[::-1][: cfg.round_batch]
+        assert result.log[1].mean_acquisition_score == float(
+            np.mean(np.arange(1.0, cfg.round_batch + 1.0))
+        )
 
 
 class TestEnsemblePredict:
@@ -187,6 +199,12 @@ class TestALRun:
         with pytest.raises(ValueError):
             al_run(smiles, oracle, cfg, tiny_train_config(), graphs=graphs[:-1])
 
+    def test_unknown_hit_direction_rejected(self):
+        smiles, oracle = small_pool(8)
+        cfg = ALConfig(total_budget=4, ensemble_size=1, n_rounds=1, init_fraction=0.5)
+        with pytest.raises(ValueError, match="hit direction"):
+            al_run(smiles, oracle, cfg, tiny_train_config(), hit_direction="lower_is_beter")
+
     def test_pool_smaller_than_budget_rejected(self):
         smiles, oracle = small_pool(8)
         cfg = ALConfig(total_budget=10, ensemble_size=1, n_rounds=1, init_fraction=0.5)
@@ -213,11 +231,20 @@ class TestALRun:
         assert got.backbone_hash() == expected.backbone_hash()
         np.testing.assert_array_equal(got.heads[0].w1.data, expected.heads[0].w1.data)
 
-    def test_log_csv(self):
-        smiles, oracle = small_pool(30)
-        cfg = ALConfig(total_budget=10, ensemble_size=1, n_rounds=1, init_fraction=0.5, seed=2)
-        result = al_run(smiles, oracle, cfg, tiny_train_config())
-        text = log_to_csv(result.log)
+    def test_log_csv(self, tmp_path, capsys):
+        ds, meta = synth_dataset(n_tasks=2, n_per_task=30, seed=0, noise_sigma=0.0)
+        pool = tmp_path / "pool.csv"
+        pool.write_text("smiles\n" + "".join(s + "\n" for s in ds.smiles))
+        (tmp_path / "meta.json").write_text(meta.to_json())
+        assert main([
+            "active-learn", "--pool", str(pool), "--meta", str(tmp_path / "meta.json"),
+            "--budget", "10", "--ensemble-size", "1", "--rounds", "1",
+            "--log-out", str(tmp_path / "log.csv"), "--seed", "2",
+            "--embed-dim", "8", "--n-layers", "1", "--head-hidden", "8",
+            "--batch-size", "8", "--min-epochs", "2", "--patience", "1", "--max-epochs", "3",
+        ]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "log.csv").read_text()
         lines = text.strip().split("\n")
         assert lines[0] == "round,labeled_count,pool_size,mean_acquisition_score"
         assert len(lines) == 3

@@ -1,8 +1,10 @@
 """Outputs are replaced whole: a failed write leaves the old file and no
 temporary file, and a new file gets the mode ``open(path, "w")`` gives."""
 
+import ast
 import os
 import stat
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 
 from molscreen.atomic import atomic_write, check_writable
 from molscreen.checkpoint import load_checkpoint, save_checkpoint
-from molscreen.cli import _write_csv_text, _write_text
-from molscreen.dataset_io import write_dataset_csv
+from molscreen.cli import _write_text
+from molscreen.dataset_io import write_csv, write_dataset_csv
 from molscreen.model import init_params
 from molscreen.synth import synth_dataset
 
@@ -66,7 +68,7 @@ def umask_027():
 
 WRITERS = {
     "text": lambda path: _write_text(path, "a\nb\n"),
-    "csv-lines": lambda path: _write_csv_text(path, ["a", "b"]),
+    "csv-lines": lambda path: write_csv(path, ["a", "b"], [["1", "2"]]),
     "dataset": lambda path: write_dataset_csv(path, synth_dataset(2, 4, 0)[0]),
     "checkpoint": lambda path: save_checkpoint(
         path, small_params(), ["lower_is_better"], 0
@@ -150,3 +152,48 @@ class TestCheckWritable:
         with pytest.raises(IsADirectoryError):
             with atomic_write(tmp_path):
                 pass
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "molscreen"
+
+
+def _non_atomic_writes(tree) -> list[int]:
+    """Line numbers of calls that write a file without ``atomic_write``:
+    built-in ``open`` in a mode other than a read-only one given as a
+    literal, and ``write_text`` / ``write_bytes``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            for mode in modes:
+                literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                if not literal or set(mode.value) & set("wax+"):
+                    lines.append(node.lineno)
+    return lines
+
+
+class TestOnlyAtomicWrites:
+    def test_package_writes_only_through_atomic_write(self):
+        found = []
+        for path in sorted(PACKAGE.rglob("*.py")):
+            if path.name != "atomic.py":
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                found += [f"{path.name}:{line}" for line in _non_atomic_writes(tree)]
+        assert found == []
+
+    @pytest.mark.parametrize(
+        "source",
+        ['open(p, "w")', 'open(p, mode="a")', "open(p, m)", 'open(p, "r+")',
+         'Path(p).write_text("x")', 'p.write_bytes(b"x")'],
+    )
+    def test_guard_sees_a_write(self, source):
+        assert _non_atomic_writes(ast.parse(source)) == [1]
+
+    @pytest.mark.parametrize("source", ["open(p)", 'open(p, "rb")', 'open(p, newline="")'])
+    def test_guard_passes_a_read(self, source):
+        assert _non_atomic_writes(ast.parse(source)) == []

@@ -795,6 +795,80 @@ class TestExportEmbeddingsCommand:
             np.testing.assert_array_equal(got, vec)
 
 
+QUOTED_TASKS = ["dock,5HT2A", 'say "hi"\nagain']
+
+
+@pytest.fixture(scope="module")
+def quoted(tmp_path_factory):
+    """A two-task dataset whose task names hold a comma, a quote and a line
+    break, and a checkpoint trained on it."""
+    tmp = tmp_path_factory.mktemp("quoted")
+    assert main([
+        "synth-gen", "--n-tasks", "2", "--n-per-task", "20", "--seed", "1",
+        "--out", str(tmp / "synth.csv"), "--meta-out", str(tmp / "meta.json"),
+    ]) == 0
+    with open(tmp / "synth.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    with open(tmp / "raw.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows([["smiles", *QUOTED_TASKS], *rows[1:]])
+    assert main(["ingest", "--input", str(tmp / "raw.csv"), "--out", str(tmp / "data.csv")]) == 0
+    assert main([
+        "train", "--data", str(tmp / "data.csv"), "--out", str(tmp / "model.ckpt"),
+        "--mode", "mtl", *TINY,
+    ]) == 0
+    return tmp
+
+
+class TestCsvQuoting:
+    """Every table a subcommand writes reads back with ``csv.reader`` to rows
+    of its header's width, with task names intact.  Each command's argv ends
+    with the flag of the table checked."""
+
+    COMMANDS = {
+        "synth-gen": (["synth-gen", "--n-tasks", "2", "--n-per-task", "5",
+                       "--meta-out", "{tmp}/m.json", "--out"], None),
+        "ingest": (["ingest", "--input", "{q}/raw.csv", "--out"], ["smiles", *QUOTED_TASKS]),
+        "predict": (["predict", "--checkpoint", "{q}/model.ckpt",
+                     "--input", "{q}/data.csv", "--out"], ["smiles", *QUOTED_TASKS]),
+        "screen": (["screen", "--checkpoint", "{q}/model.ckpt", "--library",
+                    "{q}/data.csv", "--task", QUOTED_TASKS[1], "--out"],
+                   ["smiles", "predicted_score", "rank", "is_predicted_hit"]),
+        "eval": (["eval", "--checkpoint", "{q}/model.ckpt", "--data", "{q}/data.csv",
+                  "--k", "3", "--top-frac", "0.2", "--out"], ["metric", "task", "value"]),
+        "export-embeddings": (["export-embeddings", "--checkpoint", "{q}/model.ckpt",
+                               "--input", "{q}/data.csv", "--out"], None),
+        "active-learn": (["active-learn", "--pool", "{q}/data.csv", "--meta",
+                          "{q}/meta.json", "--budget", "10", "--rounds", "1",
+                          "--ensemble-size", "1", "--task-name", QUOTED_TASKS[0],
+                          "--acquired-out", "{tmp}/acquired.csv", *TINY, "--log-out"],
+                         ["round", "labeled_count", "pool_size", "mean_acquisition_score"]),
+    }
+
+    def _table(self, path):
+        with open(path, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
+        return header, rows
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=COMMANDS)
+    def test_rows_keep_header_width(self, command, quoted, tmp_path, capsys):
+        argv, expected_header = self.COMMANDS[command]
+        argv = [a.format(q=quoted, tmp=tmp_path) for a in argv]
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, *argv, str(out))
+        assert code == 0, err
+        header, rows = self._table(out)
+        if expected_header is not None:
+            assert header == expected_header
+        if command == "eval":
+            assert {row[1] for row in rows} == set(QUOTED_TASKS)
+        if command == "active-learn":
+            header, rows = self._table(tmp_path / "acquired.csv")
+            assert header == ["smiles", QUOTED_TASKS[0]]
+            assert len(rows) == 10
+
+
 class TestFeaturizeOnce:
     """A library is parsed and featurized once per command, not once to
     validate it and again to score it."""
@@ -1312,8 +1386,12 @@ class TestEntryPoint:
             # the width makes them fill it within seconds
             ["train", "--mode", "mtl", "--n-layers", "1000000000", "--embed-dim", "3072"],
             ["synth-gen", "--n-tasks", "1000000000", "--n-per-task", "2"],
+            # layers this narrow would take minutes to fill the limit one by
+            # one: the parameter bytes are checked before the first is built
+            ["train", "--mode", "mtl", "--n-layers", "1000000000", "--embed-dim", "1"],
         ],
-        ids=["train-embed-dim", "train-head-hidden", "train-n-layers", "synth-gen-n-tasks"],
+        ids=["train-embed-dim", "train-head-hidden", "train-n-layers", "synth-gen-n-tasks",
+             "train-n-layers-narrow"],
     )
     def test_allocation_failure_is_bad_config(self, argv, tmp_path):
         """A model or dataset too large for memory is exit 2 with one JSON
@@ -1345,12 +1423,15 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "molscreen.cli", *argv, *outputs],
             capture_output=True, text=True, env=env, preexec_fn=limit_address_space,
+            timeout=60,
         )
         assert proc.returncode == 2
         error = only_error(proc.stderr)
         assert error["error"] == "bad-config"
         assert error["exit_code"] == 2
         assert error["message"].startswith("out of memory: ")
+        if argv[-2:] == ["--embed-dim", "1"]:  # the check before allocation names the flag
+            assert "n_layers=1000000000" in error["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "meta.json"]
 
     def test_unknown_command_exits_2(self):

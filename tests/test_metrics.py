@@ -7,11 +7,11 @@ import pytest
 
 from molscreen.metrics import (
     MetricError,
-    ScreenResult,
     concordance_index,
     mse,
     pchembl,
     pearson,
+    rank_best_first,
     recall_at,
 )
 
@@ -204,49 +204,44 @@ class TestConcordanceIndex:
 class TestRecallAt:
     def test_perfect_ranking(self):
         true = np.arange(10.0)
-        res = ScreenResult(true, true.copy(), "lower_is_better", k=3, cutoff_fraction=0.5)
-        assert recall_at(res) == 1.0
+        assert recall_at(true, true.copy(), "lower_is_better", 3, 0.5) == 1.0
 
     def test_disjoint_is_zero(self):
         true = np.arange(10.0)
         pred = -true  # reverses the ranking
-        res = ScreenResult(true, pred, "lower_is_better", k=3, cutoff_fraction=0.3)
-        assert recall_at(res) == 0.0
+        assert recall_at(true, pred, "lower_is_better", 3, 0.3) == 0.0
 
     def test_hand_two_of_three(self):
         # true ascending 1..10 (lower better): true hits {0,1,2}; predictions
         # put indices {0,1,3,4,5} into the top-5 cut (p=0.5 -> ceil(5))
         true = np.arange(1.0, 11.0)
         pred = np.array([0.1, 0.2, 9.9, 0.3, 0.4, 0.5, 0.6, 7.0, 8.0, 9.0])
-        res = ScreenResult(true, pred, "lower_is_better", k=3, cutoff_fraction=0.5)
-        assert recall_at(res) == pytest.approx(2 / 3)
+        assert recall_at(true, pred, "lower_is_better", 3, 0.5) == pytest.approx(2 / 3)
 
     def test_higher_is_better_direction(self):
         true = np.arange(10.0)  # higher better: hits {7,8,9}
         pred = true.copy()
-        res = ScreenResult(true, pred, "higher_is_better", k=3, cutoff_fraction=0.3)
-        assert recall_at(res) == 1.0
+        assert recall_at(true, pred, "higher_is_better", 3, 0.3) == 1.0
 
     def test_stable_tie_break_by_index(self):
         true = np.array([1.0, 1.0, 1.0, 2.0])
         pred = np.array([5.0, 5.0, 5.0, 5.0])
-        res = ScreenResult(true, pred, "lower_is_better", k=2, cutoff_fraction=0.5)
         # all predictions tied: predicted hits are the first ceil(2)=2 indices
-        assert recall_at(res) == 1.0
+        assert recall_at(true, pred, "lower_is_better", 2, 0.5) == 1.0
 
     def test_k_bounds_validated(self):
         true = np.arange(5.0)
         with pytest.raises(MetricError):
-            ScreenResult(true, true, "lower_is_better", k=6, cutoff_fraction=0.5)
+            recall_at(true, true, "lower_is_better", 6, 0.5)
         with pytest.raises(MetricError):
-            ScreenResult(true, true, "lower_is_better", k=0, cutoff_fraction=0.5)
+            recall_at(true, true, "lower_is_better", 0, 0.5)
         with pytest.raises(MetricError):
-            ScreenResult(true, true, "lower_is_better", k=2, cutoff_fraction=1.0)
+            recall_at(true, true, "lower_is_better", 2, 1.0)
 
     def test_nan_rejected(self):
         true = np.array([1.0, np.nan, 3.0])
         with pytest.raises(MetricError):
-            ScreenResult(true, true, "lower_is_better", k=1, cutoff_fraction=0.5)
+            recall_at(true, true, "lower_is_better", 1, 0.5)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -257,16 +252,25 @@ class TestRecallAt:
             k = int(rng.integers(1, n + 1))
             p = float(rng.uniform(0.05, 0.95))
             direction = ["lower_is_better", "higher_is_better"][int(rng.integers(2))]
-            res = ScreenResult(true, pred, direction, k=k, cutoff_fraction=p)
-            assert recall_at(res) == recall_oracle(true, pred, direction, k, p)
+            assert recall_at(true, pred, direction, k, p) == recall_oracle(
+                true, pred, direction, k, p
+            )
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(4)
         true = rng.normal(size=40)
         pred = rng.normal(size=40)
-        res = ScreenResult(true, pred, "lower_is_better", k=5, cutoff_fraction=0.2)
-        base = recall_at(res)
-        warped = ScreenResult(
-            true, np.exp(pred) * 3.0, "lower_is_better", k=5, cutoff_fraction=0.2
-        )
-        assert recall_at(warped) == base
+        base = recall_at(true, pred, "lower_is_better", 5, 0.2)
+        warped = recall_at(true, np.exp(pred) * 3.0, "lower_is_better", 5, 0.2)
+        assert warped == base
+
+
+class TestRankBestFirst:
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(MetricError, match="hit direction must be one of"):
+            rank_best_first(np.array([1.0, 2.0]), "lower_is_beter")
+
+    def test_recall_checks_direction(self):
+        true = np.arange(5.0)
+        with pytest.raises(MetricError, match="hit direction must be one of"):
+            recall_at(true, true, "lower_is_beter", 2, 0.5)

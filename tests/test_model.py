@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import molscreen.model as model_module
 from molscreen.engine import Tape, Tensor, ops
 from molscreen.featurize import featurize_smiles
 from molscreen.model import (
@@ -107,6 +108,15 @@ class TestInit:
         q.layers[0].bn_state.running_mean[0] += 1.0
         assert p.node_tables[0].data[0, 0] != q.node_tables[0].data[0, 0]
         assert p.layers[0].bn_state.running_mean[0] == 0.0
+
+    def test_layout_bytes_checked_before_allocation(self, monkeypatch):
+        p = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=4)
+        nbytes = 8 * sum(arr.size for _, arr in p.named_arrays())
+        monkeypatch.setattr(model_module, "_memory_limit", lambda: nbytes)
+        init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=4)  # fits exactly
+        monkeypatch.setattr(model_module, "_memory_limit", lambda: nbytes - 1)
+        with pytest.raises(MemoryError, match=f"n_layers=2, head_hidden=4: .* {nbytes} bytes"):
+            init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=4)
 
 
 def _bits(arr):
