@@ -20,6 +20,7 @@ Only the loaders catch, to add a path, key or task name.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -297,7 +298,11 @@ def cmd_predict(args) -> dict:
     ck = _load_ckpt(args.checkpoint)
     _print_seed(ck.seed)
     tasks = ck.params.task_names
-    names = [s.strip() for s in args.tasks.split(",")] if args.tasks else list(tasks)
+    try:  # one CSV record: a name holding a comma is quoted as in the output header
+        names = next(csv.reader([args.tasks or ""], skipinitialspace=True))
+    except csv.Error as exc:  # a line break outside quotes
+        raise ConfigError(f"--tasks is not one CSV record: {exc}") from exc
+    names = [name.strip() for name in names] or list(tasks)
     indices = [_task_index(name, tasks, "checkpoint") for name in names]
     smiles, graphs = _load_smiles(args.input, strict=True)
     _write_matrix(args.out, smiles, names, predict_graphs(graphs, ck.params, indices))
@@ -545,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict scores for a list of compounds")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="CSV with a smiles column")
-    p.add_argument("--tasks", help="comma-separated task names (default: all)")
+    p.add_argument("--tasks", help="comma-separated task names, CSV-quoted (default: all)")
     p.add_argument("--out", required=True, help="predictions CSV")
     p.set_defaults(func=cmd_predict)
 

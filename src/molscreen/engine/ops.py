@@ -8,6 +8,7 @@ is no general broadcasting beyond bias-style row vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -191,7 +192,8 @@ class SegmentLayout:
       value rows, folded in ``np.add.reduceat``'s order;
     * forward, longer segments: their rows, summed by ``np.add.reduceat``;
     * backward: slot columns of the segments each value row feeds, folded
-      from +0.0 in term order as ``np.add.at`` would.
+      from +0.0 in term order as ``np.add.at`` would.  They are built on
+      the first :meth:`scatter`, so an eval-mode pass never pays for them.
     """
 
     def __init__(self, segment_ids, num_segments: int, rows=None, num_rows=None):
@@ -226,8 +228,14 @@ class SegmentLayout:
         self.long_segments = np.unique(segment_ids[long_terms])
         long_counts = self.counts[self.long_segments]
         self.long_starts = np.cumsum(long_counts) - long_counts
+        self._terms = (rows, segment_ids)
 
-        self.used_rows, self.use_columns = _slot_columns(rows, segment_ids, num_rows)
+    @cached_property
+    def _uses(self):  # (used_rows, use_columns): the backward slots
+        return _slot_columns(*self._terms, self.num_rows)
+
+    used_rows = property(lambda self: self._uses[0])
+    use_columns = property(lambda self: self._uses[1])
 
     def totals(self, data: np.ndarray) -> np.ndarray:
         """Per-segment sums of ``data`` rows, bit-identical to gathering the

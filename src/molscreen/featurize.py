@@ -29,16 +29,6 @@ SCHEMA_HASH = hashlib.sha256(
 ).hexdigest()
 
 
-def _read_only_limits(widths: tuple[int, ...]) -> np.ndarray:
-    limits = np.array(widths, dtype=np.uint64)
-    limits.flags.writeable = False
-    return limits
-
-
-# the widths as uint64 arrays for the range check, built once
-ATOM_INDEX_LIMITS = _read_only_limits(ATOM_FEATURE_WIDTHS)
-BOND_INDEX_LIMITS = _read_only_limits(BOND_FEATURE_WIDTHS)
-
 # hybridization buckets
 HYB_S = 0
 HYB_SP = 1
@@ -75,50 +65,73 @@ class SchemaError(ValueError):
     """A feature index fell outside its declared table width."""
 
 
-@dataclass
+@dataclass(slots=True)
 class FeaturizedGraph:
-    atom_indices: np.ndarray  # (n_atoms, 7) int64
-    bond_indices: np.ndarray  # (n_bonds, 3) int64
-    bond_endpoints: np.ndarray  # (n_bonds, 2) int64
+    """One molecule's feature integers, row after row: 7 per atom, 3 per
+    bond and 2 endpoints per bond.  ``GraphBatch.from_graphs`` converts a
+    whole batch at once; the properties build one graph's int64 matrices."""
+
+    atom_values: list[int]
+    bond_values: list[int]
+    endpoint_values: list[int]
+    n_atoms: int
+    n_bonds: int
+
+    def __post_init__(self):  # packing reads the lists back to back by these counts
+        if (len(self.atom_values), len(self.bond_values), len(self.endpoint_values)) != (
+            7 * self.n_atoms, 3 * self.n_bonds, 2 * self.n_bonds
+        ):
+            raise ValueError("feature lists must hold 7 values per atom, 3 per bond and 2 ends")
 
     @property
-    def n_atoms(self) -> int:
-        return self.atom_indices.shape[0]
+    def atom_indices(self) -> np.ndarray:  # (n_atoms, 7) int64
+        return np.array(self.atom_values, dtype=np.int64).reshape(self.n_atoms, 7)
 
     @property
-    def n_bonds(self) -> int:
-        return self.bond_indices.shape[0]
+    def bond_indices(self) -> np.ndarray:  # (n_bonds, 3) int64
+        return np.array(self.bond_values, dtype=np.int64).reshape(self.n_bonds, 3)
+
+    @property
+    def bond_endpoints(self) -> np.ndarray:  # (n_bonds, 2) int64
+        return np.array(self.endpoint_values, dtype=np.int64).reshape(self.n_bonds, 2)
 
 
 def featurize(graph: MolGraph) -> FeaturizedGraph:
-    """Map a parsed molecule to per-atom and per-bond index arrays: C-ordered
-    views of one int64 array of 7 integers per atom, 3 per bond, then 2
-    endpoints per bond.
+    """Map a parsed molecule to its per-atom and per-bond feature integers.
 
     One pass over the bonds writes their rows and tallies each atom's
     double and triple bonds for its hybridization; a second pass writes the
-    atom rows.
+    atom rows.  The clamps keep every column inside its width except
+    degree, H count, aromaticity and in-ring, which only a hand-built graph
+    can push out; those are compared as they are written, and an atom
+    fault is reported before a bond fault.
     """
     atoms, bonds = graph.atoms, graph.bonds
-    n_atoms, n_bonds = len(atoms), len(bonds)
     # doubles + 2 * triples per atom (the double and triple type indices are
     # 1 and 2): 2 or more means sp, 1 means one double bond
-    unsaturation = [0] * n_atoms
+    unsaturation = [0] * len(atoms)
     bond_values: list[int] = []
     endpoints: list[int] = []
+    bond_fault = False
     for bond in bonds:
         a, b = bond.a, bond.b
         bond_type = _BOND_TYPE_INDEX[bond.order]
         if bond_type == 1 or bond_type == 2:
             unsaturation[a] += bond_type
             unsaturation[b] += bond_type
-        bond_values += (_DIRECTION_INDEX[bond.direction], bond_type, int(bond.in_ring))
+        in_ring = int(bond.in_ring)
+        if in_ring != 0 and in_ring != 1:
+            bond_fault = True
+        bond_values += (_DIRECTION_INDEX[bond.direction], bond_type, in_ring)
         endpoints += (a, b)
     values: list[int] = []
     for atom, unsaturated in zip(atoms, unsaturation):
         z, charge, degree, hydrogens = (
             atom.atomic_number, atom.formal_charge, atom.degree, atom.hydrogens
         )
+        aromatic = int(atom.aromatic)
+        if degree < 0 or hydrogens < 0 or (aromatic != 0 and aromatic != 1):
+            raise SchemaError("atom feature index outside schema widths")
         if 0 < z <= 2:
             hybridization = HYB_S
         elif unsaturated >= 2:
@@ -135,34 +148,13 @@ def featurize(graph: MolGraph) -> FeaturizedGraph:
             degree if degree < 10 else 10,
             _CHIRALITY_INDEX[atom.chirality],
             hydrogens if hydrogens < 8 else 8,
-            int(atom.aromatic),
+            aromatic,
             hybridization,
         )
-    values += bond_values
-    values += endpoints
-    flat = np.array(values, dtype=np.int64)
-    atom_end = 7 * n_atoms
-    bond_end = atom_end + 3 * n_bonds
-    fg = FeaturizedGraph(
-        atom_indices=flat[:atom_end].reshape(n_atoms, 7),
-        bond_indices=flat[atom_end:bond_end].reshape(n_bonds, 3),
-        bond_endpoints=flat[bond_end:].reshape(n_bonds, 2),
-    )
-    _check_ranges(fg)
-    return fg
+    if bond_fault:
+        raise SchemaError("bond feature index outside schema widths")
+    return FeaturizedGraph(values, bond_values, endpoints, len(atoms), len(bonds))
 
 
 def featurize_smiles(smiles: str) -> FeaturizedGraph:
     return featurize(parse_smiles(smiles))
-
-
-def _check_ranges(fg: FeaturizedGraph) -> None:
-    # Viewed as uint64, a negative index is huge, so one comparison against
-    # the widths catches both ends of the range; count_nonzero is a plain C
-    # call where ndarray.any goes through Python.
-    for matrix, limits, kind in (
-        (fg.atom_indices, ATOM_INDEX_LIMITS, "atom"),
-        (fg.bond_indices, BOND_INDEX_LIMITS, "bond"),
-    ):
-        if np.count_nonzero(matrix.view(np.uint64) >= limits):
-            raise SchemaError(f"{kind} feature index outside schema widths")

@@ -14,6 +14,7 @@ backbone hash, the transfer freeze check, the best-epoch snapshot) reads it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -24,6 +25,12 @@ from .featurize import ATOM_FEATURE_WIDTHS, BOND_FEATURE_WIDTHS, FeaturizedGraph
 
 _EMBED_STD = 0.02
 INFERENCE_BATCH = 256  # graphs packed per eval-mode forward
+
+
+def _int_rows(lists: list[list[int]], n_rows: int, width: int) -> np.ndarray:
+    """The graphs' integer lists back to back, as one (n_rows, width) int64 array."""
+    flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64, n_rows * width)
+    return flat.reshape(n_rows, width)
 
 
 @dataclass
@@ -57,7 +64,7 @@ class GraphBatch:
         n_nodes = int(node_counts.sum())
         n_bonds = int(bond_counts.sum())
         graph_ids = np.repeat(np.arange(len(graphs), dtype=np.int64), node_counts)
-        ends = np.concatenate([g.bond_endpoints for g in graphs]) + np.repeat(
+        ends = _int_rows([g.endpoint_values for g in graphs], n_bonds, 2) + np.repeat(
             np.cumsum(node_counts) - node_counts, bond_counts
         )[:, None]
         edge_src = np.concatenate([ends[:, 0], ends[:, 1]])
@@ -66,8 +73,8 @@ class GraphBatch:
         order = np.argsort(edge_dst, kind="stable")
         edge_src, edge_dst, edge_bond = edge_src[order], edge_dst[order], edge_bond[order]
         return cls(
-            atom_indices=np.concatenate([g.atom_indices for g in graphs]),
-            bond_indices=np.concatenate([g.bond_indices for g in graphs]),
+            atom_indices=_int_rows([g.atom_values for g in graphs], n_nodes, 7),
+            bond_indices=_int_rows([g.bond_values for g in graphs], n_bonds, 3),
             neighbor_layout=ops.SegmentLayout(
                 edge_dst, n_nodes, rows=edge_src, num_rows=n_nodes
             ),

@@ -131,16 +131,13 @@ def test_criterion_01_gradient_integrity():
 def _permute_graph(fg: FeaturizedGraph, perm: np.ndarray) -> FeaturizedGraph:
     atom = np.empty_like(fg.atom_indices)
     atom[perm] = fg.atom_indices
-    endpoints = perm[fg.bond_endpoints]
-    if len(endpoints):
-        bond_order = np.random.default_rng(int(perm[0])).permutation(len(endpoints))
-        return FeaturizedGraph(
-            atom_indices=atom,
-            bond_indices=fg.bond_indices[bond_order],
-            bond_endpoints=endpoints[bond_order],
-        )
+    bond_order = np.random.default_rng(int(perm[0])).permutation(fg.n_bonds)
     return FeaturizedGraph(
-        atom_indices=atom, bond_indices=fg.bond_indices.copy(), bond_endpoints=endpoints
+        atom_values=atom.ravel().tolist(),
+        bond_values=fg.bond_indices[bond_order].ravel().tolist(),
+        endpoint_values=perm[fg.bond_endpoints][bond_order].ravel().tolist(),
+        n_atoms=fg.n_atoms,
+        n_bonds=fg.n_bonds,
     )
 
 

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import molscreen.checkpoint as checkpoint_module
+import molscreen.cli as cli_module
 import molscreen.transfer as transfer_module
-from molscreen.engine import Tape, ops
+from molscreen.engine import Tape, ops, rng_stream
 from molscreen.checkpoint import save_checkpoint
-from molscreen.model import GraphBatch, ModelParams, init_params
-from molscreen.synth import synth_dataset
+from molscreen.model import INFERENCE_BATCH, GraphBatch, ModelParams, init_params
+from molscreen.synth import random_molecule, synth_dataset
 from molscreen.train import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -82,3 +83,41 @@ def test_transfer_spans_and_clean_uninstall(tracer_module, tmp_path):
     assert sum(span[0] == "transfer.backbone_hash" for span in tracer.spans) == 1
     restored = _patched_names()
     assert all(restored[name] is original for name, original in originals.items())
+
+
+def test_screen_counts_per_compound_and_per_chunk(tracer_module, tmp_path, capsys):
+    """``smiles.parse.calls``, ``featurize.calls_per_mol`` and
+    ``model.pack_calls`` mean what their names say: ``screen`` parses and
+    featurizes each compound once, through the bindings the tracer wraps,
+    and packs once per ``INFERENCE_BATCH`` chunk."""
+    stream = rng_stream(0, 3)
+    drawn = (random_molecule(stream, 4, 10) for _ in range(INFERENCE_BATCH + 60))
+    smiles = list(dict.fromkeys(drawn))  # distinct, so each is one compound
+    assert INFERENCE_BATCH < len(smiles) <= 2 * INFERENCE_BATCH
+    library = tmp_path / "library.csv"
+    library.write_text("smiles\n" + "\n".join(smiles) + "\n")
+    ckpt = tmp_path / "small.ckpt"
+    params = init_params(["a"], embed_dim=8, n_layers=1, head_hidden=8, seed=0)
+    save_checkpoint(ckpt, params, ["lower_is_better"], seed=0)
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        tracer.begin("screen")
+        try:
+            code = cli_module.main([
+                "screen", "--checkpoint", str(ckpt), "--library", str(library),
+                "--out", str(tmp_path / "ranked.csv"),
+            ])
+        finally:
+            tracer.end()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    assert code == 0
+    metrics, _ = tracer_module.layer_metrics(tracer, len(smiles), 1.0, 1.0)
+    assert metrics["smiles.parse.calls"]["value"] == len(smiles)
+    assert metrics["featurize.calls"]["value"] == len(smiles)
+    assert metrics["featurize.calls_per_mol"]["value"] == 1.0
+    assert metrics["model.pack_calls"]["value"] == 2

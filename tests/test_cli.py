@@ -868,6 +868,33 @@ class TestCsvQuoting:
             assert header == ["smiles", QUOTED_TASKS[0]]
             assert len(rows) == 10
 
+    @pytest.mark.parametrize(
+        "value, selected",
+        [
+            ('"dock,5HT2A"', ["dock,5HT2A"]),
+            ('"say ""hi""\nagain", "dock,5HT2A"', QUOTED_TASKS[::-1]),
+        ],
+    )
+    def test_predict_tasks_quoted_as_in_header(self, value, selected, quoted, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, "predict", "--checkpoint", f"{quoted}/model.ckpt",
+                           "--input", f"{quoted}/data.csv", "--tasks", value, "--out", str(out))
+        assert code == 0, err
+        assert self._table(out)[0] == ["smiles", *selected]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("dock,5HT2A", "task 'dock' not in checkpoint tasks"),
+         ("dock\n5HT2A", "--tasks is not one CSV record")],
+        ids=["unquoted-comma", "unquoted-line-break"],
+    )
+    def test_predict_tasks_unquoted(self, value, message, quoted, tmp_path, capsys):
+        code, _, err = run(capsys, "predict", "--checkpoint", f"{quoted}/model.ckpt",
+                           "--input", f"{quoted}/data.csv", "--tasks", value,
+                           "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert message in only_error(err)["message"]
+
 
 class TestFeaturizeOnce:
     """A library is parsed and featurized once per command, not once to

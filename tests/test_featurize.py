@@ -13,10 +13,9 @@ import pytest
 from molscreen.engine.rng import rng_stream
 from molscreen.featurize import (
     ATOM_FEATURE_WIDTHS,
-    ATOM_INDEX_LIMITS,
     BOND_FEATURE_WIDTHS,
-    BOND_INDEX_LIMITS,
     SCHEMA_HASH,
+    FeaturizedGraph,
     SchemaError,
     featurize,
     featurize_smiles,
@@ -74,13 +73,6 @@ class TestSchema:
     def test_hash_changes_with_widths(self):
         other = widths_hash((119, 16, 11, 4, 9, 2, 6), BOND_FEATURE_WIDTHS)
         assert other != SCHEMA_HASH
-
-    def test_index_limits_are_read_only_module_constants(self):
-        assert ATOM_INDEX_LIMITS.tolist() == list(ATOM_FEATURE_WIDTHS)
-        assert BOND_INDEX_LIMITS.tolist() == list(BOND_FEATURE_WIDTHS)
-        for limits in (ATOM_INDEX_LIMITS, BOND_INDEX_LIMITS):
-            assert limits.dtype == np.uint64
-            assert not limits.flags.writeable
 
 
 class TestAtomRows:
@@ -383,8 +375,10 @@ ORACLE_CORPUS_SHA256 = "6abde2309d41b134c8b512802970d66b7dd63811c999a7e35bdfd3c8
 
 
 class TestFeaturizeOracle:
-    """``featurize`` builds one flat array and views it as three matrices;
-    the per-row construction it replaced is the reference."""
+    """``featurize`` keeps each molecule's integers as lists and checks the
+    columns its clamps leave open as it writes them; the per-row array
+    construction and two-sided range check it replaced are the
+    reference."""
 
     def test_every_test_file_smiles(self):
         corpus = _test_file_smiles()
@@ -446,3 +440,47 @@ class TestFeaturizeOracle:
         assert_matches_reference(graph)
         with pytest.raises(SchemaError, match="^atom feature index"):
             featurize(graph)
+
+    @staticmethod
+    def _hand_built(column, value):
+        """Ethane with one atom or bond field set to ``value`` after
+        ``graph_of`` has filled in the degrees."""
+        graph = graph_of(
+            [Atom(atomic_number=6), Atom(atomic_number=6)],
+            [Bond(a=0, b=1, order=BondOrder.SINGLE)],
+        )
+        owner = graph.bonds[0] if column == "in_ring" else graph.atoms[0]
+        setattr(owner, column, value)
+        return graph
+
+    @pytest.mark.parametrize(
+        "column, value, kind",
+        [
+            ("degree", -1, "atom"),
+            ("hydrogens", -1, "atom"),
+            ("aromatic", -1, "atom"),
+            ("aromatic", 2, "atom"),
+            ("in_ring", -1, "bond"),
+            ("in_ring", 2, "bond"),
+        ],
+    )
+    def test_each_column_that_can_leave_its_width(self, column, value, kind):
+        graph = self._hand_built(column, value)
+        assert_matches_reference(graph)
+        with pytest.raises(SchemaError, match=f"^{kind} feature index"):
+            featurize(graph)
+
+    @pytest.mark.parametrize("atom_column", ["degree", "hydrogens", "aromatic"])
+    def test_atom_fault_reported_before_bond_fault(self, atom_column):
+        graph = self._hand_built("in_ring", -1)
+        setattr(graph.atoms[1], atom_column, -1)
+        assert_matches_reference(graph)
+        with pytest.raises(SchemaError, match="^atom feature index"):
+            featurize(graph)
+
+    def test_feature_lists_must_match_counts(self):
+        fg = featurize_smiles("CCO")
+        with pytest.raises(ValueError, match="^feature lists must hold"):
+            FeaturizedGraph(fg.atom_values, fg.bond_values, fg.endpoint_values, 4, 2)
+        with pytest.raises(ValueError, match="^feature lists must hold"):
+            FeaturizedGraph(fg.atom_values, fg.bond_values[:-3], fg.endpoint_values, 3, 2)

@@ -13,6 +13,8 @@ import pytest
 import molscreen.model as model_module
 from molscreen.engine import Tape, Tensor, ops
 from molscreen.featurize import featurize_smiles
+from molscreen.synth import synth_dataset
+from molscreen.train import _EvalBatches
 from molscreen.model import (
     GraphBatch,
     ModelParams,
@@ -277,6 +279,22 @@ class TestPackingOracle:
     def test_bondless_batch_matches_per_graph_loop(self):
         self._assert_matches_reference([featurize_smiles(s) for s in ("C", "[Na+]", "O")])
 
+    @pytest.mark.parametrize("pool", [POOL, ("C", "[Na+]", "O")], ids=["mixed", "bondless"])
+    def test_one_int64_conversion_per_array(self, pool):
+        # the batch's matrices (and the endpoints its layouts come from) are
+        # the graphs' own matrices, concatenated
+        graphs = [featurize_smiles(s) for s in pool]
+        packed = GraphBatch.from_graphs(graphs)
+        n_bonds = sum(g.n_bonds for g in graphs)
+        endpoints = model_module._int_rows([g.endpoint_values for g in graphs], n_bonds, 2)
+        for name, array in (
+            ("atom_indices", packed.atom_indices),
+            ("bond_indices", packed.bond_indices),
+            ("bond_endpoints", endpoints),
+        ):
+            assert array.flags.c_contiguous, name
+            _assert_same_array(array, np.concatenate([getattr(g, name) for g in graphs]), name)
+
 
 class TestEmbedInputs:
     """The embedding lookups gin_forward makes: h0 from the node tables
@@ -508,6 +526,40 @@ class TestBatchedInference:
             gin_forward(whole, params, train=False).data,
             atol=1e-12,
         )
+
+
+class TestLazyBackwardLayouts:
+    """A layout builds its backward slots on the first scatter, so batches
+    packed only for eval-mode passes never build them."""
+
+    LAYOUTS = ("neighbor_layout", "bond_layout", "pool_layout")
+
+    def test_eval_packs_build_no_backward_slots(self, monkeypatch):
+        pack, batches = GraphBatch.from_graphs, []
+        monkeypatch.setattr(
+            GraphBatch, "from_graphs", lambda graphs: batches.append(pack(graphs)) or batches[-1]
+        )
+        ds, _ = synth_dataset(n_tasks=2, n_per_task=3, seed=0, noise_sigma=0.0)
+        params = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=8, seed=0)
+        predict_graphs(ds.graphs, params)
+        encode_graphs(ds.graphs, params)
+        _EvalBatches(ds, ds.label_mask, batch_size=2).loss(params)
+        assert len(batches) > 3  # one predict chunk, one encode chunk, two or more eval batches
+        for batch in batches:
+            for name in self.LAYOUTS:
+                assert "_uses" not in vars(getattr(batch, name)), name
+
+    def test_backward_builds_them_once(self):
+        batch = batch_of("CCO", "c1ccccc1", "C")
+        params = init_params(["a"], embed_dim=8, n_layers=2, head_hidden=8, seed=0)
+        tape = Tape()
+        z = gin_forward(batch, params, tape=tape)
+        out = predict_heads(z, params, [0], tape=tape)[0]
+        tape.backward(ops.mse_loss(out, np.zeros((3, 1)), tape=tape))
+        for name in self.LAYOUTS:
+            layout = getattr(batch, name)
+            assert "_uses" in vars(layout), name
+            assert layout.used_rows is vars(layout)["_uses"][0]
 
 
 class TestEndToEndGradient:

@@ -1,7 +1,8 @@
-"""The package ships no dead helpers: every top-level function and class
-under ``src/molscreen/`` is named by another top-level statement of the
-package, by the benchmark (``perfbench/*.py``), or in ``molscreen.__all__``.
-Helpers that only tests call live under ``tests/``."""
+"""The package ships no dead helpers: every top-level function, class and
+constant (``NAME = ...``, dunders aside) under ``src/molscreen/`` is named
+by another top-level statement of the package, by the benchmark
+(``perfbench/*.py``), or in ``molscreen.__all__``.  Helpers that only
+tests call live under ``tests/``."""
 
 import ast
 import re
@@ -24,6 +25,21 @@ def _names(node) -> set[str]:
     return found
 
 
+def _defined(stmt) -> list[str]:
+    """The names a top-level statement defines: a function or class, or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def test_every_top_level_definition_has_a_user():
     statements = []  # (qualified module, statement, names it reads)
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -36,10 +52,8 @@ def test_every_top_level_definition_has_a_user():
     exported = set(molscreen.__all__)
     dead = []
     for module, stmt, _ in statements:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        name = stmt.name
-        used = any(name in names for _, other, names in statements if other is not stmt)
-        if not (used or name in exported or re.search(rf"\b{re.escape(name)}\b", bench)):
-            dead.append(f"{module}.{name}")
+        for name in _defined(stmt):
+            used = any(name in names for _, other, names in statements if other is not stmt)
+            if not (used or name in exported or re.search(rf"\b{re.escape(name)}\b", bench)):
+                dead.append(f"{module}.{name}")
     assert dead == []
