@@ -31,7 +31,6 @@ class ALConfig:
     init_fraction: float = 0.5
     acquisition: str = "greedy_mean"
     ucb_beta: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.total_budget < 1:
@@ -125,7 +124,7 @@ def _train_members(
     )
     members = []
     for m in range(config.ensemble_size):
-        member_seed = int(rng_stream(config.seed, 6, m).integers(2**63 - 1))
+        member_seed = int(rng_stream(train_config.seed, 6, m).integers(2**63 - 1))
         params, _ = train(ds, replace(train_config, seed=member_seed))
         members.append(params)
     return members, ds
@@ -143,7 +142,8 @@ def al_run(
     """Run the full acquisition loop; returns the final ensemble, the labeled
     set (in acquisition order), and a per-round log.  ``graphs``, when given,
     are the pool's featurized graphs (one per SMILES, same order), so a pool
-    read with ``read_smiles_csv`` is not featurized again."""
+    read with ``read_smiles_csv`` is not featurized again.  ``train_config.seed``
+    orders the initial pool and draws every member's training seed."""
     pool_smiles = list(pool_smiles)
     n = len(pool_smiles)
     if n < config.total_budget:
@@ -152,7 +152,7 @@ def al_run(
         graphs = [featurize_smiles(s) for s in pool_smiles]
     elif len(graphs) != n:
         raise ValueError(f"{len(graphs)} graphs for a pool of {n} compounds")
-    init_order = rng_stream(config.seed, 5).permutation(n)
+    init_order = rng_stream(train_config.seed, 5).permutation(n)
     labeled = [int(i) for i in init_order[: config.init_size]]
     labels = {i: float(oracle(pool_smiles[i])) for i in labeled}
     log = [ALRound(0, len(labeled), n - len(labeled), math.nan)]

@@ -350,16 +350,19 @@ def cmd_eval(args) -> dict:
             f"no dataset task {ds.task_names} matches a checkpoint task "
             f"{ck.params.task_names}"
         )
+    columns = [ds.task_names.index(name) for name in shared]
+    indices = [ck.params.task_names.index(name) for name in shared]
+    # one pass over every compound labeled in a shared task, scored for all
+    labeled = ds.label_mask[:, columns]
+    rows = np.flatnonzero(labeled.any(axis=1))
+    scores = predict_graphs([ds.graphs[i] for i in rows], ck.params, indices)
     table = []
-    for name in shared:
-        column = ds.task_names.index(name)
-        index = ck.params.task_names.index(name)
-        rows = np.flatnonzero(ds.label_mask[:, column])
-        if not rows.size:
+    for j, (name, column, index) in enumerate(zip(shared, columns, indices)):
+        mine = labeled[rows, j]
+        if not mine.any():
             raise ConfigError(f"task {name!r} has no labels in {args.data}")
-        truth = ds.labels[rows, column]
-        graphs = [ds.graphs[i] for i in rows]
-        preds = predict_graphs(graphs, ck.params, [index])[:, 0]
+        truth = ds.labels[rows[mine], column]
+        preds = scores[mine, j]
         try:
             table.append(["mse", name, repr(mse(truth, preds))])
             table.append(["pearson", name, repr(pearson(truth, preds))])
@@ -426,7 +429,6 @@ def cmd_active_learn(args) -> dict:
         init_fraction=args.init_fraction,
         acquisition=args.acquisition,
         ucb_beta=args.ucb_beta,
-        seed=config.seed,
     )
     _check_writable(args.log_out, args.acquired_out, args.out)
     meta = _load_meta(args.meta)

@@ -53,8 +53,8 @@ def matmul(
 
 
 def add(*terms: Tensor, tape: Tape | None = None) -> Tensor:
-    """Sum of two or more tensors, added left to right into one array;
-    terms after the first two may be bias-style rows broadcast into it."""
+    """Sum of two or more tensors, added left to right into one array; any
+    term but the first may be a bias-style row broadcast into it."""
     if len(terms) < 2:
         raise ValueError("add needs at least two terms")
     out = terms[0].data + terms[1].data

@@ -17,7 +17,8 @@ import numpy as np
 
 from .data import TaskDataset
 from .engine import rng_stream
-from .smiles import parse_smiles
+from .featurize import featurize
+from .smiles import MolGraph, parse_smiles
 
 _VALENCE = {6: 4, 7: 3, 8: 2}
 _SYMBOL = {6: "C", 7: "N", 8: "O"}
@@ -31,7 +32,10 @@ MAX_STALE_DRAWS = 10_000
 
 
 def descriptor_vector(smiles: str) -> np.ndarray:
-    graph = parse_smiles(smiles)
+    return _descriptors(parse_smiles(smiles))
+
+
+def _descriptors(graph: MolGraph) -> np.ndarray:
     n_atoms = len(graph.atoms)
     ring_bonds = sum(1 for b in graph.bonds if b.in_ring)
     heteroatoms = sum(1 for a in graph.atoms if a.atomic_number != 6)
@@ -252,17 +256,17 @@ def synth_dataset(
             )
     a = coef_stream.uniform(0.5, 1.5, n_tasks).tolist()
     b = coef_stream.uniform(-1.0, 1.0, n_tasks).tolist()
-    latent = np.array([latent_score(s) for s in smiles])
+    latent, graphs = np.empty(n_per_task), []
+    for i, smi in enumerate(smiles):
+        graph = parse_smiles(smi)  # one parse gives descriptors and features
+        latent[i] = np.dot(DESCRIPTOR_WEIGHTS, _descriptors(graph))
+        graphs.append(featurize(graph))
     # unit draws scaled afterwards: zero sigma gives exact zeros while
     # consuming the same stream state as any other sigma
     noise = noise_stream.normal(0.0, 1.0, (n_per_task, n_tasks)) * noise_sigma
     labels = latent[:, None] * np.asarray(a) + np.asarray(b) + noise
-    ds = TaskDataset.from_smiles(
-        smiles,
-        labels,
-        [f"task{t}" for t in range(n_tasks)],
-        ["lower_is_better"] * n_tasks,
-    )
+    names = [f"task{t}" for t in range(n_tasks)]
+    ds = TaskDataset(smiles, graphs, labels, names, ["lower_is_better"] * n_tasks)
     meta = SynthMeta(
         seed=seed,
         n_tasks=n_tasks,

@@ -5,7 +5,8 @@ steps Adam over mini-batches of the masked loss, then records eval-mode train
 and validation losses.  Training stops when the validation loss has exceeded
 the training loss for more than ``patience`` consecutive epochs past the
 ``min_epochs`` warmup, and the parameters from the epoch with the smallest
-validation loss are returned.  ``TrainLog.observe`` is where both rules live:
+validation loss are returned (the frozen-backbone warm-up returns its last
+epoch's instead).  ``TrainLog.observe`` is where both rules live:
 the epoch loop calls it once per epoch, and the tests replay scripted loss
 curves through it.
 """
@@ -204,24 +205,23 @@ def train_with_split(
     epoch_offset: int = 0,
     epoch_callback=None,
 ) -> tuple[ModelParams, TrainLog]:
-    """Core epoch loop.
+    """Core epoch loop, in one of two modes.
 
-    ``params`` continues from existing parameters (default: fresh init).
-    ``trainable_names`` restricts optimization to a parameter-name subset,
-    with batch-norm running statistics frozen while any backbone parameter is
-    excluded.  When it names no backbone parameter at all, the backbone is
-    frozen, as neither Adam nor batch norm can change it: each training batch
-    runs the backbone without a tape (the same dropout streams and batch
-    statistics, so the same embeddings), backward stops at the embeddings,
-    and each eval batch is encoded once and reused every epoch.  Losses and
-    parameters equal the full tape's bit for bit.  ``epoch_offset`` shifts
-    logged epoch numbers; ``epoch_callback(epoch, params)`` runs after each
-    epoch's bookkeeping.
+    ``params`` continues from existing parameters (default: fresh init);
+    ``epoch_offset`` shifts logged epoch numbers; ``epoch_callback(epoch,
+    params)`` runs after each epoch's bookkeeping.
 
-    The returned parameters are the best epoch's, independent of ``params``.
-    The first improvement copies the whole model once; each later one
-    copies, into that snapshot's arrays, only what the loop can change: the
-    trainable tensors, plus the running statistics when they are updated.
+    With ``trainable_names=None`` everything trains, and the best epoch's
+    parameters come back, independent of ``params``: the first improvement
+    copies the model, and each later one writes every array into that copy.
+
+    Otherwise only the named head parameters train (a backbone name is a
+    ``ValueError``), with the backbone frozen: each training batch runs it
+    without a tape and without updating running statistics (the same
+    embeddings), and each eval batch is encoded once; losses and parameters
+    equal the full tape's bit for bit.  This warm-up keeps no best-epoch
+    copy: the log still reports a best epoch, but ``params`` itself comes
+    back, as the last epoch left it.
     """
     train_rows = np.flatnonzero(masks.train.any(axis=1))
     if train_rows.size < 2:
@@ -236,17 +236,12 @@ def train_with_split(
             seed=config.seed,
         )
     all_named = list(params.named_parameters())
-    names = {name for name, _ in all_named}
-    wanted = names if trainable_names is None else set(trainable_names)
-    if wanted - names:
-        raise ValueError(f"unknown parameter names: {sorted(wanted - names)}")
-    trainable = [t for name, t in all_named if name in wanted]
-    backbone_names = {name for name, _ in params.backbone_named_parameters()}
-    update_running = backbone_names <= wanted
-    frozen = not backbone_names & wanted
-    tracked = set(wanted)
-    if update_running:
-        tracked.update(name for name, _ in params.named_state_arrays())
+    frozen = trainable_names is not None
+    if frozen:
+        not_heads = set(trainable_names) - {n for n, _ in params.head_named_parameters()}
+        if not_heads:
+            raise ValueError(f"trainable_names may name head parameters only: {sorted(not_heads)}")
+    trainable = [t for name, t in all_named if not frozen or name in trainable_names]
     encode_once = params if frozen else None
     train_eval = _EvalBatches(ds, masks.train, config.batch_size, encode_once)
     val_eval = _EvalBatches(ds, masks.val, config.batch_size, encode_once)
@@ -267,7 +262,7 @@ def train_with_split(
                 params,
                 train=True,
                 rng_path=rng_path,
-                update_running=update_running,
+                update_running=not frozen,
                 tape=None if frozen else tape,
             )
             loss = _head_loss(
@@ -306,21 +301,15 @@ def train_with_split(
         stop = log.observe(
             EpochRecord(epoch, train_loss, val_loss), config.min_epochs, config.patience
         )
-        if log.best_epoch == epoch:
+        if not frozen and log.best_epoch == epoch:
             if best_params is None:
                 best_params = params.copy()
-                twins = dict(best_params.named_arrays())
-                changing = [
-                    (live, twins[name])
-                    for name, live in params.named_arrays()
-                    if name in tracked
-                ]
             else:
-                for live, snapshot in changing:
-                    np.copyto(snapshot, live)
+                for (_, snap), (_, live) in zip(best_params.named_arrays(), params.named_arrays()):
+                    np.copyto(snap, live)
         if epoch_callback is not None:
             epoch_callback(epoch, params)
         if stop:
             break
-    return best_params, log
+    return (params if frozen else best_params), log
 

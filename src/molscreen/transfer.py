@@ -10,12 +10,14 @@ fire and the phase-1 log ends with ``stop_reason == "max_epochs"``.  Phase 2
 continues training all parameters under the standard early-stopping protocol
 with a fresh optimizer; the epoch counter keeps running across the phases.
 
-Phase 1 names only head parameters as trainable, so ``train_with_split``
-treats the backbone as frozen: nothing can change its weights or running
-statistics, so it runs the backbone without a tape (backward stops at the
-embeddings) and encodes each evaluation batch once for the whole phase.
-Both are exact: the losses, head weights and backbone hashes are those the
-full tape gives, bit for bit.
+Phase 1 names the head parameters as trainable, which puts
+``train_with_split`` in its frozen-backbone mode: nothing can change the
+backbone's weights or running statistics, so it runs the backbone without a
+tape (backward stops at the embeddings) and encodes each evaluation batch
+once for the whole phase.  Both are exact: the losses, head weights and
+backbone hashes are those the full tape gives, bit for bit.  The mode keeps
+no best-epoch copy; phase 2 starts from the parameters as phase 1's last
+epoch left them, and the phase-1 log still reports its best epoch.
 
 ``phase1_backbone_hashes`` holds one ``backbone_hash`` per phase-1 epoch,
 the proof of the freeze.  The backbone is hashed once, when phase 1 starts;
@@ -94,7 +96,7 @@ def transfer_train(
             )
             hashes.append(start_hash if unchanged else p.backbone_hash())
 
-        _, phase1_log = train_with_split(
+        params, phase1_log = train_with_split(
             new_ds,
             replace(config, min_epochs=head_epochs, max_epochs=head_epochs),
             masks,
@@ -102,8 +104,6 @@ def transfer_train(
             trainable_names=head_names,
             epoch_callback=record_hash,
         )
-    # phase 2 resumes from the post-warmup state (params was updated in
-    # place), not from the warmup's best-validation snapshot
     best, phase2_log = train_with_split(
         new_ds,
         config,

@@ -408,7 +408,7 @@ def test_criterion_08_active_learning_beats_random():
         oracle = task_oracle(meta, 0)
         al_config = ALConfig(
             total_budget=200, ensemble_size=5, n_rounds=2,
-            init_fraction=0.5, acquisition="greedy_mean", seed=seed,
+            init_fraction=0.5, acquisition="greedy_mean",
         )
         train_config = TrainConfig(
             embed_dim=16, n_layers=2, head_hidden=16, batch_size=32,

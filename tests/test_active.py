@@ -94,7 +94,7 @@ class TestSelection:
     def test_scores_align_with_candidates(self, monkeypatch):
         # scores[j] belongs to the j-th remaining compound, not to pool index j
         smiles, oracle = small_pool(30)
-        cfg = ALConfig(total_budget=10, ensemble_size=1, n_rounds=1, init_fraction=0.5, seed=2)
+        cfg = ALConfig(total_budget=10, ensemble_size=1, n_rounds=1, init_fraction=0.5)
         seen = {}
 
         def known_scores(members, graphs, acquisition, ucb_beta, hit_direction):
@@ -102,7 +102,7 @@ class TestSelection:
             return np.arange(len(graphs), 0, -1, dtype=np.float64)  # last is best
 
         monkeypatch.setattr(molscreen.active, "acquisition_scores", known_scores)
-        result = al_run(smiles, oracle, cfg, tiny_train_config())
+        result = al_run(smiles, oracle, cfg, tiny_train_config(seed=2))
         init = result.labeled_indices[: cfg.init_size]
         remaining = [i for i in range(len(smiles)) if i not in init]
         assert len(seen["graphs"]) == len(remaining)
@@ -165,7 +165,7 @@ class TestEnsemblePredict:
 class TestALRun:
     def test_budget_and_log(self):
         smiles, oracle = small_pool(40)
-        cfg = ALConfig(total_budget=12, ensemble_size=2, n_rounds=2, init_fraction=0.5, seed=0)
+        cfg = ALConfig(total_budget=12, ensemble_size=2, n_rounds=2, init_fraction=0.5)
         result = al_run(smiles, oracle, cfg, tiny_train_config())
         assert len(result.labeled_indices) == 12
         assert len(set(result.labeled_indices)) == 12  # never re-labels
@@ -179,25 +179,35 @@ class TestALRun:
 
     def test_deterministic(self):
         smiles, oracle = small_pool(30)
-        cfg = ALConfig(total_budget=10, ensemble_size=2, n_rounds=1, init_fraction=0.5, seed=3)
-        a = al_run(smiles, oracle, cfg, tiny_train_config())
-        b = al_run(smiles, oracle, cfg, tiny_train_config())
+        cfg = ALConfig(total_budget=10, ensemble_size=2, n_rounds=1, init_fraction=0.5)
+        a = al_run(smiles, oracle, cfg, tiny_train_config(seed=3))
+        b = al_run(smiles, oracle, cfg, tiny_train_config(seed=3))
         assert a.labeled_indices == b.labeled_indices
         assert a.log == b.log
         assert a.members[0].backbone_hash() == b.members[0].backbone_hash()
 
     def test_given_graphs_are_used(self):
         smiles, oracle = small_pool(30)
-        cfg = ALConfig(total_budget=10, ensemble_size=2, n_rounds=1, init_fraction=0.5, seed=3)
+        cfg = ALConfig(total_budget=10, ensemble_size=2, n_rounds=1, init_fraction=0.5)
         graphs = [featurize_smiles(s) for s in smiles]
-        a = al_run(smiles, oracle, cfg, tiny_train_config())
-        b = al_run(smiles, oracle, cfg, tiny_train_config(), graphs=graphs)
+        tc = tiny_train_config(seed=3)
+        a = al_run(smiles, oracle, cfg, tc)
+        b = al_run(smiles, oracle, cfg, tc, graphs=graphs)
         assert a.labeled_indices == b.labeled_indices
         assert a.log == b.log
         assert a.members[0].backbone_hash() == b.members[0].backbone_hash()
         assert b.labeled_dataset.graphs[0] is graphs[b.labeled_indices[0]]
         with pytest.raises(ValueError):
-            al_run(smiles, oracle, cfg, tiny_train_config(), graphs=graphs[:-1])
+            al_run(smiles, oracle, cfg, tc, graphs=graphs[:-1])
+
+    def test_train_config_seed_is_the_run_seed(self):
+        # the initial sample and every member's seed come from it
+        smiles, oracle = small_pool(30)
+        cfg = ALConfig(total_budget=8, ensemble_size=1, n_rounds=0, init_fraction=1.0)
+        runs = [al_run(smiles, oracle, cfg, tiny_train_config(seed=s)) for s in (3, 4)]
+        order = [rng_stream(s, 5).permutation(30)[:8].tolist() for s in (3, 4)]
+        assert [r.labeled_indices for r in runs] == order
+        assert order[0] != order[1]
 
     def test_unknown_hit_direction_rejected(self):
         smiles, oracle = small_pool(8)
@@ -215,8 +225,8 @@ class TestALRun:
         # one member, whole budget at init, zero rounds: just single-task
         # training on a random sample, with the member-0 derived seed
         smiles, oracle = small_pool(30)
-        cfg = ALConfig(total_budget=8, ensemble_size=1, n_rounds=0, init_fraction=1.0, seed=11)
-        tc = tiny_train_config()
+        cfg = ALConfig(total_budget=8, ensemble_size=1, n_rounds=0, init_fraction=1.0)
+        tc = tiny_train_config(seed=11)
         result = al_run(smiles, oracle, cfg, tc)
         labels = np.array([[oracle(smiles[i])] for i in result.labeled_indices])
         sample = TaskDataset.from_smiles(

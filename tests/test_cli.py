@@ -1088,7 +1088,7 @@ class TestActiveLearnCommand:
         result = al_run(
             pool,
             task_oracle(meta, 0),
-            ALConfig(total_budget=20, ensemble_size=2, n_rounds=2, seed=3),
+            ALConfig(total_budget=20, ensemble_size=2, n_rounds=2),
             TrainConfig(
                 embed_dim=8, n_layers=1, head_hidden=8, batch_size=4,
                 min_epochs=1, max_epochs=1, seed=3,

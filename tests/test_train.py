@@ -275,36 +275,49 @@ class TestTrainLoop:
             curve, cfg.min_epochs, cfg.patience, cfg.max_epochs
         ) == (log.stop_epoch, log.best_epoch, log.stop_reason)
 
-    @pytest.mark.parametrize("extra", [None, [], ["layer.0.w1"]],
-                             ids=["all", "heads", "heads-and-one-backbone"])
-    def test_best_snapshot_equals_a_copy_at_the_best_epoch(self, extra):
-        # the snapshot copies only what the loop can change; it must still be
-        # the whole model as it stood after the best epoch, sharing no array
-        # with the live parameters
+    @pytest.mark.parametrize("heads_only", [False, True], ids=["all", "heads"])
+    def test_best_snapshot_equals_a_copy_at_the_best_epoch(self, heads_only):
+        # all: the snapshot is the whole model as it stood after the best
+        # epoch, sharing no array with the live parameters.  heads: the
+        # frozen-backbone warm-up keeps no snapshot; it returns the live
+        # parameters as the last epoch left them, while its log still names
+        # an earlier best epoch
         ds = make_dataset(24, 2)
         cfg = tiny_config(lr=0.01, min_epochs=10, max_epochs=10, seed=2)
         masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
         params = init_params(ds.task_names, embed_dim=8, n_layers=2, head_hidden=8, seed=2)
-        names = None if extra is None else [n for n, _ in params.head_named_parameters()] + extra
+        names = [n for n, _ in params.head_named_parameters()] if heads_only else None
         copies = {}
-        best, log = train_with_split(
+        got, log = train_with_split(
             ds, cfg, masks, params=params, trainable_names=names,
             epoch_callback=lambda epoch, p: copies.__setitem__(epoch, p.copy()),
         )
         assert 1 < log.best_epoch < len(log.epochs)
-        want = copies[log.best_epoch]
-        got_arrays = [(n, t.data) for n, t in best.named_parameters()]
-        got_arrays += list(best.named_state_arrays())
-        want_arrays = [(n, t.data) for n, t in want.named_parameters()]
-        want_arrays += list(want.named_state_arrays())
-        live = [t.data for _, t in params.named_parameters()]
-        live += [arr for _, arr in params.named_state_arrays()]
+        want = copies[len(log.epochs) if heads_only else log.best_epoch]
+        assert (got is params) == heads_only
+        got_arrays = list(got.named_arrays())
+        want_arrays = list(want.named_arrays())
+        live = [arr for _, arr in params.named_arrays()]
         assert [n for n, _ in got_arrays] == [n for n, _ in want_arrays]
-        for (name, got), (_, expected), current in zip(got_arrays, want_arrays, live):
-            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64),
+        for (name, arr), (_, expected), current in zip(got_arrays, want_arrays, live):
+            np.testing.assert_array_equal(arr.view(np.int64), expected.view(np.int64),
                                           err_msg=name)
-            assert not np.shares_memory(got, current), name
-        assert not np.array_equal(best.heads[0].w1.data, params.heads[0].w1.data)
+            assert np.shares_memory(arr, current) == heads_only, name
+        best_heads = copies[log.best_epoch].heads[0].w1.data
+        assert not np.array_equal(best_heads, params.heads[0].w1.data)
+
+    def test_backbone_names_are_not_trainable_alone(self):
+        # trainable_names selects the frozen-backbone warm-up: a backbone or
+        # unknown name in it is an error, not a partial freeze
+        ds = make_dataset(24, 2)
+        cfg = tiny_config(max_epochs=1)
+        masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
+        params = init_params(ds.task_names, embed_dim=8, n_layers=2, head_hidden=8, seed=2)
+        heads = [n for n, _ in params.head_named_parameters()]
+        for extra in ("layer.0.w1", "node_table.0", "no.such.name"):
+            with pytest.raises(ValueError, match="head parameters only"):
+                train_with_split(ds, cfg, masks, params=params,
+                                 trainable_names=heads + [extra])
 
     def test_head_count_matches_tasks(self):
         ds = make_dataset(24, 3)
