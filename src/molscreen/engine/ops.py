@@ -396,15 +396,17 @@ def mse_loss(pred: Tensor, target, tape: Tape | None = None) -> Tensor:
 def masked_sse(pred: Tensor, target, mask, tape: Tape | None = None) -> Tensor:
     """Sum of squared errors over entries where ``mask`` is nonzero.
 
-    Masked entries contribute exactly zero to both the value and the
-    gradient.
+    Masked entries contribute exactly zero to the gradient and nothing to
+    the value: the sum runs over the selected entries alone, in row-major
+    order, so unselected columns do not change its rounding.
     """
     target = np.asarray(target, dtype=np.float64)
     mask = np.asarray(mask) != 0
     if target.shape != pred.shape or mask.shape != pred.shape:
         raise ValueError("prediction, target, and mask shapes differ")
     diff = np.where(mask, pred.data - target, 0.0)
-    out = np.sum(diff * diff)
+    selected = diff[mask]
+    out = np.sum(selected * selected)
 
     def backward(up):
         return (up * 2.0 * diff,)

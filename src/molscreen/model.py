@@ -426,6 +426,7 @@ def predict(
 
 
 def _packed_chunks(graphs: list[FeaturizedGraph]):
+    """The eval path's one chunking, for inference and training's eval losses."""
     for start in range(0, len(graphs), INFERENCE_BATCH):
         yield GraphBatch.from_graphs(graphs[start : start + INFERENCE_BATCH])
 

@@ -2,13 +2,16 @@
 
 Each epoch shuffles the compounds that carry at least one training label,
 steps Adam over mini-batches of the masked loss, then records eval-mode train
-and validation losses.  Training stops when the validation loss has exceeded
-the training loss for more than ``patience`` consecutive epochs past the
-``min_epochs`` warmup, and the parameters from the epoch with the smallest
-validation loss are returned (the frozen-backbone warm-up returns its last
-epoch's instead).  ``TrainLog.observe`` is where both rules live:
-the epoch loop calls it once per epoch, and the tests replay scripted loss
-curves through it.
+and validation losses.  Each of those is the squared error summed over every
+labeled cell of its mask, divided by their count, taken from one prediction
+matrix that the inference path builds in ``INFERENCE_BATCH``-row chunks, so
+it does not depend on ``batch_size``.  Training stops when the validation
+loss has exceeded the training loss for more than ``patience`` consecutive
+epochs past the ``min_epochs`` warmup, and the parameters from the epoch
+with the smallest validation loss are returned (the frozen-backbone warm-up
+returns its last epoch's instead).  ``TrainLog.observe`` is where both
+rules live: the epoch loop calls it once per epoch, and the tests replay
+scripted loss curves through it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from .data import SplitMasks, TaskDataset, split_train_val
 from .engine import AdamState, NonFiniteGradientError, Tape, Tensor, adam_step, ops, rng_stream
-from .model import GraphBatch, ModelParams, gin_forward, init_params, predict_heads
+from .model import GraphBatch, ModelParams, _packed_chunks, gin_forward, init_params
+from .model import predict, predict_heads
 
 
 class TrainingDiverged(RuntimeError):
@@ -137,57 +141,41 @@ def batch_plan(n: int, batch_size: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _head_loss(
-    z: Tensor,
-    params: ModelParams,
-    labels: np.ndarray,
-    mask: np.ndarray,
-    *,
-    train: bool,
-    rng_path=None,
-    tape: Tape | None = None,
-) -> Tensor:
+def _head_loss(z: Tensor, params: ModelParams, labels, mask, rng_path, tape: Tape) -> Tensor:
     cols = predict_heads(
-        z, params, range(len(params.heads)), train=train, rng_path=rng_path, tape=tape
+        z, params, range(len(params.heads)), train=True, rng_path=rng_path, tape=tape
     )
     pred = ops.concat_columns(cols, tape=tape)
     return masked_loss(pred, labels, mask, tape=tape)
 
 
-class _EvalBatches:
-    """Pre-built eval batches (fixed ascending row order) for one mask.
+def _eval_loss(ds: TaskDataset, mask: np.ndarray, frozen: ModelParams | None):
+    """``loss(params)``: ``masked_loss`` over one eval-mode prediction matrix
+    of every row of ``mask`` that carries a label, built as ``predict_graphs``
+    builds it, in ``INFERENCE_BATCH``-row chunks, so it does not depend on the
+    training batch size.  The chunks are packed once, here.  Given ``frozen``
+    parameters each chunk is encoded once instead, only its embeddings are
+    kept, and ``loss`` runs just the heads; this is exact while the backbone
+    weights and running statistics stay as ``frozen`` had them, and ``loss``
+    must then be given those parameters."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        raise ValueError("mask selects no compounds")
+    labels, mask = ds.labels[rows], mask[rows]
+    chunks = _packed_chunks([ds.graphs[i] for i in rows])
+    if frozen is None:
+        chunks, score = list(chunks), predict
+    else:
+        chunks = [gin_forward(batch, frozen) for batch in chunks]
 
-    Given ``frozen`` parameters, each batch is encoded once, here, and only
-    its embeddings are kept, so ``loss`` runs just the heads.  This is exact
-    while the backbone weights and batch-norm running statistics stay as
-    ``frozen`` had them, and ``loss`` must then be given those parameters.
-    """
+        def score(z: Tensor, params: ModelParams) -> np.ndarray:
+            return ops.concat_columns(predict_heads(z, params, range(len(params.heads)))).data
 
-    def __init__(
-        self,
-        ds: TaskDataset,
-        mask: np.ndarray,
-        batch_size: int,
-        frozen: ModelParams | None = None,
-    ):
-        rows = np.flatnonzero(mask.any(axis=1))
-        if rows.size == 0:
-            raise ValueError("mask selects no compounds")
-        self.encoded = frozen is not None
-        self.batches = []
-        for s in range(0, rows.size, batch_size):
-            chunk = rows[s : s + batch_size]
-            inputs = GraphBatch.from_graphs([ds.graphs[i] for i in chunk])
-            if self.encoded:
-                inputs = gin_forward(inputs, frozen, train=False)
-            self.batches.append((inputs, ds.labels[chunk], mask[chunk]))
+    def loss(params: ModelParams) -> float:
+        pred = np.concatenate([score(chunk, params) for chunk in chunks])
+        return masked_loss(Tensor(pred), labels, mask).item()
 
-    def loss(self, params: ModelParams) -> float:
-        values = []
-        for inputs, labels, mask in self.batches:
-            z = inputs if self.encoded else gin_forward(inputs, params, train=False)
-            values.append(_head_loss(z, params, labels, mask, train=False).item())
-        return sum(values) / len(values)
+    return loss
 
 
 def train(ds: TaskDataset, config: TrainConfig) -> tuple[ModelParams, TrainLog]:
@@ -209,7 +197,8 @@ def train_with_split(
 
     ``params`` continues from existing parameters (default: fresh init);
     ``epoch_offset`` shifts logged epoch numbers; ``epoch_callback(epoch,
-    params)`` runs after each epoch's bookkeeping.
+    params)`` runs after each epoch's bookkeeping.  The eval chunks of both
+    masks are packed once per call, not once per epoch.
 
     With ``trainable_names=None`` everything trains, and the best epoch's
     parameters come back, independent of ``params``: the first improvement
@@ -218,10 +207,11 @@ def train_with_split(
     Otherwise only the named head parameters train (a backbone name is a
     ``ValueError``), with the backbone frozen: each training batch runs it
     without a tape and without updating running statistics (the same
-    embeddings), and each eval batch is encoded once; losses and parameters
-    equal the full tape's bit for bit.  This warm-up keeps no best-epoch
-    copy: the log still reports a best epoch, but ``params`` itself comes
-    back, as the last epoch left it.
+    embeddings), and each mask's eval rows are encoded once, so each epoch's
+    eval runs only the heads; losses and parameters equal, bit for bit, those
+    of the full tape with every epoch re-encoding through ``predict_graphs``.
+    This warm-up keeps no best-epoch copy: the log still reports a best
+    epoch, but ``params`` itself comes back, as the last epoch left it.
     """
     train_rows = np.flatnonzero(masks.train.any(axis=1))
     if train_rows.size < 2:
@@ -243,8 +233,8 @@ def train_with_split(
             raise ValueError(f"trainable_names may name head parameters only: {sorted(not_heads)}")
     trainable = [t for name, t in all_named if not frozen or name in trainable_names]
     encode_once = params if frozen else None
-    train_eval = _EvalBatches(ds, masks.train, config.batch_size, encode_once)
-    val_eval = _EvalBatches(ds, masks.val, config.batch_size, encode_once)
+    train_eval = _eval_loss(ds, masks.train, encode_once)
+    val_eval = _eval_loss(ds, masks.val, encode_once)
     adam = AdamState(lr=config.lr)
     log = TrainLog()
     best_params = None
@@ -265,15 +255,7 @@ def train_with_split(
                 update_running=not frozen,
                 tape=None if frozen else tape,
             )
-            loss = _head_loss(
-                z,
-                params,
-                ds.labels[rows],
-                masks.train[rows],
-                train=True,
-                rng_path=rng_path,
-                tape=tape,
-            )
+            loss = _head_loss(z, params, ds.labels[rows], masks.train[rows], rng_path, tape)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(
@@ -292,8 +274,8 @@ def train_with_split(
                 raise TrainingDiverged(
                     f"non-finite gradient at epoch {epoch}, batch {b_idx}"
                 ) from exc
-        train_loss = train_eval.loss(params)
-        val_loss = val_eval.loss(params)
+        train_loss = train_eval(params)
+        val_loss = val_eval(params)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDiverged(
                 f"epoch {epoch}: train {train_loss}, val {val_loss}"

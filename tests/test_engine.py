@@ -701,6 +701,18 @@ class TestMaskedSse:
         out = ops.masked_sse(pred, target, mask)
         assert float(out.data) == 1.0 + 9.0 + 16.0
 
+    def test_unselected_columns_leave_the_bits_alone(self):
+        # the sum runs over the selected entries alone: one labeled column
+        # beside two unlabeled ones sums exactly as it does on its own
+        rng = np.random.default_rng(0)
+        column = rng.normal(size=(100, 1))
+        wide = np.hstack([column, rng.normal(size=(100, 2))])
+        mask = np.zeros((100, 3))
+        mask[:, 0] = 1.0
+        alone = ops.masked_sse(Tensor(column), np.zeros((100, 1)), np.ones((100, 1)))
+        beside = ops.masked_sse(Tensor(wide), np.zeros((100, 3)), mask)
+        assert np.asarray(beside.data).view(np.int64) == np.asarray(alone.data).view(np.int64)
+
     def test_masked_entries_get_exact_zero_gradient(self):
         pred = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
         mask = np.array([[1.0, 0.0], [0.0, 1.0]])

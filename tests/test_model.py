@@ -14,7 +14,6 @@ import molscreen.model as model_module
 from molscreen.engine import Tape, Tensor, ops
 from molscreen.featurize import featurize_smiles
 from molscreen.synth import synth_dataset
-from molscreen.train import _EvalBatches
 from molscreen.model import (
     GraphBatch,
     ModelParams,
@@ -34,6 +33,8 @@ from gradcheck import grad_check  # noqa: E402
 
 
 model_module = importlib.import_module("molscreen.model")
+# the package re-exports train(), which hides the submodule's name
+train_module = importlib.import_module("molscreen.train")
 
 
 def batch_of(*smiles):
@@ -539,12 +540,15 @@ class TestLazyBackwardLayouts:
         monkeypatch.setattr(
             GraphBatch, "from_graphs", lambda graphs: batches.append(pack(graphs)) or batches[-1]
         )
+        monkeypatch.setattr(model_module, "INFERENCE_BATCH", 2)
         ds, _ = synth_dataset(n_tasks=2, n_per_task=3, seed=0, noise_sigma=0.0)
         params = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=8, seed=0)
         predict_graphs(ds.graphs, params)
         encode_graphs(ds.graphs, params)
-        _EvalBatches(ds, ds.label_mask, batch_size=2).loss(params)
-        assert len(batches) > 3  # one predict chunk, one encode chunk, two or more eval batches
+        # training's eval packs, kept for every epoch or encoded once
+        train_module._eval_loss(ds, ds.label_mask, None)(params)
+        train_module._eval_loss(ds, ds.label_mask, params)(params)
+        assert len(batches) == 8  # two chunks each for predict, encode and both eval modes
         for batch in batches:
             for name in self.LAYOUTS:
                 assert "_uses" not in vars(getattr(batch, name)), name

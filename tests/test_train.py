@@ -1,20 +1,21 @@
 """Multi-task trainer: masked loss, early stopping, the epoch loop."""
 
+import importlib
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from molscreen.data import TaskDataset, split_train_val
+from molscreen.data import SplitMasks, TaskDataset, split_train_val
 from molscreen.engine import Tape, Tensor
-from molscreen.model import init_params
+from molscreen.model import init_params, predict_graphs
+from molscreen.synth import synth_dataset
 from molscreen.train import (
     EpochRecord,
     TrainConfig,
     TrainLog,
     TrainingDiverged,
-    _EvalBatches,
     batch_plan,
     masked_loss,
     train,
@@ -25,6 +26,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import replay_stopping  # noqa: E402
 
 NAN = float("nan")
+
+# the package re-exports train(), which hides the submodule's name
+train_module = importlib.import_module("molscreen.train")
 
 # a pool of small valid molecules to build datasets from
 MOLECULES = [
@@ -71,6 +75,16 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def loss_over_predictions(ds, mask, params):
+    """``masked_loss`` over ``predict_graphs`` of every row of ``mask`` that
+    carries a label, and the same loss as a plain NumPy expression."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    pred = predict_graphs([ds.graphs[i] for i in rows], params)
+    labels, m = ds.labels[rows], mask[rows]
+    exact = masked_loss(Tensor(pred), labels, m).item()
+    return exact, ((pred - labels)[m] ** 2).sum() / m.sum()
 
 
 class TestMaskedLoss:
@@ -257,8 +271,35 @@ class TestTrainLoop:
         assert log.best_val_loss == min(vals)
         # re-evaluating the returned parameters reproduces the logged minimum
         masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
-        re_val = _EvalBatches(ds, masks.val, cfg.batch_size).loss(params)
+        re_val, _ = loss_over_predictions(ds, masks.val, params)
         assert re_val == log.best_val_loss
+
+    @pytest.mark.parametrize("batch_size", [65, 128, 256])
+    def test_epoch_losses_come_from_the_inference_path(self, batch_size):
+        # each logged loss is the mean over every labeled cell of one
+        # predict_graphs matrix, however the training batches fall: ~104
+        # training rows are one eval chunk at every batch size here
+        ds, _ = synth_dataset(n_tasks=2, n_per_task=130, seed=0)
+        ds = ds.restrict_to_tasks([0])
+        cfg = tiny_config(embed_dim=16, head_hidden=16, batch_size=batch_size, max_epochs=1)
+        masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
+        params, log = train_with_split(ds, cfg, masks)
+        (record,) = log.epochs
+        for logged, mask in ((record.train_loss, masks.train), (record.val_loss, masks.val)):
+            exact, by_numpy = loss_over_predictions(ds, mask, params)
+            assert logged == exact
+            assert logged == pytest.approx(by_numpy, rel=1e-12, abs=0.0)
+
+    def test_empty_validation_mask_fails_before_any_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(train_module, "adam_step", lambda *args: steps.append(args))
+        ds = make_dataset(24, 2)
+        cfg = tiny_config()
+        masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
+        no_val = SplitMasks(train=masks.train, val=np.zeros_like(masks.val))
+        with pytest.raises(ValueError, match="mask selects no compounds"):
+            train_with_split(ds, cfg, no_val)
+        assert steps == []
 
     @pytest.mark.parametrize(
         "overrides",

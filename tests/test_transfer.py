@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from molscreen.data import split_train_val
-from molscreen.engine import AdamState, Tape, adam_step, ops, rng_stream
+from molscreen.engine import AdamState, Tape, Tensor, adam_step, ops, rng_stream
 from molscreen.model import (
     GraphBatch,
     ModelParams,
     gin_forward,
     init_heads,
     init_params,
+    predict_graphs,
     predict_heads,
 )
 from molscreen.synth import synth_dataset
@@ -30,6 +31,7 @@ from molscreen.transfer import TransferError, transfer_train
 
 # the package re-exports train(), which hides the submodule's name
 train_module = importlib.import_module("molscreen.train")
+model_module = importlib.import_module("molscreen.model")
 
 
 def small_config(**kw):
@@ -264,28 +266,24 @@ def reference_train_with_split(ds, config, masks, params, trainable_names,
     """train_with_split's head-only mode under a fixed_epochs config as it
     ran before frozen backbones were special-cased: every training batch
     records the whole model on the tape (running statistics not updated)
-    and every epoch re-encodes every eval batch.  Like the real mode, it
-    returns the live parameters."""
+    and every epoch re-encodes every eval row through ``predict_graphs``.
+    Like the real mode, it returns the live parameters."""
     assert config.min_epochs >= config.max_epochs
     all_named = list(params.named_parameters())
     wanted = set(trainable_names)
     trainable = [t for name, t in all_named if name in wanted]
 
-    def forward_loss(batch, labels, mask, train, rng_path=None, tape=None):
-        z = gin_forward(batch, params, train=train, rng_path=rng_path,
+    def forward_loss(batch, labels, mask, rng_path, tape):
+        z = gin_forward(batch, params, train=True, rng_path=rng_path,
                         update_running=False, tape=tape)
-        cols = predict_heads(z, params, range(len(params.heads)), train=train,
+        cols = predict_heads(z, params, range(len(params.heads)), train=True,
                              rng_path=rng_path, tape=tape)
         return masked_loss(ops.concat_columns(cols, tape=tape), labels, mask, tape=tape)
 
     def eval_loss(mask):
         rows = np.flatnonzero(mask.any(axis=1))
-        values = []
-        for s in range(0, rows.size, config.batch_size):
-            chunk = rows[s : s + config.batch_size]
-            batch = GraphBatch.from_graphs([ds.graphs[i] for i in chunk])
-            values.append(forward_loss(batch, ds.labels[chunk], mask[chunk], False).item())
-        return sum(values) / len(values)
+        pred = predict_graphs([ds.graphs[i] for i in rows], params)
+        return masked_loss(Tensor(pred), ds.labels[rows], mask[rows]).item()
 
     train_rows = np.flatnonzero(masks.train.any(axis=1))
     adam = AdamState(lr=config.lr)
@@ -297,7 +295,7 @@ def reference_train_with_split(ds, config, masks, params, trainable_names,
             rows = order[s:e]
             tape = Tape()
             batch = GraphBatch.from_graphs([ds.graphs[i] for i in rows])
-            loss = forward_loss(batch, ds.labels[rows], masks.train[rows], True,
+            loss = forward_loss(batch, ds.labels[rows], masks.train[rows],
                                 (config.seed, 1, epoch, b_idx), tape)
             for _, t in all_named:
                 t.grad = None
@@ -376,9 +374,15 @@ class TestFrozenPhaseOracle:
     """With only head parameters trainable, the tapeless backbone forward
     and the eval embeddings encoded once give, bit for bit, what the full
     tape and per-epoch re-encoding gave; the parameters returned are the
-    live ones, as the last epoch left them."""
+    live ones, as the last epoch left them.  Eval chunks of 5 rows split
+    both the 32 training and the 8 validation rows across chunks."""
 
     EPOCHS = 4
+    CHUNK = 5
+
+    @pytest.fixture(autouse=True)
+    def small_inference_chunks(self, monkeypatch):
+        monkeypatch.setattr(model_module, "INFERENCE_BATCH", self.CHUNK)
 
     def _run(self, trainer, cfg, ds, masks):
         params = warmup_start(cfg, ds)
@@ -434,17 +438,20 @@ class TestFrozenPhaseOracle:
             calls[bool(kwargs.get("train"))] += 1
             return gin_forward(*args, **kwargs)
 
+        # training batches and the frozen encodings call train's binding,
+        # predict calls the model's
         monkeypatch.setattr(train_module, "gin_forward", counting)
+        monkeypatch.setattr(model_module, "gin_forward", counting)
         n_eval = sum(
-            -(-int(m.any(axis=1).sum()) // cfg.batch_size) for m in (masks.train, masks.val)
+            -(-int(m.any(axis=1).sum()) // self.CHUNK) for m in (masks.train, masks.val)
         )
         n_train = len(batch_plan(int(masks.train.any(axis=1).sum()), cfg.batch_size))
-        assert n_eval >= 3
+        assert n_eval == 7 + 2
         params = warmup_start(cfg, ds)
         train_with_split(ds, fixed_epochs(cfg, self.EPOCHS), masks, params=params,
                          trainable_names=head_names(params))
         assert calls == {False: n_eval, True: n_train * self.EPOCHS}
-        # unfrozen, every epoch re-encodes every eval batch
+        # unfrozen, every epoch re-encodes every eval chunk
         calls.update({True: 0, False: 0})
         train_with_split(ds, fixed_epochs(cfg, 2), masks, params=params)
         assert calls == {False: 2 * n_eval, True: 2 * n_train}
