@@ -33,12 +33,14 @@ def _create_temp(path: Path) -> tuple[int, Path, Path]:
     return fd, temp, target
 
 
-def check_writable(path) -> None:
-    """Raise the error :func:`atomic_write` would raise on opening ``path``,
-    leaving no file behind."""
-    fd, temp, _ = _create_temp(Path(path))
-    os.close(fd)
-    temp.unlink()
+def check_writable(*paths) -> None:
+    """Raise the error :func:`atomic_write` would raise on opening the first
+    of ``paths`` that cannot be written, leaving no file behind.  ``None``
+    entries, outputs not asked for, are skipped."""
+    for path in filter(None, paths):
+        fd, temp, _ = _create_temp(Path(path))
+        os.close(fd)
+        temp.unlink()
 
 
 @contextmanager

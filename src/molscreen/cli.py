@@ -198,6 +198,14 @@ def _load_ckpt(path) -> Checkpoint:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _scored_tasks(ck: Checkpoint, path) -> list[str]:
+    """The checkpoint's task names; a model with no task heads can export
+    embeddings or seed a transfer, but has nothing to score."""
+    if not ck.params.task_names:
+        raise ConfigError(f"{path}: checkpoint has no task heads to score")
+    return ck.params.task_names
+
+
 def _load_meta(path) -> SynthMeta:
     try:
         return SynthMeta.from_json(Path(path).read_text())
@@ -213,20 +221,9 @@ def _task_index(name: str, tasks: list[str], where: str) -> int:
     return tasks.index(name)
 
 
-def _write_text(path, text: str) -> None:
-    with atomic_write(path) as handle:
-        handle.write(text)
-
-
 def _write_matrix(path, smiles: list[str], columns: list[str], matrix) -> None:
     rows = ([s] + [repr(float(v)) for v in row] for s, row in zip(smiles, matrix))
     write_csv(path, ["smiles"] + columns, rows)
-
-
-def _check_writable(*paths) -> None:
-    """Fail before any training if an output cannot be written."""
-    for path in filter(None, paths):
-        check_writable(path)
 
 
 def _print_seed(seed: int) -> None:
@@ -285,7 +282,7 @@ def _apply_train_mode(ds: TaskDataset, args, seed: int) -> TaskDataset:
 
 def cmd_train(args) -> dict:
     config = resolve_train_config(args)
-    _check_writable(args.out)
+    check_writable(args.out)
     _print_seed(config.seed)
     ds = _load_dataset(args.data)
     ds = _apply_train_mode(ds, args, config.seed)
@@ -297,7 +294,7 @@ def cmd_train(args) -> dict:
 def cmd_predict(args) -> dict:
     ck = _load_ckpt(args.checkpoint)
     _print_seed(ck.seed)
-    tasks = ck.params.task_names
+    tasks = _scored_tasks(ck, args.checkpoint)
     try:  # one CSV record: a name holding a comma is quoted as in the output header
         names = next(csv.reader([args.tasks or ""], skipinitialspace=True))
     except csv.Error as exc:  # a line break outside quotes
@@ -314,8 +311,9 @@ def cmd_screen(args) -> dict:
     _print_seed(ck.seed)
     if not 0.0 < args.top_frac < 1.0:
         raise ConfigError("--top-frac must be in (0, 1)")
-    name = args.task or ck.params.task_names[0]
-    index = _task_index(name, ck.params.task_names, "checkpoint")
+    tasks = _scored_tasks(ck, args.checkpoint)
+    name = args.task or tasks[0]
+    index = _task_index(name, tasks, "checkpoint")
     direction = ck.hit_directions[index]
     smiles, graphs = _load_smiles(args.library, strict=True)
     scores = predict_graphs(graphs, ck.params, [index])[:, 0]
@@ -397,7 +395,7 @@ def cmd_transfer(args) -> dict:
         n_layers=ck.params.n_layers,
         head_hidden=ck.params.head_hidden,
     )
-    _check_writable(args.out)
+    check_writable(args.out)
     _print_seed(config.seed)
     ds = _load_dataset(args.data)
     if args.target is not None:
@@ -430,7 +428,7 @@ def cmd_active_learn(args) -> dict:
         acquisition=args.acquisition,
         ucb_beta=args.ucb_beta,
     )
-    _check_writable(args.log_out, args.acquired_out, args.out)
+    check_writable(args.log_out, args.acquired_out, args.out)
     meta = _load_meta(args.meta)
     if not 0 <= args.oracle_task < meta.n_tasks:
         raise ConfigError(
@@ -469,7 +467,7 @@ def cmd_active_learn(args) -> dict:
 
 
 def cmd_synth_gen(args) -> dict:
-    _check_writable(args.out, args.meta_out)
+    check_writable(args.out, args.meta_out)
     _print_seed(args.seed)
     ds, meta = synth_dataset(
         n_tasks=args.n_tasks,
@@ -480,7 +478,8 @@ def cmd_synth_gen(args) -> dict:
         max_atoms=args.max_atoms,
     )
     write_dataset_csv(args.out, ds)
-    _write_text(args.meta_out, meta.to_json())
+    with atomic_write(args.meta_out) as handle:
+        handle.write(meta.to_json())
     return {
         "out": str(args.out),
         "meta": str(args.meta_out),

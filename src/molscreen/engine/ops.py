@@ -24,15 +24,6 @@ def _result(data, inputs, backward_fn, tape: Tape | None) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def matmul(
     a: Tensor, b: Tensor, bias: Tensor | None = None, tape: Tape | None = None
 ) -> Tensor:
@@ -47,14 +38,15 @@ def matmul(
 
     def backward(up):
         grads = (up @ b.data.T, a.data.T @ up)
-        return grads if bias is None else grads + (_unbroadcast(up, bias.shape),)
+        return grads if bias is None else grads + (up.sum(axis=0),)
 
     return _result(out, inputs, backward, tape)
 
 
 def add(*terms: Tensor, tape: Tape | None = None) -> Tensor:
     """Sum of two or more tensors, added left to right into one array; any
-    term but the first may be a bias-style row broadcast into it."""
+    term but the first may be a bias-style row broadcast into it, whose
+    gradient is the sum of the upstream rows."""
     if len(terms) < 2:
         raise ValueError("add needs at least two terms")
     out = terms[0].data + terms[1].data
@@ -63,7 +55,7 @@ def add(*terms: Tensor, tape: Tape | None = None) -> Tensor:
     shapes = [t.shape for t in terms]
 
     def backward(up):
-        return tuple(_unbroadcast(up, shape) for shape in shapes)
+        return tuple(up if shape == up.shape else up.sum(axis=0) for shape in shapes)
 
     return _result(out, terms, backward, tape)
 
@@ -94,11 +86,10 @@ def dropout(
     x: Tensor, rate: float, rng: np.random.Generator, tape: Tape | None = None
 ) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale by 1/(1-rate).
-    Train mode only; an eval-mode forward does not call it."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
+    Train mode with a positive rate only; an eval-mode forward, or a model
+    without dropout, does not call it."""
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"dropout rate must be in (0, 1), got {rate}")
     keep = rng.random(x.shape) >= rate
     factor = keep / (1.0 - rate)
 
@@ -234,9 +225,6 @@ class SegmentLayout:
     def _uses(self):  # (used_rows, use_columns): the backward slots
         return _slot_columns(*self._terms, self.num_rows)
 
-    used_rows = property(lambda self: self._uses[0])
-    use_columns = property(lambda self: self._uses[1])
-
     def totals(self, data: np.ndarray) -> np.ndarray:
         """Per-segment sums of ``data`` rows, bit-identical to gathering the
         terms and calling ``np.add.reduceat`` on the sorted segments."""
@@ -261,13 +249,13 @@ class SegmentLayout:
         the gradient of :meth:`totals`, bit-identical to
         ``np.add.at(zeros, rows, up[segment_ids])``."""
         grad = np.zeros((self.num_rows,) + up.shape[1:], dtype=up.dtype)
-        columns = self.use_columns
+        used_rows, columns = self._uses
         if columns:
             acc = up[columns[0]]
             acc += 0.0
             for column in columns[1:]:
                 acc[: column.size] += up[column]
-            grad[self.used_rows] = acc
+            grad[used_rows] = acc
         return grad
 
 
@@ -333,7 +321,10 @@ def batch_norm(
     update_running: bool = True,
     tape: Tape | None = None,
 ) -> Tensor:
-    """Normalize each feature over the batch (train) or by running stats (eval)."""
+    """Normalize each feature over the batch (train) or by running stats
+    (eval).  Eval mode is forward-only: with a tape it is a ``ValueError``."""
+    if not train and tape is not None:
+        raise ValueError("eval-mode batch norm is forward-only; call it without a tape")
     if train:
         if x.shape[0] < 2:
             raise ValueError("train-mode batch norm needs at least 2 rows")
@@ -352,30 +343,19 @@ def batch_norm(
     x_hat = (x.data - mean) * inv_std
     out = gamma.data * x_hat + beta.data
 
-    if train:
-
-        def backward(up):
-            n = x.shape[0]
-            d_hat = up * gamma.data
-            d_x = (
-                inv_std
-                / n
-                * (
-                    n * d_hat
-                    - d_hat.sum(axis=0)
-                    - x_hat * (d_hat * x_hat).sum(axis=0)
-                )
+    def backward(up):
+        n = x.shape[0]
+        d_hat = up * gamma.data
+        d_x = (
+            inv_std
+            / n
+            * (
+                n * d_hat
+                - d_hat.sum(axis=0)
+                - x_hat * (d_hat * x_hat).sum(axis=0)
             )
-            return d_x, (up * x_hat).sum(axis=0), up.sum(axis=0)
-
-    else:
-
-        def backward(up):
-            return (
-                up * gamma.data * inv_std,
-                (up * x_hat).sum(axis=0),
-                up.sum(axis=0),
-            )
+        )
+        return d_x, (up * x_hat).sum(axis=0), up.sum(axis=0)
 
     return _result(out, (x, gamma, beta), backward, tape)
 

@@ -7,8 +7,9 @@ into one embedding per molecule.  Each task owns a small two-layer head over
 that shared embedding.
 
 ``_build_params`` states the layout once, and ``ModelParams.named_arrays()``
-is its one walk: every other traversal (copy, checkpoint save and load, the
-backbone hash, the transfer freeze check, the best-epoch snapshot) reads it.
+is its one walk: copy, checkpoint save and load and the best-epoch snapshot
+read it, and the backbone hash and the transfer freeze check read
+``named_backbone_arrays()``, the same walk without the head parameters.
 """
 
 from __future__ import annotations
@@ -159,8 +160,9 @@ class ModelParams:
     def named_backbone_arrays(self):
         """``named_arrays()`` without the head parameters, in the same order:
         everything a frozen backbone keeps."""
-        heads = dict(self.head_named_parameters())
-        return [(name, arr) for name, arr in self.named_arrays() if name not in heads]
+        for name, t in self.backbone_named_parameters():
+            yield name, t.data
+        yield from self.named_state_arrays()
 
     def backbone_hash(self) -> str:
         # sha256 reads each C-contiguous array's buffer in place, no copy
@@ -279,17 +281,8 @@ def _build_params(
         task_names=list(task_names),
         node_tables=node_tables,
         layers=layers,
-        heads=_build_heads(len(task_names), d, head_hidden, seed),
+        heads=init_heads(task_names, d, head_hidden, seed),
     )
-
-
-def _build_heads(n_tasks: int, embed_dim: int, head_hidden: int, seed) -> list[TaskHead]:
-    heads = []
-    for t in range(n_tasks):
-        w1, b1 = _linear(seed, (4, t, 0), embed_dim, head_hidden)
-        w2, b2 = _linear(seed, (4, t, 1), head_hidden, 1)
-        heads.append(TaskHead(w1=w1, b1=b1, w2=w2, b2=b2))
-    return heads
 
 
 def init_params(
@@ -339,11 +332,17 @@ def fill_params(params: ModelParams, arrays: dict[str, np.ndarray]) -> ModelPara
 
 
 def init_heads(
-    task_names: list[str], embed_dim: int, head_hidden: int, seed: int
+    task_names: list[str], embed_dim: int, head_hidden: int, seed: int | None
 ) -> list[TaskHead]:
     """Fresh task heads drawn from the same per-head streams init_params
-    uses, so a head's initial values depend only on its index and the seed."""
-    return _build_heads(len(task_names), embed_dim, head_hidden, seed)
+    uses, so a head's initial values depend only on its index and the seed
+    (``seed=None`` draws nothing, as for ``empty_params``)."""
+    heads = []
+    for t in range(len(task_names)):
+        w1, b1 = _linear(seed, (4, t, 0), embed_dim, head_hidden)
+        w2, b2 = _linear(seed, (4, t, 1), head_hidden, 1)
+        heads.append(TaskHead(w1=w1, b1=b1, w2=w2, b2=b2))
+    return heads
 
 
 def gin_forward(
@@ -394,14 +393,17 @@ def gin_forward(
 def predict_heads(
     z: Tensor,
     params: ModelParams,
-    task_indices,
+    task_indices=None,
     *,
     train: bool = False,
     rng_path: tuple[int, ...] | None = None,
     tape: Tape | None = None,
-) -> list[Tensor]:
-    """Per-task score columns, each of shape (n_graphs, 1)."""
-    outs = []
+) -> Tensor:
+    """The heads' scores over embeddings ``z``, shape (n_graphs,
+    len(task_indices)), every task when ``task_indices`` is None."""
+    if task_indices is None:
+        task_indices = range(len(params.heads))
+    cols = []
     for t in task_indices:
         if not 0 <= t < len(params.heads):
             raise IndexError(f"unknown task index {t}")
@@ -410,19 +412,15 @@ def predict_heads(
         if train and params.dropout > 0.0:
             stream = rng_stream(rng_path[0], *rng_path[1:], 1, 1, t)
             hidden = ops.dropout(hidden, params.dropout, stream, tape=tape)
-        outs.append(ops.matmul(hidden, head.w2, head.b2, tape=tape))
-    return outs
+        cols.append(ops.matmul(hidden, head.w2, head.b2, tape=tape))
+    return ops.concat_columns(cols, tape=tape)
 
 
 def predict(
     batch: GraphBatch, params: ModelParams, task_indices=None
 ) -> np.ndarray:
     """Eval-mode scores, shape (n_graphs, len(task_indices))."""
-    if task_indices is None:
-        task_indices = list(range(len(params.heads)))
-    z = gin_forward(batch, params, train=False)
-    cols = predict_heads(z, params, task_indices, train=False)
-    return np.concatenate([c.data for c in cols], axis=1)
+    return predict_heads(gin_forward(batch, params), params, task_indices).data
 
 
 def _packed_chunks(graphs: list[FeaturizedGraph]):

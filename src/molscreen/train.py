@@ -141,14 +141,6 @@ def batch_plan(n: int, batch_size: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _head_loss(z: Tensor, params: ModelParams, labels, mask, rng_path, tape: Tape) -> Tensor:
-    cols = predict_heads(
-        z, params, range(len(params.heads)), train=True, rng_path=rng_path, tape=tape
-    )
-    pred = ops.concat_columns(cols, tape=tape)
-    return masked_loss(pred, labels, mask, tape=tape)
-
-
 def _eval_loss(ds: TaskDataset, mask: np.ndarray, frozen: ModelParams | None):
     """``loss(params)``: ``masked_loss`` over one eval-mode prediction matrix
     of every row of ``mask`` that carries a label, built as ``predict_graphs``
@@ -169,7 +161,7 @@ def _eval_loss(ds: TaskDataset, mask: np.ndarray, frozen: ModelParams | None):
         chunks = [gin_forward(batch, frozen) for batch in chunks]
 
         def score(z: Tensor, params: ModelParams) -> np.ndarray:
-            return ops.concat_columns(predict_heads(z, params, range(len(params.heads)))).data
+            return predict_heads(z, params).data
 
     def loss(params: ModelParams) -> float:
         pred = np.concatenate([score(chunk, params) for chunk in chunks])
@@ -255,7 +247,8 @@ def train_with_split(
                 update_running=not frozen,
                 tape=None if frozen else tape,
             )
-            loss = _head_loss(z, params, ds.labels[rows], masks.train[rows], rng_path, tape)
+            pred = predict_heads(z, params, train=True, rng_path=rng_path, tape=tape)
+            loss = masked_loss(pred, ds.labels[rows], masks.train[rows], tape=tape)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(

@@ -88,10 +88,9 @@ def test_criterion_01_gradient_integrity():
             batch, params, train=True, rng_path=(13, 0, 0),
             update_running=False, tape=tape,
         )
-        preds = predict_heads(
+        matrix = predict_heads(
             z, params, [0, 1], train=True, rng_path=(13, 0, 0), tape=tape
         )
-        matrix = ops.concat_columns(preds, tape=tape)
         total = ops.masked_sse(matrix, labels, mask, tape=tape)
         return ops.scale(total, 1.0 / mask.sum(), tape=tape)
 

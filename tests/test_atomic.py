@@ -12,7 +12,6 @@ import pytest
 
 from molscreen.atomic import atomic_write, check_writable
 from molscreen.checkpoint import load_checkpoint, save_checkpoint
-from molscreen.cli import _write_text
 from molscreen.dataset_io import write_csv, write_dataset_csv
 from molscreen.model import init_params
 from molscreen.synth import synth_dataset
@@ -45,6 +44,11 @@ def write_csv_failing(path):
         smiles=ds.smiles, labels=ds.labels[:2],
     )
     write_dataset_csv(path, short)
+
+
+def _write_text(path, text):
+    with atomic_write(path) as handle:
+        handle.write(text)
 
 
 def write_text_failing(path):

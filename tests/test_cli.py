@@ -795,6 +795,48 @@ class TestExportEmbeddingsCommand:
             np.testing.assert_array_equal(got, vec)
 
 
+class TestZeroTaskCheckpoint:
+    """A checkpoint with no task heads loads and exports embeddings, but
+    scoring with it is a bad-config error naming the file."""
+
+    @pytest.fixture
+    def headless(self, tmp_path):
+        ckpt = tmp_path / "headless.ckpt"
+        params = init_params([], embed_dim=4, n_layers=1, head_hidden=4, seed=0)
+        save_checkpoint(ckpt, params, [], 0)
+        library = tmp_path / "library.csv"
+        library.write_text("smiles\nCCO\nc1ccccc1\n")
+        return ckpt, library
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["screen", "--library", "{lib}"], ["predict", "--input", "{lib}"]],
+        ids=["screen", "predict"],
+    )
+    def test_scoring_is_bad_config(self, argv, headless, tmp_path, capsys):
+        ckpt, library = headless
+        code, _, err = run(
+            capsys, *[a.format(lib=library) for a in argv], "--checkpoint", str(ckpt),
+            "--out", str(tmp_path / "out.csv"),
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert str(ckpt) in error["message"]
+        assert "no task heads" in error["message"]
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_export_embeddings_succeeds(self, headless, tmp_path, capsys):
+        ckpt, library = headless
+        out = tmp_path / "emb.csv"
+        code, _, _ = run(
+            capsys, "export-embeddings", "--checkpoint", str(ckpt),
+            "--input", str(library), "--out", str(out),
+        )
+        assert code == 0
+        assert read_rows(out)[0].keys() == {"smiles", "e0", "e1", "e2", "e3"}
+
+
 QUOTED_TASKS = ["dock,5HT2A", 'say "hi"\nagain']
 
 

@@ -249,8 +249,7 @@ class TestPackingOracle:
     )
     ARRAYS = ("atom_indices", "bond_indices")
     LAYOUT_ARRAYS = ("counts", "short_segments", "long_rows", "long_segments",
-                     "long_starts", "used_rows")
-    LAYOUT_COLUMNS = ("short_columns", "use_columns")
+                     "long_starts")
 
     def _assert_matches_reference(self, graphs):
         packed = GraphBatch.from_graphs(graphs)
@@ -264,8 +263,12 @@ class TestPackingOracle:
                 _assert_same_array(
                     getattr(got, name), getattr(want, name), f"{layout}.{name}"
                 )
-            for name in self.LAYOUT_COLUMNS:
-                got_columns, want_columns = getattr(got, name), getattr(want, name)
+            (got_rows, got_uses), (want_rows, want_uses) = got._uses, want._uses
+            _assert_same_array(got_rows, want_rows, f"{layout}.used_rows")
+            for name, got_columns, want_columns in (
+                ("short_columns", got.short_columns, want.short_columns),
+                ("use_columns", got_uses, want_uses),
+            ):
                 assert len(got_columns) == len(want_columns), f"{layout}.{name}"
                 for j, (a, b) in enumerate(zip(got_columns, want_columns)):
                     _assert_same_array(a, b, f"{layout}.{name}[{j}]")
@@ -557,13 +560,11 @@ class TestLazyBackwardLayouts:
         batch = batch_of("CCO", "c1ccccc1", "C")
         params = init_params(["a"], embed_dim=8, n_layers=2, head_hidden=8, seed=0)
         tape = Tape()
-        z = gin_forward(batch, params, tape=tape)
-        out = predict_heads(z, params, [0], tape=tape)[0]
+        z = gin_forward(batch, params, train=True, rng_path=(0,), tape=tape)
+        out = predict_heads(z, params, [0], train=True, rng_path=(0,), tape=tape)
         tape.backward(ops.mse_loss(out, np.zeros((3, 1)), tape=tape))
         for name in self.LAYOUTS:
-            layout = getattr(batch, name)
-            assert "_uses" in vars(layout), name
-            assert layout.used_rows is vars(layout)["_uses"][0]
+            assert "_uses" in vars(getattr(batch, name)), name
 
 
 class TestEndToEndGradient:
@@ -584,10 +585,9 @@ class TestEndToEndGradient:
                 update_running=False,
                 tape=tape,
             )
-            preds = predict_heads(
+            matrix = predict_heads(
                 z, params, [0, 1], train=True, rng_path=(13, 0, 0), tape=tape
             )
-            matrix = ops.concat_columns(preds, tape=tape)
             total = ops.masked_sse(matrix, labels, mask, tape=tape)
             return ops.scale(total, 1.0 / mask.sum(), tape=tape)
 
@@ -636,7 +636,7 @@ class TestFusedMessagePassing:
         z = gin_forward(
             batch, params, train=True, rng_path=(3, 1), update_running=False, tape=tape
         )
-        (pred,) = predict_heads(z, params, [0], train=True, rng_path=(3, 1), tape=tape)
+        pred = predict_heads(z, params, [0], train=True, rng_path=(3, 1), tape=tape)
         labels = np.arange(batch.pool_layout.num_segments, dtype=np.float64)[:, None]
         tape.backward(ops.masked_sse(pred, labels, np.ones_like(labels), tape=tape))
         return {name: p.grad.copy() for name, p in params.named_parameters()}
@@ -713,8 +713,7 @@ class TestLeanTapeComposition:
         then eval-mode predictions."""
         tape = Tape()
         z = gin_forward(batch, params, train=True, rng_path=(5, 2), tape=tape)
-        preds = predict_heads(z, params, [0, 1], train=True, rng_path=(5, 2), tape=tape)
-        matrix = ops.concat_columns(preds, tape=tape)
+        matrix = predict_heads(z, params, [0, 1], train=True, rng_path=(5, 2), tape=tape)
         labels = np.arange(2.0 * batch.pool_layout.num_segments).reshape(-1, 2)
         tape.backward(ops.masked_sse(matrix, labels, np.ones_like(labels), tape=tape))
         out = {name: p.grad for name, p in params.named_parameters()}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from molscreen.data import split_train_val
-from molscreen.engine import AdamState, Tape, Tensor, adam_step, ops, rng_stream
+from molscreen.engine import AdamState, Tape, Tensor, adam_step, rng_stream
 from molscreen.model import (
     GraphBatch,
     ModelParams,
@@ -276,9 +276,8 @@ def reference_train_with_split(ds, config, masks, params, trainable_names,
     def forward_loss(batch, labels, mask, rng_path, tape):
         z = gin_forward(batch, params, train=True, rng_path=rng_path,
                         update_running=False, tape=tape)
-        cols = predict_heads(z, params, range(len(params.heads)), train=True,
-                             rng_path=rng_path, tape=tape)
-        return masked_loss(ops.concat_columns(cols, tape=tape), labels, mask, tape=tape)
+        pred = predict_heads(z, params, train=True, rng_path=rng_path, tape=tape)
+        return masked_loss(pred, labels, mask, tape=tape)
 
     def eval_loss(mask):
         rows = np.flatnonzero(mask.any(axis=1))
