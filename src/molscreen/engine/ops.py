@@ -2,7 +2,9 @@
 
 Every op takes an optional ``tape``; with ``tape=None`` it is a plain numpy
 forward pass.  Only the operations the graph model needs are provided; there
-is no general broadcasting beyond bias-style row vectors.
+is no general broadcasting beyond bias-style row vectors.  A backward closure
+captures only the arrays its backward reads (a mask, not the masked input;
+a row count, not the batch), since the tape keeps no op's output.
 """
 
 from __future__ import annotations
@@ -91,12 +93,12 @@ def dropout(
     if not 0.0 < rate < 1.0:
         raise ValueError(f"dropout rate must be in (0, 1), got {rate}")
     keep = rng.random(x.shape) >= rate
-    factor = keep / (1.0 - rate)
 
     def backward(up):
-        return (up * factor,)
+        # the bool mask, not the float64 factor, waits for backward
+        return (up * (keep / (1.0 - rate)),)
 
-    return _result(x.data * factor, (x,), backward, tape)
+    return _result(x.data * (keep / (1.0 - rate)), (x,), backward, tape)
 
 
 def _table_grad(table: np.ndarray, indices: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -342,9 +344,9 @@ def batch_norm(
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (x.data - mean) * inv_std
     out = gamma.data * x_hat + beta.data
+    n = x.shape[0]
 
     def backward(up):
-        n = x.shape[0]
         d_hat = up * gamma.data
         d_x = (
             inv_std
@@ -399,10 +401,9 @@ def concat_columns(tensors, tape: Tape | None = None) -> Tensor:
     widths = [t.shape[1] for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=1)
     offsets = np.concatenate(([0], np.cumsum(widths)))
+    count = len(tensors)
 
     def backward(up):
-        return tuple(
-            up[:, offsets[i] : offsets[i + 1]] for i in range(len(tensors))
-        )
+        return tuple(up[:, offsets[i] : offsets[i + 1]] for i in range(count))
 
     return _result(out, tuple(tensors), backward, tape)

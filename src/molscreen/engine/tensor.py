@@ -6,6 +6,12 @@ records once in reverse, accumulating gradients additively, so a tensor used
 as input to several ops receives the sum of all contributions.  It consumes
 the tape as it goes: each record is released once it has run, so only leaf
 tensors (inputs that no recorded op produced) keep ``.grad`` afterwards.
+
+A record holds no tensor an op produced.  The gradient of a recorded op's
+output goes into a :class:`GradSlot`, which the tape keeps in the tensor's
+place; a leaf input is kept as itself.  So a forward array lives only while
+the caller's names or a backward closure hold it, and each op's closure
+keeps only the arrays its backward reads.
 """
 
 from __future__ import annotations
@@ -15,15 +21,31 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class Tensor:
-    """Value-like float64 array, optionally tracked for gradients."""
+class GradSlot:
+    """Where backward sums the gradient of a recorded op's output, without
+    the output's array."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+
+
+class Tensor:
+    """Value-like float64 array, optionally tracked for gradients.
+
+    ``slot`` is set when a tape records the tensor as an op's output; a leaf
+    has none and takes its gradient in ``.grad``.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self.slot: GradSlot | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -51,11 +73,9 @@ class Tape:
     """
 
     def __init__(self):
-        # (output, inputs, backward_fn); backward_fn maps the output gradient
-        # to one gradient array (or None) per input
-        self._records: list[
-            tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], Sequence[np.ndarray | None]]]
-        ] = []
+        # (output slot, input slots and leaves, backward_fn); backward_fn
+        # maps the output gradient to one gradient array (or None) per input
+        self._records: list[tuple[GradSlot, tuple[GradSlot | Tensor, ...], Callable]] = []
 
     def record(
         self,
@@ -63,31 +83,37 @@ class Tape:
         inputs: Sequence[Tensor],
         backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]],
     ) -> None:
-        self._records.append((output, tuple(inputs), backward_fn))
+        output.slot = GradSlot(output.requires_grad)
+        self._records.append((output.slot, tuple(map(_grad_home, inputs)), backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate gradients of ``loss`` into every leaf tensor, consuming
         the tape."""
         if loss.data.size != 1:
             raise ValueError("backward requires a scalar loss")
-        loss.grad = np.ones_like(loss.data)
+        _grad_home(loss).grad = np.ones_like(loss.data)
         records = self._records
         while records:
-            output, inputs, backward_fn = records.pop()
-            up, output.grad = output.grad, None
+            slot, inputs, backward_fn = records.pop()
+            up, slot.grad = slot.grad, None
             if up is not None:
                 _accumulate(inputs, backward_fn(up))
 
 
-def _accumulate(inputs: tuple[Tensor, ...], grads) -> None:
+def _grad_home(tensor: Tensor) -> GradSlot | Tensor:
+    """Where backward sums ``tensor``'s gradient: its slot, or a leaf itself."""
+    return tensor if tensor.slot is None else tensor.slot
+
+
+def _accumulate(inputs: tuple[GradSlot | Tensor, ...], grads) -> None:
     # a function, so its loop variables do not hold the last gradient
     # array alive while the next record's backward runs
-    for tensor, grad in zip(inputs, grads):
-        if grad is None or not tensor.requires_grad:
+    for home, grad in zip(inputs, grads):
+        if grad is None or not home.requires_grad:
             continue
-        if tensor.grad is None:
+        if home.grad is None:
             # 0.0 + grad is what adding into zeros gave, without the zero
             # fill; the fresh array never aliases grad
-            tensor.grad = np.add(grad, 0.0, out=np.empty_like(tensor.data))
+            home.grad = np.add(grad, 0.0, out=np.empty_like(grad))
         else:
-            tensor.grad += grad
+            home.grad += grad

@@ -3,6 +3,7 @@ outside.  ``perfbench/run.py --trace 1`` patches package functions by name
 and tells transfer phase 1 from phase 2 by the ``trainable_names`` keyword,
 so a rename or a changed call here would silently empty its spans."""
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -16,6 +17,9 @@ from molscreen.checkpoint import save_checkpoint
 from molscreen.model import INFERENCE_BATCH, GraphBatch, ModelParams, init_params
 from molscreen.synth import random_molecule, synth_dataset
 from molscreen.train import TrainConfig
+
+# the package re-exports train(), which hides the submodule's name
+train_module = importlib.import_module("molscreen.train")
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,6 +87,34 @@ def test_transfer_spans_and_clean_uninstall(tracer_module, tmp_path):
     assert sum(span[0] == "transfer.backbone_hash" for span in tracer.spans) == 1
     restored = _patched_names()
     assert all(restored[name] is original for name, original in originals.items())
+
+
+def test_train_epoch_counts_every_parameter_gradient(tracer_module):
+    """``engine.grad_elements`` sums the gradients that backward leaves on
+    the leaf inputs the wrapped ``Tape.record`` saw.  Tapes keep gradient
+    slots, not the tensors ops produce, so this pins that every parameter
+    still reaches ``record`` as a leaf and gets its gradient: one epoch of
+    one batch counts each parameter element once."""
+    ds, _ = synth_dataset(n_tasks=3, n_per_task=40, seed=0)
+    config = TrainConfig(
+        embed_dim=8, n_layers=2, head_hidden=8, batch_size=64,
+        min_epochs=1, patience=1, max_epochs=1, seed=0,
+    )
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        tracer.begin("train")
+        try:
+            params, _ = train_module.train(ds, config)
+        finally:
+            tracer.end()
+    finally:
+        tracer.uninstall()
+
+    metrics, _ = tracer_module.layer_metrics(tracer, len(ds.graphs), 1.0, 1.0)
+    assert metrics["engine.backward.calls"]["value"] == 1
+    n_params = sum(p.data.size for _, p in params.named_parameters())
+    assert tracer.counts["engine.grad_elements"] == n_params == 2387
 
 
 def test_screen_counts_per_compound_and_per_chunk(tracer_module, tmp_path, capsys):

@@ -127,6 +127,70 @@ class TestTapeRelease:
         _assert_same_bits(bias.grad, d_out.sum(axis=0) + 0.0)
         _assert_same_bits(x.grad, d_hidden + 0.0)
 
+    def test_tape_keeps_only_what_backward_reads(self):
+        """The tape holds no op's output: once the caller drops its names,
+        a matmul's output, a batch norm's input and output and a relu's
+        output are dead before backward, and dropout keeps its mask, not
+        its input.
+        Matmul's operands live until its record runs; the gradients are
+        the hand-computed ones, bit for bit."""
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        beta = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        target = rng.normal(size=(6, 3))
+        tape = Tape()
+        # matmul's left operand, produced by a pass-through scale recorded
+        # first, so its backward runs last
+        s = Tensor(x.data * 2.0, requires_grad=True)
+        seen = {}
+
+        def probe_backward(up):
+            seen["operand"] = operand_ref()
+            return (up * 2.0,)
+
+        tape.record(s, (x,), probe_backward)
+        product = ops.matmul(s, w, tape=tape)
+        bn_input = ops.relu(product, tape=tape)
+        normed = ops.batch_norm(
+            bn_input, gamma, beta, BatchNormState.initial(3), train=True, tape=tape
+        )
+        dropout_input = ops.relu(normed, tape=tape)
+        dropped = ops.dropout(dropout_input, 0.25, rng_stream(4), tape=tape)
+        loss = ops.masked_sse(dropped, target, np.ones_like(target), tape=tape)
+        operand_ref = weakref.ref(s.data)
+        dead = {
+            "matmul output": weakref.ref(product.data),
+            "relu output, batch-norm input": weakref.ref(bn_input.data),
+            "batch-norm output": weakref.ref(normed.data),
+            "relu output, dropout input": weakref.ref(dropout_input.data),
+        }
+        del s, product, bn_input, normed, dropout_input, dropped
+        assert [name for name, ref in dead.items() if ref() is not None] == []
+        assert operand_ref() is not None
+        tape.backward(loss)
+        assert seen["operand"] is None
+
+        s_data = x.data * 2.0
+        product = s_data @ w.data
+        bn_input = np.fmax(product, 0.0) + 0.0
+        inv_std = 1.0 / np.sqrt(bn_input.var(axis=0) + ops.BN_EPS)
+        x_hat = (bn_input - bn_input.mean(axis=0)) * inv_std
+        normed = gamma.data * x_hat + beta.data
+        keep = rng_stream(4).random(normed.shape) >= 0.25
+        dropped = (np.fmax(normed, 0.0) + 0.0) * (keep / 0.75)
+        d_normed = 2.0 * (dropped - target) * (keep / 0.75) * (normed > 0)
+        d_hat = d_normed * gamma.data
+        d_bn_input = (
+            inv_std / 6 * (6 * d_hat - d_hat.sum(axis=0) - x_hat * (d_hat * x_hat).sum(axis=0))
+        )
+        d_product = d_bn_input * (product > 0)
+        _assert_same_bits(x.grad, (d_product @ w.data.T) * 2.0 + 0.0)
+        _assert_same_bits(w.grad, s_data.T @ d_product + 0.0)
+        _assert_same_bits(gamma.grad, (d_normed * x_hat).sum(axis=0) + 0.0)
+        _assert_same_bits(beta.grad, d_normed.sum(axis=0) + 0.0)
+
     def test_tape_runs_backward_once(self):
         x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
         tape = Tape()

@@ -3,6 +3,7 @@ small end-to-end gradient check."""
 
 import importlib
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -565,6 +566,37 @@ class TestLazyBackwardLayouts:
         tape.backward(ops.mse_loss(out, np.zeros((3, 1)), tape=tape))
         for name in self.LAYOUTS:
             assert "_uses" in vars(getattr(batch, name)), name
+
+
+class TestTapeFootprint:
+    """After a train-mode forward and loss, each GIN layer's records hold
+    float64 ``s`` (n x d), ``hidden`` (n x 2d) and ``x_hat`` (n x d), and
+    bool masks for its two relus (n x 2d, n x d) and its dropout (n x d):
+    36 n d bytes.  The heads, the pooling and the loss add little."""
+
+    def test_held_bytes_within_per_layer_formula(self):
+        embed_dim, n_layers = 32, 3
+        ds, _ = synth_dataset(n_tasks=2, n_per_task=64, seed=0)
+        batch = GraphBatch.from_graphs(ds.graphs)
+        n_atoms = batch.atom_indices.shape[0]
+        assert n_atoms == 581
+        params = init_params(
+            ds.task_names, embed_dim=embed_dim, n_layers=n_layers, head_hidden=32, seed=0
+        )
+        mask = np.ones(ds.labels.shape, dtype=bool)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape = Tape()
+            z = gin_forward(batch, params, train=True, rng_path=(1, 2), tape=tape)
+            pred = predict_heads(z, params, train=True, rng_path=(1, 2), tape=tape)
+            loss = train_module.masked_loss(pred, ds.labels, mask, tape=tape)
+            del z, pred
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * 36 * n_atoms * embed_dim * n_layers
+        tape.backward(loss)
 
 
 class TestEndToEndGradient:
