@@ -1,20 +1,21 @@
 """Binary model checkpoints.
 
 File layout: 4-byte magic, little-endian uint32 format version, uint64 header
-length, UTF-8 JSON header, then one block per array of the model's one walk,
-``ModelParams.named_arrays()``, in its order.  Each block is a uint32 rank,
-that many uint64 dimensions, and the raw float64 values, all little-endian.
-Loading checks the header against this build's feature widths and against
-the arrays read, then fills ``empty_params`` with ``fill_params``, bit for
-bit.
+length, UTF-8 JSON header, then one block per array of the model's table
+(``model._layout``), in its order, which ``ModelParams.named_arrays()``
+walks.  Each block is a uint32 rank, that many uint64 dimensions, and the
+raw float64 values, all little-endian.  Loading checks the header against
+this build's feature widths, reads every block, then hands the arrays to
+``model.from_arrays``, which checks each name and shape against the table
+that the header's dimensions give and keeps the arrays bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from .atomic import atomic_write
 from .data import HIT_DIRECTIONS
 from .featurize import ATOM_FEATURE_WIDTHS, BOND_FEATURE_WIDTHS, SCHEMA_HASH
-from .model import ModelParams, empty_params, fill_params
+from .model import ModelParams, from_arrays
 
 MAGIC = b"MSCK"
 FORMAT_VERSION = 1
@@ -54,6 +55,9 @@ def save_checkpoint(
 ) -> None:
     if len(hit_directions) != len(params.task_names):
         raise ValueError("one hit direction per task required")
+    repeated = _repeated(params.task_names)
+    if repeated:
+        raise ValueError(f"task names repeat: {repeated}")
     for d in hit_directions:
         if d not in HIT_DIRECTIONS:
             raise ValueError(f"hit direction {d!r} not in {HIT_DIRECTIONS}")
@@ -90,6 +94,11 @@ _HEADER_KEYS = (
 )
 
 
+def _repeated(names: list[str]) -> list[str]:
+    """The names that occur more than once, in order of first occurrence."""
+    return [name for name, count in Counter(names).items() if count > 1]
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -99,7 +108,7 @@ def _is_list_of(value, check) -> bool:
 
 
 def _check_header(header, version: int) -> None:
-    """Reject a header that ``empty_params`` and the loader cannot use."""
+    """Reject a header that ``from_arrays`` and the loader cannot use."""
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
     missing = [key for key in _HEADER_KEYS if key not in header]
@@ -122,6 +131,9 @@ def _check_header(header, version: int) -> None:
     for key in ("atom_widths", "bond_widths"):
         if not _is_list_of(header[key], lambda v: _is_int(v) and v >= 1):
             raise CheckpointError(f"{key} must be a list of positive integers")
+    repeated = _repeated(header["task_names"])
+    if repeated:
+        raise CheckpointError(f"task names repeat: {repeated}")
     if len(header["hit_directions"]) != len(header["task_names"]):
         raise CheckpointError("one hit direction per task required")
     for d in header["hit_directions"]:
@@ -131,27 +143,6 @@ def _check_header(header, version: int) -> None:
         raise CheckpointError("schema_hash must be a string")
     if header["log_summary"] is not None and not isinstance(header["log_summary"], dict):
         raise CheckpointError("log_summary must be an object or null")
-
-
-def _check_dimensions(header: dict, loaded: dict[str, np.ndarray]) -> None:
-    """The header's dimensions must be those of the arrays read, so that
-    ``empty_params`` never sizes a layout from the header alone."""
-
-    def width(name: str):
-        arr = loaded.get(name)
-        return arr.shape[1] if arr is not None and arr.ndim == 2 else None
-
-    found = {
-        "embed_dim": width("node_table.0"),
-        "n_layers": sum(1 for name in loaded if re.fullmatch(r"layer\.\d+\.w1", name)),
-        # a model without tasks has no head to size
-        "head_hidden": width("head.0.w1") if header["task_names"] else header["head_hidden"],
-    }
-    for key, value in found.items():
-        if header[key] != value:
-            raise CheckpointError(
-                f"header {key} {header[key]} does not match the arrays ({value})"
-            )
 
 
 class _Reader:
@@ -203,16 +194,11 @@ def load_checkpoint(path) -> Checkpoint:
         loaded[name] = data.reshape(shape).astype(np.float64)
     if reader.pos != len(reader.blob):
         raise CheckpointError("trailing bytes after final array")
-    _check_dimensions(header, loaded)
-    params = empty_params(
-        header["task_names"],
-        embed_dim=header["embed_dim"],
-        n_layers=header["n_layers"],
-        head_hidden=header["head_hidden"],
-        dropout=header["dropout"],
-    )
     try:
-        fill_params(params, loaded)
+        params = from_arrays(
+            header["task_names"], header["embed_dim"], header["n_layers"],
+            header["head_hidden"], header["dropout"], loaded,
+        )
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
     return Checkpoint(

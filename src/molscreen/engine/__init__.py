@@ -1,14 +1,12 @@
 """Tape-based autodiff engine: tensors, primitives, Adam and RNG streams."""
 
 from . import ops
-from .ops import BatchNormState
 from .optim import AdamState, NonFiniteGradientError, adam_step
 from .rng import rng_stream
 from .tensor import Tape, Tensor
 
 __all__ = [
     "AdamState",
-    "BatchNormState",
     "NonFiniteGradientError",
     "Tape",
     "Tensor",

@@ -9,7 +9,6 @@ a row count, not the batch), since the tape keeps no op's output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -302,29 +301,20 @@ BN_MOMENTUM = 0.1  # weight of each train batch's statistics in the running ones
 BN_EPS = 1e-5  # added to the variance before its square root
 
 
-@dataclass
-class BatchNormState:
-    """Per-feature running statistics for batch normalization."""
-
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    @classmethod
-    def initial(cls, num_features: int) -> "BatchNormState":
-        return cls(running_mean=np.zeros(num_features), running_var=np.ones(num_features))
-
-
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
-    state: BatchNormState,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
     train: bool,
     update_running: bool = True,
     tape: Tape | None = None,
 ) -> Tensor:
-    """Normalize each feature over the batch (train) or by running stats
-    (eval).  Eval mode is forward-only: with a tape it is a ``ValueError``."""
+    """Normalize each feature over the batch (train) or by the running
+    statistics (eval).  A train-mode call with ``update_running`` moves
+    ``running_mean`` and ``running_var`` in place toward the batch's.  Eval
+    mode is forward-only: with a tape it is a ``ValueError``."""
     if not train and tape is not None:
         raise ValueError("eval-mode batch norm is forward-only; call it without a tape")
     if train:
@@ -334,13 +324,13 @@ def batch_norm(
         var = x.data.var(axis=0)
         if update_running:
             m = BN_MOMENTUM
-            state.running_mean *= 1.0 - m
-            state.running_mean += m * mean
-            state.running_var *= 1.0 - m
-            state.running_var += m * var
+            running_mean *= 1.0 - m
+            running_mean += m * mean
+            running_var *= 1.0 - m
+            running_var += m * var
     else:
-        mean = state.running_mean
-        var = state.running_var
+        mean = running_mean
+        var = running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (x.data - mean) * inv_std
     out = gamma.data * x_hat + beta.data

@@ -12,8 +12,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .smiles import BondDirection, BondOrder, Chirality, MolGraph, parse_smiles
 
 # atomic type, formal charge, degree, chirality, numH, aromaticity, hybridization
@@ -69,7 +67,7 @@ class SchemaError(ValueError):
 class FeaturizedGraph:
     """One molecule's feature integers, row after row: 7 per atom, 3 per
     bond and 2 endpoints per bond.  ``GraphBatch.from_graphs`` converts a
-    whole batch at once; the properties build one graph's int64 matrices."""
+    whole batch into its int64 matrices at once."""
 
     atom_values: list[int]
     bond_values: list[int]
@@ -82,18 +80,6 @@ class FeaturizedGraph:
             7 * self.n_atoms, 3 * self.n_bonds, 2 * self.n_bonds
         ):
             raise ValueError("feature lists must hold 7 values per atom, 3 per bond and 2 ends")
-
-    @property
-    def atom_indices(self) -> np.ndarray:  # (n_atoms, 7) int64
-        return np.array(self.atom_values, dtype=np.int64).reshape(self.n_atoms, 7)
-
-    @property
-    def bond_indices(self) -> np.ndarray:  # (n_bonds, 3) int64
-        return np.array(self.bond_values, dtype=np.int64).reshape(self.n_bonds, 3)
-
-    @property
-    def bond_endpoints(self) -> np.ndarray:  # (n_bonds, 2) int64
-        return np.array(self.endpoint_values, dtype=np.int64).reshape(self.n_bonds, 2)
 
 
 def featurize(graph: MolGraph) -> FeaturizedGraph:

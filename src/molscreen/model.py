@@ -6,22 +6,25 @@ through a two-layer perceptron with batch norm), and mean-pools node states
 into one embedding per molecule.  Each task owns a small two-layer head over
 that shared embedding.
 
-``_build_params`` states the layout once, and ``ModelParams.named_arrays()``
-is its one walk: copy, checkpoint save and load and the best-epoch snapshot
-read it, and the backbone hash and the transfer freeze check read
-``named_backbone_arrays()``, the same walk without the head parameters.
+``_layout`` is the model's one table: every array's name, part (backbone,
+head or running statistics), shape and initial value, in checkpoint order.
+``ModelParams`` holds the arrays in two dicts filled by walking it, and the
+forward looks its tensors up by name.  ``init_params`` draws from the
+table, ``from_arrays`` checks given arrays against it (loading, copying and
+transfer build their models through it), and the memory check sizes it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BatchNormState, Tape, Tensor, ops, rng_stream
+from .engine import Tape, Tensor, ops, rng_stream
 from .featurize import ATOM_FEATURE_WIDTHS, BOND_FEATURE_WIDTHS, FeaturizedGraph
 
 _EMBED_STD = 0.02
@@ -87,82 +90,40 @@ class GraphBatch:
 
 
 @dataclass
-class GinLayer:
-    edge_tables: list[Tensor]  # one per bond feature
-    self_loop: Tensor  # learnable self-loop edge state, shape (d,)
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    bn_gamma: Tensor
-    bn_beta: Tensor
-    bn_state: BatchNormState
-
-
-@dataclass
-class TaskHead:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-@dataclass
 class ModelParams:
+    """The model's dimensions and its arrays by name, as ``_layout`` lists
+    them: the trainable tensors (backbone, then heads) and the batch-norm
+    running statistics, each dict in checkpoint order."""
+
     embed_dim: int
     n_layers: int
     head_hidden: int
     dropout: float
     task_names: list[str]
-    node_tables: list[Tensor]
-    layers: list[GinLayer]
-    heads: list[TaskHead]
-
-    # -- parameter traversal (canonical order) ---------------------------
-
-    def backbone_named_parameters(self):
-        for i, t in enumerate(self.node_tables):
-            yield f"node_table.{i}", t
-        for k, layer in enumerate(self.layers):
-            for j, t in enumerate(layer.edge_tables):
-                yield f"layer.{k}.edge_table.{j}", t
-            yield f"layer.{k}.self_loop", layer.self_loop
-            yield f"layer.{k}.w1", layer.w1
-            yield f"layer.{k}.b1", layer.b1
-            yield f"layer.{k}.w2", layer.w2
-            yield f"layer.{k}.b2", layer.b2
-            yield f"layer.{k}.bn_gamma", layer.bn_gamma
-            yield f"layer.{k}.bn_beta", layer.bn_beta
-
-    def head_named_parameters(self):
-        for t, head in enumerate(self.heads):
-            yield f"head.{t}.w1", head.w1
-            yield f"head.{t}.b1", head.b1
-            yield f"head.{t}.w2", head.w2
-            yield f"head.{t}.b2", head.b2
+    tensors: dict[str, Tensor]
+    state: dict[str, np.ndarray]
 
     def named_parameters(self):
-        yield from self.backbone_named_parameters()
-        yield from self.head_named_parameters()
+        """Every trainable tensor by name, in checkpoint order."""
+        return self.tensors.items()
 
-    def named_state_arrays(self):
-        for k, layer in enumerate(self.layers):
-            yield f"layer.{k}.bn_running_mean", layer.bn_state.running_mean
-            yield f"layer.{k}.bn_running_var", layer.bn_state.running_var
+    def head_names(self) -> list[str]:
+        """The names of the task heads' tensors, in checkpoint order."""
+        rows = _layout(len(self.task_names), self.embed_dim, self.n_layers, self.head_hidden)
+        return [name for part, name, _, _ in rows if part == "head"]
 
     def named_arrays(self):
         """Every array of the model by name, in checkpoint order: each
-        parameter's data, then the batch-norm running statistics."""
-        for name, t in self.named_parameters():
+        tensor's data, then the batch-norm running statistics."""
+        for name, t in self.tensors.items():
             yield name, t.data
-        yield from self.named_state_arrays()
+        yield from self.state.items()
 
     def named_backbone_arrays(self):
-        """``named_arrays()`` without the head parameters, in the same order:
+        """``named_arrays()`` without the heads' tensors, in the same order:
         everything a frozen backbone keeps."""
-        for name, t in self.backbone_named_parameters():
-            yield name, t.data
-        yield from self.named_state_arrays()
+        heads = set(self.head_names())
+        return ((name, arr) for name, arr in self.named_arrays() if name not in heads)
 
     def backbone_hash(self) -> str:
         # sha256 reads each C-contiguous array's buffer in place, no copy
@@ -173,22 +134,11 @@ class ModelParams:
         return digest.hexdigest()
 
     def copy(self) -> "ModelParams":
-        """An empty layout of the same shape filled with copies of every array."""
-        layout = empty_params(
-            self.task_names, self.embed_dim, self.n_layers, self.head_hidden, self.dropout
+        """The same model with copies of every array, drawing nothing."""
+        return from_arrays(
+            self.task_names, self.embed_dim, self.n_layers, self.head_hidden, self.dropout,
+            {name: arr.copy() for name, arr in self.named_arrays()},
         )
-        return fill_params(layout, {name: arr.copy() for name, arr in self.named_arrays()})
-
-
-def _drawn(seed: int | None, path: tuple[int, ...], shape, draw) -> Tensor:
-    """A trainable tensor that ``draw(stream, shape)`` fills from the stream
-    at ``(seed, 0, *path)``.  With no seed nothing is drawn: the tensor holds
-    a read-only zero view of the right shape for a loader to replace."""
-    if seed is None:
-        data = np.broadcast_to(np.float64(0.0), shape)
-    else:
-        data = draw(rng_stream(seed, 0, *path), shape)
-    return Tensor(data, requires_grad=True)
 
 
 def _normal(stream, shape) -> np.ndarray:
@@ -201,10 +151,49 @@ def _glorot(stream, shape) -> np.ndarray:
     return stream.uniform(-limit, limit, size=shape)
 
 
-def _linear(seed, path, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
-    w = _drawn(seed, path, (fan_in, fan_out), _glorot)
-    b = Tensor(np.zeros(fan_out), requires_grad=True)
-    return w, b
+def _layout(n_tasks: int, d: int, n_layers: int, h: int):
+    """The model's one table: every array as ``(part, name, shape, init)``,
+    in checkpoint order, one embedding table per feature of ``featurize``.
+
+    ``part`` is "backbone" or "head" for a trainable tensor and "state" for
+    batch-norm running statistics.  ``init`` is a constant fill value, or the
+    path of the stream under ``(seed, 0)`` and the draw that fills the array
+    from it.  The walk is lazy: a caller that stops early builds no later
+    row, whatever the dimensions."""
+    for i, width in enumerate(ATOM_FEATURE_WIDTHS):
+        yield "backbone", f"node_table.{i}", (width, d), ((0, i), _normal)
+    for k in range(n_layers):
+        layer = f"layer.{k}."
+        for j, width in enumerate(BOND_FEATURE_WIDTHS):
+            yield "backbone", f"{layer}edge_table.{j}", (width, d), ((1, k, j), _normal)
+        yield "backbone", f"{layer}self_loop", (d,), ((2, k), _normal)
+        yield "backbone", f"{layer}w1", (d, 2 * d), ((3, k, 0), _glorot)
+        yield "backbone", f"{layer}b1", (2 * d,), 0.0
+        yield "backbone", f"{layer}w2", (2 * d, d), ((3, k, 1), _glorot)
+        yield "backbone", f"{layer}b2", (d,), 0.0
+        yield "backbone", f"{layer}bn_gamma", (d,), 1.0
+        yield "backbone", f"{layer}bn_beta", (d,), 0.0
+    for t in range(n_tasks):
+        head = f"head.{t}."
+        yield "head", f"{head}w1", (d, h), ((4, t, 0), _glorot)
+        yield "head", f"{head}b1", (h,), 0.0
+        yield "head", f"{head}w2", (h, 1), ((4, t, 1), _glorot)
+        yield "head", f"{head}b2", (1,), 0.0
+    for k in range(n_layers):
+        yield "state", f"layer.{k}.bn_running_mean", (d,), 0.0
+        yield "state", f"layer.{k}.bn_running_var", (d,), 1.0
+
+
+def _initial_arrays(rows, seed: int) -> dict[str, np.ndarray]:
+    """Each table row's initial value: its constant, or its draw."""
+    arrays = {}
+    for _, name, shape, init in rows:
+        if isinstance(init, float):
+            arrays[name] = np.full(shape, init)
+        else:
+            path, draw = init
+            arrays[name] = draw(rng_stream(seed, 0, *path), shape)
+    return arrays
 
 
 def _memory_limit() -> int | None:
@@ -223,66 +212,57 @@ def _memory_limit() -> int | None:
 
 def _check_layout_fits(n_tasks: int, d: int, n_layers: int, h: int) -> None:
     """Raise ``MemoryError`` before allocating if the float64 values of the
-    layout ``_build_params`` states exceed the memory limit."""
-    values = (
-        sum(ATOM_FEATURE_WIDTHS) * d
-        + n_layers * (sum(BOND_FEATURE_WIDTHS) * d + 4 * d * d + 8 * d)
-        + n_tasks * (d * h + 2 * h + 1)
-    )
+    table exceed the memory limit.  The table without layers and heads,
+    plus what one layer and one head add to it, scaled: no time per layer."""
+
+    def values(tasks: int, layers: int) -> int:
+        return sum(math.prod(shape) for _, _, shape, _ in _layout(tasks, d, layers, h))
+
+    base = values(0, 0)
+    total = base + n_layers * (values(0, 1) - base) + n_tasks * (values(1, 0) - base)
     limit = _memory_limit()
-    if limit is not None and 8 * values > limit:
+    if limit is not None and 8 * total > limit:
         raise MemoryError(
             f"embed_dim={d}, n_layers={n_layers}, head_hidden={h}: the parameters "
-            f"need {8 * values} bytes, over the {limit}-byte memory limit"
+            f"need {8 * total} bytes, over the {limit}-byte memory limit"
         )
 
 
-def _build_params(
-    task_names: list[str],
-    embed_dim: int,
-    n_layers: int,
-    head_hidden: int,
-    dropout: float,
-    seed: int | None,
+def from_arrays(
+    task_names: list[str], embed_dim: int, n_layers: int, head_hidden: int, dropout: float,
+    arrays: dict[str, np.ndarray],
 ) -> ModelParams:
-    """The model's one layout: every tensor's shape, with one embedding table
-    per feature of ``featurize``, and the stream path and distribution of its
-    initial values (``seed=None`` draws nothing)."""
-    _check_layout_fits(len(task_names), embed_dim, n_layers, head_hidden)
-    d = embed_dim
-    node_tables = [
-        _drawn(seed, (0, i), (width, d), _normal) for i, width in enumerate(ATOM_FEATURE_WIDTHS)
-    ]
-    layers = []
-    for k in range(n_layers):
-        w1, b1 = _linear(seed, (3, k, 0), d, 2 * d)
-        w2, b2 = _linear(seed, (3, k, 1), 2 * d, d)
-        layers.append(
-            GinLayer(
-                edge_tables=[
-                    _drawn(seed, (1, k, j), (width, d), _normal)
-                    for j, width in enumerate(BOND_FEATURE_WIDTHS)
-                ],
-                self_loop=_drawn(seed, (2, k), (d,), _normal),
-                w1=w1,
-                b1=b1,
-                w2=w2,
-                b2=b2,
-                bn_gamma=Tensor(np.ones(d), requires_grad=True),
-                bn_beta=Tensor(np.zeros(d), requires_grad=True),
-                bn_state=BatchNormState.initial(d),
-            )
-        )
-    return ModelParams(
-        embed_dim=d,
-        n_layers=n_layers,
-        head_hidden=head_hidden,
-        dropout=dropout,
-        task_names=list(task_names),
-        node_tables=node_tables,
-        layers=layers,
-        heads=init_heads(task_names, d, head_hidden, seed),
+    """The model whose arrays are ``arrays`` (``{name: array}``), taken as
+    they are: nothing is copied or drawn.
+
+    The table is walked once, checking each name and shape as it goes, so
+    dimensions that the arrays do not hold fail at the first array that
+    differs, and nothing is sized from the dimensions alone.  A missing,
+    misshapen or extra array is a ``ValueError`` naming the dimensions and
+    that array."""
+    params = ModelParams(
+        embed_dim=embed_dim, n_layers=n_layers, head_hidden=head_hidden, dropout=dropout,
+        task_names=list(task_names), tensors={}, state={},
     )
+
+    unlike = (
+        f"arrays do not match the model layout of embed_dim={embed_dim}, "
+        f"n_layers={n_layers}, head_hidden={head_hidden}: "
+    )
+    for part, name, shape, _ in _layout(len(task_names), embed_dim, n_layers, head_hidden):
+        arr = arrays.get(name)
+        if arr is None:
+            raise ValueError(f"{unlike}no array {name}")
+        if arr.shape != shape:
+            raise ValueError(f"{unlike}array {name}: shape {arr.shape}, expected {shape}")
+        if part == "state":
+            params.state[name] = arr
+        else:
+            params.tensors[name] = Tensor(arr, requires_grad=True)
+    for name in arrays:  # in their given order, so the first extra one is named
+        if name not in params.tensors and name not in params.state:
+            raise ValueError(f"{unlike}array {name} is not in the layout")
+    return params
 
 
 def init_params(
@@ -293,56 +273,22 @@ def init_params(
     dropout: float = 0.2,
     seed: int = 0,
 ) -> ModelParams:
-    """Fresh parameters; every tensor draws from its own seed-derived stream,
+    """Fresh parameters; every array draws from its own seed-derived stream,
     so adding layers or task heads never shifts the others' initial values."""
-    return _build_params(task_names, embed_dim, n_layers, head_hidden, dropout, seed)
+    _check_layout_fits(len(task_names), embed_dim, n_layers, head_hidden)
+    rows = _layout(len(task_names), embed_dim, n_layers, head_hidden)
+    return from_arrays(
+        task_names, embed_dim, n_layers, head_hidden, dropout, _initial_arrays(rows, seed)
+    )
 
 
-def empty_params(
-    task_names: list[str],
-    embed_dim: int,
-    n_layers: int,
-    head_hidden: int,
-    dropout: float,
-) -> ModelParams:
-    """The layout ``init_params`` builds, for ``fill_params`` to fill, with
-    no random draws: each randomly initialized tensor holds a read-only zero
-    view of its shape; biases, batch-norm weights and running statistics
-    hold their initial values."""
-    return _build_params(task_names, embed_dim, n_layers, head_hidden, dropout, None)
-
-
-def fill_params(params: ModelParams, arrays: dict[str, np.ndarray]) -> ModelParams:
-    """Fill a layout built by ``empty_params`` from ``{name: array}``.
-
-    The names must be exactly those of ``params.named_arrays()`` and every
-    shape must match, else ``ValueError``.  Parameters take the given arrays
-    themselves; running statistics are copied into the layout's own."""
-    layout = dict(params.named_arrays())
-    if layout.keys() != arrays.keys():
-        raise ValueError("arrays do not match the model layout")
-    for name, arr in layout.items():
-        if arr.shape != arrays[name].shape:
-            raise ValueError(f"array {name}: shape {arrays[name].shape}, expected {arr.shape}")
-    for name, tensor in params.named_parameters():
-        tensor.data = arrays[name]
-    for name, arr in params.named_state_arrays():
-        arr[...] = arrays[name]
-    return params
-
-
-def init_heads(
-    task_names: list[str], embed_dim: int, head_hidden: int, seed: int | None
-) -> list[TaskHead]:
-    """Fresh task heads drawn from the same per-head streams init_params
-    uses, so a head's initial values depend only on its index and the seed
-    (``seed=None`` draws nothing, as for ``empty_params``)."""
-    heads = []
-    for t in range(len(task_names)):
-        w1, b1 = _linear(seed, (4, t, 0), embed_dim, head_hidden)
-        w2, b2 = _linear(seed, (4, t, 1), head_hidden, 1)
-        heads.append(TaskHead(w1=w1, b1=b1, w2=w2, b2=b2))
-    return heads
+def initial_head_arrays(
+    n_tasks: int, embed_dim: int, head_hidden: int, seed: int
+) -> dict[str, np.ndarray]:
+    """The initial arrays of ``n_tasks`` task heads, as ``init_params``
+    draws them: a head's values depend only on its index and the seed."""
+    rows = _layout(n_tasks, embed_dim, 0, head_hidden)
+    return _initial_arrays((row for row in rows if row[0] == "head"), seed)
 
 
 def gin_forward(
@@ -357,28 +303,38 @@ def gin_forward(
     """Per-graph embeddings, shape (n_graphs, embed_dim)."""
     if train and params.dropout > 0.0 and rng_path is None:
         raise ValueError("train-mode forward needs an rng_path for dropout")
-    h = ops.embedding_lookup(params.node_tables, batch.atom_indices, tape=tape)
+    tensors = params.tensors
+    node_tables = [tensors[f"node_table.{i}"] for i in range(len(ATOM_FEATURE_WIDTHS))]
+    h = ops.embedding_lookup(node_tables, batch.atom_indices, tape=tape)
     has_edges = batch.neighbor_layout.counts.any()
-    for k, layer in enumerate(params.layers):
+    for k in range(params.n_layers):
+        layer = f"layer.{k}."
+        self_loop = tensors[layer + "self_loop"]
         if has_edges:
             summed = ops.segment_sum(h, batch.neighbor_layout, tape=tape)
             # each layer embeds its own bonds, and no name keeps them, so an
             # eval forward holds one layer's bond states at a time
+            edge_tables = [
+                tensors[f"{layer}edge_table.{j}"] for j in range(len(BOND_FEATURE_WIDTHS))
+            ]
             edge_sum = ops.segment_sum(
-                ops.embedding_lookup(layer.edge_tables, batch.bond_indices, tape=tape),
+                ops.embedding_lookup(edge_tables, batch.bond_indices, tape=tape),
                 batch.bond_layout,
                 tape=tape,
             )
-            s = ops.add(h, summed, edge_sum, layer.self_loop, tape=tape)
+            s = ops.add(h, summed, edge_sum, self_loop, tape=tape)
         else:
-            s = ops.add(h, layer.self_loop, tape=tape)
-        hidden = ops.relu(ops.matmul(s, layer.w1, layer.b1, tape=tape), tape=tape)
-        mixed = ops.matmul(hidden, layer.w2, layer.b2, tape=tape)
+            s = ops.add(h, self_loop, tape=tape)
+        hidden = ops.relu(
+            ops.matmul(s, tensors[layer + "w1"], tensors[layer + "b1"], tape=tape), tape=tape
+        )
+        mixed = ops.matmul(hidden, tensors[layer + "w2"], tensors[layer + "b2"], tape=tape)
         normed = ops.batch_norm(
             mixed,
-            layer.bn_gamma,
-            layer.bn_beta,
-            layer.bn_state,
+            tensors[layer + "bn_gamma"],
+            tensors[layer + "bn_beta"],
+            params.state[layer + "bn_running_mean"],
+            params.state[layer + "bn_running_var"],
             train=train,
             update_running=update_running,
             tape=tape,
@@ -401,18 +357,20 @@ def predict_heads(
 ) -> Tensor:
     """The heads' scores over embeddings ``z``, shape (n_graphs,
     len(task_indices)), every task when ``task_indices`` is None."""
+    n_tasks = len(params.task_names)
     if task_indices is None:
-        task_indices = range(len(params.heads))
+        task_indices = range(n_tasks)
     cols = []
     for t in task_indices:
-        if not 0 <= t < len(params.heads):
+        if not 0 <= t < n_tasks:
             raise IndexError(f"unknown task index {t}")
-        head = params.heads[t]
-        hidden = ops.relu(ops.matmul(z, head.w1, head.b1, tape=tape), tape=tape)
+        head = f"head.{t}."
+        w1, b1, w2, b2 = (params.tensors[head + p] for p in ("w1", "b1", "w2", "b2"))
+        hidden = ops.relu(ops.matmul(z, w1, b1, tape=tape), tape=tape)
         if train and params.dropout > 0.0:
             stream = rng_stream(rng_path[0], *rng_path[1:], 1, 1, t)
             hidden = ops.dropout(hidden, params.dropout, stream, tape=tape)
-        cols.append(ops.matmul(hidden, head.w2, head.b2, tape=tape))
+        cols.append(ops.matmul(hidden, w2, b2, tape=tape))
     return ops.concat_columns(cols, tape=tape)
 
 
@@ -442,7 +400,7 @@ def predict_graphs(
 ) -> np.ndarray:
     """Eval-mode scores of any number of graphs, packed in chunks of
     ``INFERENCE_BATCH``; shape (n_graphs, len(task_indices))."""
-    width = len(params.heads) if task_indices is None else len(task_indices)
+    width = len(params.task_names) if task_indices is None else len(task_indices)
     return np.concatenate(
         [np.zeros((0, width))]
         + [predict(batch, params, task_indices) for batch in _packed_chunks(graphs)]

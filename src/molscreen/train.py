@@ -220,7 +220,7 @@ def train_with_split(
     all_named = list(params.named_parameters())
     frozen = trainable_names is not None
     if frozen:
-        not_heads = set(trainable_names) - {n for n, _ in params.head_named_parameters()}
+        not_heads = set(trainable_names) - set(params.head_names())
         if not_heads:
             raise ValueError(f"trainable_names may name head parameters only: {sorted(not_heads)}")
     trainable = [t for name, t in all_named if not frozen or name in trainable_names]

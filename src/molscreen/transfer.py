@@ -1,14 +1,17 @@
 """Fine-tuning a pretrained shared backbone on a new single-task dataset.
 
-Phase 1 copies every shared parameter (embedding tables, self-loop vectors,
-layer perceptrons, batch-norm affine weights and running statistics) from the
-pretrained model, attaches a freshly initialized head, and trains only the
-head for exactly ``head_epochs`` epochs with running statistics frozen: its
-config sets ``min_epochs = max_epochs = head_epochs``, and with the epoch
-count starting at 1 no epoch passes the warmup, so early stopping cannot
-fire and the phase-1 log ends with ``stop_reason == "max_epochs"``.  Phase 2
-continues training all parameters under the standard early-stopping protocol
-with a fresh optimizer; the epoch counter keeps running across the phases.
+Phase 1 starts from a model that ``model.from_arrays`` builds from copies of
+the pretrained backbone arrays (embedding tables, self-loop vectors, layer
+perceptrons, batch-norm affine weights and running statistics) and the new
+head's initial arrays, drawn from the model table's head rows as
+``init_params`` draws them (the pretrained heads are never copied).  It
+trains only the head for exactly ``head_epochs`` epochs with running
+statistics frozen: its config sets ``min_epochs = max_epochs =
+head_epochs``, and with the epoch count starting at 1 no epoch passes the
+warmup, so early stopping cannot fire and the phase-1 log ends with
+``stop_reason == "max_epochs"``.  Phase 2 continues training all
+parameters under the standard early-stopping protocol with a fresh
+optimizer; the epoch counter keeps running across the phases.
 
 Phase 1 names the head parameters as trainable, which puts
 ``train_with_split`` in its frozen-backbone mode: nothing can change the
@@ -24,11 +27,11 @@ left them, and the phase-1 log still reports its best epoch.
 ``phase1_backbone_hashes`` holds one ``backbone_hash`` per phase-1 epoch,
 the proof of the freeze.  The backbone is hashed once, when phase 1 starts;
 after each epoch every backbone array (``named_backbone_arrays()``, the
-subset of the model's one walk, ``named_arrays()``, that the hash reads) is
-compared bit for bit (as int64, so a sign flip of a zero or a changed NaN
-payload counts) with the pretrained one it was copied from.  An epoch whose
-arrays all match records the start hash, which is what hashing them would
-give; any difference records a fresh ``backbone_hash``.
+arrays the hash reads) is compared bit for bit (as int64, so a sign flip of
+a zero or a changed NaN payload counts) with the pretrained one it was
+copied from.  An epoch whose arrays all match records the start hash, which
+is what hashing them would give; any difference records a fresh
+``backbone_hash``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import TaskDataset, split_train_val
-from .model import ModelParams, init_heads
+from .model import ModelParams, from_arrays, initial_head_arrays
 from .train import TrainConfig, TrainLog, train_with_split
 
 
@@ -75,19 +78,15 @@ def transfer_train(
             f"pretrained n_layers {pretrained.n_layers} != config {config.n_layers}"
         )
 
-    params = pretrained.copy()
-    params.task_names = list(new_ds.task_names)
-    params.head_hidden = config.head_hidden
-    params.dropout = config.dropout
-    params.heads = init_heads(
-        new_ds.task_names, params.embed_dim, config.head_hidden, config.seed
-    )
+    d, h = config.embed_dim, config.head_hidden
+    arrays = {name: arr.copy() for name, arr in pretrained.named_backbone_arrays()}
+    arrays.update(initial_head_arrays(new_ds.n_tasks, d, h, config.seed))
+    params = from_arrays(new_ds.task_names, d, config.n_layers, h, config.dropout, arrays)
 
     masks = split_train_val(new_ds, config.seed, config.val_fraction)
     hashes: list[str] = []
     phase1_log = TrainLog()
     if head_epochs > 0:
-        head_names = [name for name, _ in params.head_named_parameters()]
         start_hash = params.backbone_hash()
         reference = [arr for _, arr in pretrained.named_backbone_arrays()]
 
@@ -103,7 +102,7 @@ def transfer_train(
             replace(config, min_epochs=head_epochs, max_epochs=head_epochs),
             masks,
             params=params,
-            trainable_names=head_names,
+            trainable_names=params.head_names(),
             epoch_callback=record_hash,
         )
     best, phase2_log = train_with_split(

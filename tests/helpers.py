@@ -1,11 +1,14 @@
 """Test-only helpers shared by several test modules: replaying scripted loss
-curves through the training log's rules, and the synthetic benchmark's
-noise-free labels."""
+curves through the training log's rules, the synthetic benchmark's
+noise-free labels, one graph's int64 matrices, and walks over a model's
+backbone and head tensors."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from molscreen.featurize import FeaturizedGraph
+from molscreen.model import GraphBatch, ModelParams
 from molscreen.synth import SynthMeta
 from molscreen.train import EpochRecord, TrainLog
 
@@ -26,3 +29,22 @@ def replay_stopping(
 def noiseless_labels(meta: SynthMeta, task: int) -> np.ndarray:
     """Expected (noise-free) labels for one task over the generated compounds."""
     return meta.a_values[task] * meta.latent_scores + meta.b_values[task]
+
+
+def backbone_named_parameters(params: ModelParams) -> list:
+    """The backbone's trainable tensors by name, in checkpoint order."""
+    heads = set(params.head_names())
+    return [(name, t) for name, t in params.tensors.items() if name not in heads]
+
+
+def head_named_parameters(params: ModelParams) -> list:
+    """The task heads' tensors by name, in checkpoint order."""
+    return [(name, params.tensors[name]) for name in params.head_names()]
+
+
+def graph_matrices(fg: FeaturizedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One graph's (n_atoms, 7) atom indices and (n_bonds, 3) bond indices
+    as packing builds them, and its (n_bonds, 2) bond endpoints."""
+    batch = GraphBatch.from_graphs([fg])
+    endpoints = np.array(fg.endpoint_values, dtype=np.int64).reshape(fg.n_bonds, 2)
+    return batch.atom_indices, batch.bond_indices, endpoints

@@ -46,7 +46,7 @@ from molscreen.transfer import transfer_train
 
 sys.path.insert(0, str(Path(__file__).parent))
 from gradcheck import grad_check  # noqa: E402
-from helpers import noiseless_labels, replay_stopping  # noqa: E402
+from helpers import graph_matrices, noiseless_labels, replay_stopping  # noqa: E402
 from test_smiles import CORPUS  # noqa: E402  (hand-verified parser corpus)
 
 
@@ -128,13 +128,14 @@ def test_criterion_01_gradient_integrity():
 # 2. permutation / batch invariance
 # ----------------------------------------------------------------------
 def _permute_graph(fg: FeaturizedGraph, perm: np.ndarray) -> FeaturizedGraph:
-    atom = np.empty_like(fg.atom_indices)
-    atom[perm] = fg.atom_indices
+    atoms, bonds, endpoints = graph_matrices(fg)
+    atom = np.empty_like(atoms)
+    atom[perm] = atoms
     bond_order = np.random.default_rng(int(perm[0])).permutation(fg.n_bonds)
     return FeaturizedGraph(
         atom_values=atom.ravel().tolist(),
-        bond_values=fg.bond_indices[bond_order].ravel().tolist(),
-        endpoint_values=perm[fg.bond_endpoints][bond_order].ravel().tolist(),
+        bond_values=bonds[bond_order].ravel().tolist(),
+        endpoint_values=perm[endpoints][bond_order].ravel().tolist(),
         n_atoms=fg.n_atoms,
         n_bonds=fg.n_bonds,
     )

@@ -239,7 +239,9 @@ class TestALRun:
         expected, _ = train(sample, replace(tc, seed=member_seed))
         got = result.members[0]
         assert got.backbone_hash() == expected.backbone_hash()
-        np.testing.assert_array_equal(got.heads[0].w1.data, expected.heads[0].w1.data)
+        np.testing.assert_array_equal(
+            got.tensors["head.0.w1"].data, expected.tensors["head.0.w1"].data
+        )
 
     def test_log_csv(self, tmp_path, capsys):
         ds, meta = synth_dataset(n_tasks=2, n_per_task=30, seed=0, noise_sigma=0.0)

@@ -28,6 +28,7 @@ from molscreen.model import GraphBatch, init_params, predict
 from molscreen.train import EpochRecord, TrainLog, summarize_log
 
 sys.path.insert(0, str(Path(__file__).parent))
+from helpers import backbone_named_parameters  # noqa: E402
 from test_featurize import widths_hash  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "model.ckpt"
@@ -40,8 +41,8 @@ def sample_params(seed=0):
     )
     # move running statistics off their defaults so the test notices if they
     # were dropped
-    params.layers[0].bn_state.running_mean[:] = np.linspace(0, 1, 8)
-    params.layers[1].bn_state.running_var[:] = np.linspace(1, 2, 8)
+    params.state["layer.0.bn_running_mean"][:] = np.linspace(0, 1, 8)
+    params.state["layer.1.bn_running_var"][:] = np.linspace(1, 2, 8)
     return params
 
 
@@ -70,9 +71,8 @@ class TestRoundTrip:
             assert name == name_b
             assert a.data.dtype == b.data.dtype == np.float64
             np.testing.assert_array_equal(a.data, b.data)
-        for (name, a), (_, b) in zip(
-            params.named_state_arrays(), loaded.named_state_arrays()
-        ):
+        for (name, a), (name_b, b) in zip(params.state.items(), loaded.state.items()):
+            assert name == name_b
             np.testing.assert_array_equal(a, b)
 
     def test_save_is_deterministic(self, tmp_path):
@@ -166,6 +166,20 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    def test_repeated_task_names_not_saved(self, tmp_path):
+        # each head must be reachable by its task's name
+        params = init_params(["a", "b", "a", "b", "c"], embed_dim=4, n_layers=1, head_hidden=4)
+        with pytest.raises(ValueError, match=re.escape("task names repeat: ['a', 'b']")):
+            save_checkpoint(tmp_path / "x.ckpt", params, ["lower_is_better"] * 5, seed=0)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_task_names_not_loaded(self, tmp_path):
+        header, arrays = _split_golden()
+        header["task_names"] = ["task0", "task0"]
+        path = _with_header(tmp_path / "m.ckpt", header, arrays)
+        with pytest.raises(CheckpointError, match=re.escape("task names repeat: ['task0']")):
+            load_checkpoint(path)
+
 
 def _split(path):
     """A checkpoint file as (parsed JSON header, array section bytes)."""
@@ -212,7 +226,7 @@ class TestLoadDrawsNothing:
         params = load_checkpoint(GOLDEN).params
         want = _golden_arrays()
         got = [(n, t.data) for n, t in params.named_parameters()]
-        got += list(params.named_state_arrays())
+        got += list(params.state.items())
         assert [n for n, _ in got] == list(want)
         for name, arr in got:
             assert arr.dtype == np.float64 and arr.flags.writeable, name
@@ -264,10 +278,10 @@ class TestBackboneHash:
     def test_golden_digest_equals_tobytes_formula(self):
         params = load_checkpoint(GOLDEN).params
         digest = hashlib.sha256()
-        for name, p in params.backbone_named_parameters():
+        for name, p in backbone_named_parameters(params):
             digest.update(name.encode())
             digest.update(np.ascontiguousarray(p.data).tobytes())
-        for name, arr in params.named_state_arrays():
+        for name, arr in params.state.items():
             digest.update(name.encode())
             digest.update(np.ascontiguousarray(arr).tobytes())
         assert params.backbone_hash() == digest.hexdigest()
@@ -379,22 +393,39 @@ class TestForeignSchema:
 
 
 class TestHeaderDimensions:
-    """The header's dimensions are checked against the arrays read before
-    any layout is built from them."""
+    """The header's dimensions are checked against the arrays read while
+    the model's table is walked, so no layout is built from them."""
 
-    # the golden model: embed_dim 8, n_layers 2, head_hidden 8
-    @pytest.mark.parametrize(
-        "key,value",
-        [("embed_dim", 9), ("embed_dim", 10**12), ("n_layers", 1), ("n_layers", 3),
-         ("head_hidden", 16)],
-    )
+    # the golden model: embed_dim 8, n_layers 2, head_hidden 8; each wrong
+    # dimension and the first array of the file that differs under it
+    FIRST_DIFFERENCE = {
+        ("embed_dim", 9): "node_table.0",
+        ("embed_dim", 10**12): "node_table.0",
+        ("n_layers", 1): "layer.1.edge_table.0",
+        ("n_layers", 3): "layer.2.edge_table.0",
+        ("n_layers", 10**9): "layer.2.edge_table.0",
+        ("head_hidden", 16): "head.0.w1",
+    }
+
+    @pytest.mark.parametrize("key,value", list(FIRST_DIFFERENCE))
     def test_dimension_unlike_the_arrays_rejected(self, tmp_path, key, value):
+        first = self.FIRST_DIFFERENCE[key, value]
         header, arrays = _split_golden()
         assert header[key] != value
         header[key] = value
         path = _with_header(tmp_path / "m.ckpt", header, arrays)
-        with pytest.raises(CheckpointError, match=f"header {key} .* does not match the arrays"):
-            load_checkpoint(path)
+        dims = ", ".join(f"{k}={header[k]}" for k in ("embed_dim", "n_layers", "head_hidden"))
+        message = re.escape(f"model layout of {dims}: ") + ".*" + re.escape(f"array {first}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the walk stops at the first array that differs: a 10**9-layer
+        # header builds no row past layer 2
+        assert peak < 2**22 * 8 // 16
 
     @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63, 2), (2**64 - 1, 1)])
     def test_corrupt_array_dimensions_rejected(self, tmp_path, dims):

@@ -92,14 +92,14 @@ def diverging(tmp_path_factory):
     ])
     assert code == 0
     params = init_params(["a"], embed_dim=8, n_layers=2, head_hidden=8, seed=1)
-    first, second = params.layers
-    first.bn_gamma.data[:] = 0.0
-    first.bn_beta.data[:] = -1e300
-    for table in second.edge_tables:
-        table.data[:] = 0.0
-    second.self_loop.data[:] = 0.0
-    second.w1.data[:] = 1e307
-    second.b1.data[:] = 1.0
+    values = {name: t.data for name, t in params.named_parameters()}
+    values["layer.0.bn_gamma"][:] = 0.0
+    values["layer.0.bn_beta"][:] = -1e300
+    for j in range(3):
+        values[f"layer.1.edge_table.{j}"][:] = 0.0
+    values["layer.1.self_loop"][:] = 0.0
+    values["layer.1.w1"][:] = 1e307
+    values["layer.1.b1"][:] = 1.0
     save_checkpoint(tmp / "bad.ckpt", params, ["lower_is_better"], seed=1)
     return tmp
 
@@ -602,7 +602,24 @@ class TestPredictCommand:
         assert code == 3
         error = only_error(err)
         assert error["error"] == "io-failure"
-        assert "header embed_dim" in error["message"]
+        assert "embed_dim=1000000000000" in error["message"]
+        assert "array node_table.0" in error["message"]
+
+    def test_repeated_task_names_are_io_error(self, workdir, tmp_path, capsys):
+        # predict would write two columns of head 0, and --tasks could not
+        # reach head 1
+        header, arrays = _split_golden()
+        header["task_names"] = ["a", "a"]
+        repeated = _with_header(tmp_path / "repeated.ckpt", header, arrays)
+        code, _, err = run(
+            capsys, "predict", "--checkpoint", str(repeated),
+            "--input", str(workdir / "data.csv"), "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert error["message"] == f"{repeated}: task names repeat: ['a']"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestScreenCommand:

@@ -10,7 +10,6 @@ import pytest
 
 from molscreen.engine import (
     AdamState,
-    BatchNormState,
     NonFiniteGradientError,
     Tape,
     Tensor,
@@ -21,6 +20,11 @@ from molscreen.engine import ops
 
 sys.path.insert(0, str(Path(__file__).parent))
 from gradcheck import grad_check  # noqa: E402
+
+
+def initial_running(n):
+    """Batch norm's initial running mean and variance over n features."""
+    return np.zeros(n), np.ones(n)
 
 
 def fd_grad(f, x, h=1e-6):
@@ -154,7 +158,7 @@ class TestTapeRelease:
         product = ops.matmul(s, w, tape=tape)
         bn_input = ops.relu(product, tape=tape)
         normed = ops.batch_norm(
-            bn_input, gamma, beta, BatchNormState.initial(3), train=True, tape=tape
+            bn_input, gamma, beta, *initial_running(3), train=True, tape=tape
         )
         dropout_input = ops.relu(normed, tape=tape)
         dropped = ops.dropout(dropout_input, 0.25, rng_stream(4), tape=tape)
@@ -375,9 +379,8 @@ class TestPrimitiveGradients:
         target = self.rng.normal(size=(8, 3))
 
         def build(tape):
-            state = BatchNormState.initial(3)
             out = ops.batch_norm(
-                x, gamma, beta, state, train=True, update_running=False, tape=tape
+                x, gamma, beta, *initial_running(3), train=True, update_running=False, tape=tape
             )
             return ops.mse_loss(out, target, tape=tape)
 
@@ -387,10 +390,9 @@ class TestPrimitiveGradients:
         x = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
         gamma = Tensor(np.ones(3), requires_grad=True)
         beta = Tensor(np.zeros(3), requires_grad=True)
-        state = BatchNormState.initial(3)
         tape = Tape()
         with pytest.raises(ValueError, match="forward-only"):
-            ops.batch_norm(x, gamma, beta, state, train=False, tape=tape)
+            ops.batch_norm(x, gamma, beta, *initial_running(3), train=False, tape=tape)
         assert not tape._records
 
     def test_masked_sse(self):
@@ -708,8 +710,8 @@ class TestBatchNormSemantics:
         x = Tensor(rng.normal(loc=5.0, scale=20.0, size=(64, 4)))
         gamma = Tensor(np.ones(4))
         beta = Tensor(np.zeros(4))
-        state = BatchNormState.initial(4)
-        out = ops.batch_norm(x, gamma, beta, state, train=True)
+        running_mean, running_var = initial_running(4)
+        out = ops.batch_norm(x, gamma, beta, running_mean, running_var, train=True)
         mean = out.data.mean(axis=0)
         var = out.data.var(axis=0)
         assert np.all(np.abs(mean) < 1e-6)
@@ -717,40 +719,40 @@ class TestBatchNormSemantics:
 
     def test_running_stats_update(self):
         x = Tensor(np.array([[1.0], [3.0]]))
-        state = BatchNormState.initial(1)
-        ops.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, train=True)
+        running_mean, running_var = initial_running(1)
+        ops.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), running_mean, running_var, train=True)
         # momentum 0.1 against initial mean 0, var 1; batch mean 2, var 1
-        np.testing.assert_allclose(state.running_mean, [0.2], rtol=1e-12)
-        np.testing.assert_allclose(state.running_var, [1.0], rtol=1e-12)
+        np.testing.assert_allclose(running_mean, [0.2], rtol=1e-12)
+        np.testing.assert_allclose(running_var, [1.0], rtol=1e-12)
 
     def test_update_can_be_frozen(self):
         x = Tensor(np.array([[1.0], [3.0]]))
-        state = BatchNormState.initial(1)
+        running_mean, running_var = initial_running(1)
         ops.batch_norm(
-            x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state,
+            x, Tensor(np.ones(1)), Tensor(np.zeros(1)), running_mean, running_var,
             train=True, update_running=False,
         )
-        np.testing.assert_array_equal(state.running_mean, [0.0])
-        np.testing.assert_array_equal(state.running_var, [1.0])
+        np.testing.assert_array_equal(running_mean, [0.0])
+        np.testing.assert_array_equal(running_var, [1.0])
 
     def test_eval_uses_running_stats(self):
-        state = BatchNormState.initial(2)
-        state.running_mean[:] = [1.0, -1.0]
-        state.running_var[:] = [4.0, 0.25]
+        running_mean, running_var = initial_running(2)
+        running_mean[:] = [1.0, -1.0]
+        running_var[:] = [4.0, 0.25]
         x = Tensor(np.array([[3.0, 0.0]]))
         out = ops.batch_norm(
-            x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, train=False
+            x, Tensor(np.ones(2)), Tensor(np.zeros(2)), running_mean, running_var, train=False
         )
-        expected = (x.data - state.running_mean) / np.sqrt(state.running_var + 1e-5)
+        expected = (x.data - running_mean) / np.sqrt(running_var + 1e-5)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
     def test_train_requires_two_rows(self):
-        state = BatchNormState.initial(2)
+        running_mean, running_var = initial_running(2)
         x = Tensor(np.ones((1, 2)))
         with pytest.raises(ValueError):
-            ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, train=True)
+            ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), running_mean, running_var, train=True)
         # eval mode is fine on a single row
-        ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, train=False)
+        ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), running_mean, running_var, train=False)
 
 
 class TestMaskedSse:

@@ -32,6 +32,7 @@ from molscreen.smiles import (
 from molscreen.synth import random_molecule
 
 sys.path.insert(0, str(Path(__file__).parent))
+from helpers import graph_matrices  # noqa: E402
 from test_smiles import graph_of  # noqa: E402
 
 
@@ -53,11 +54,11 @@ def out_of_range_graph(*, atom=False, bond=False):
 
 
 def atom_row(smiles, idx=0):
-    return tuple(featurize_smiles(smiles).atom_indices[idx])
+    return tuple(graph_matrices(featurize_smiles(smiles))[0][idx])
 
 
 def bond_row(smiles, idx=0):
-    return tuple(featurize_smiles(smiles).bond_indices[idx])
+    return tuple(graph_matrices(featurize_smiles(smiles))[1][idx])
 
 
 class TestSchema:
@@ -129,13 +130,13 @@ class TestAtomRows:
 
     def test_unknown_atomic_number_maps_to_misc(self):
         graph = graph_of([Atom(atomic_number=200)], [])
-        assert featurize(graph).atom_indices[0][0] == 0
+        assert featurize(graph).atom_values[0] == 0
 
     def test_degree_clamps_at_ten(self):
         atoms = [Atom(atomic_number=6) for _ in range(12)]
         bonds = [Bond(a=0, b=i, order=BondOrder.SINGLE) for i in range(1, 12)]
         graph = graph_of(atoms, bonds)
-        assert featurize(graph).atom_indices[0][2] == 10
+        assert featurize(graph).atom_values[2] == 10
 
 
 class TestBondRows:
@@ -163,51 +164,48 @@ class TestBondRows:
 class TestArrays:
     def test_shapes_and_dtypes(self):
         fg = featurize_smiles("CC(=O)O")
-        assert fg.n_atoms == 4
-        assert fg.atom_indices.shape == (4, 7)
-        assert fg.bond_indices.shape == (3, 3)
-        assert fg.bond_endpoints.shape == (3, 2)
-        assert fg.atom_indices.dtype == np.int64
-        assert fg.bond_indices.dtype == np.int64
-        assert fg.bond_endpoints.dtype == np.int64
+        assert (fg.n_atoms, fg.n_bonds) == (4, 3)
+        assert (len(fg.atom_values), len(fg.bond_values), len(fg.endpoint_values)) == (28, 9, 6)
+        atoms, bonds, endpoints = graph_matrices(fg)
+        assert atoms.shape == (4, 7)
+        assert bonds.shape == (3, 3)
+        assert endpoints.shape == (3, 2)
+        assert atoms.dtype == bonds.dtype == endpoints.dtype == np.int64
 
     def test_endpoints_match_graph(self):
         graph = parse_smiles("CC(=O)O")
         fg = featurize(graph)
-        assert fg.bond_endpoints.tolist() == [[b.a, b.b] for b in graph.bonds]
+        assert fg.endpoint_values == [end for b in graph.bonds for end in (b.a, b.b)]
 
     def test_molecule_without_bonds(self):
         fg = featurize_smiles("C")
-        assert fg.bond_indices.shape == (0, 3)
-        assert fg.bond_endpoints.shape == (0, 2)
+        assert fg.bond_values == fg.endpoint_values == []
+        _, bonds, endpoints = graph_matrices(fg)
+        assert bonds.shape == (0, 3)
+        assert endpoints.shape == (0, 2)
 
     @pytest.mark.parametrize(
         "smiles",
         ["C", "CCO", "c1ccccc1", "CC(=O)[O-]", "C1CCC2CCCCC2C1", "N#Cc1ccccc1"],
     )
     def test_indices_in_schema_range(self, smiles):
-        fg = featurize_smiles(smiles)
+        atoms, bonds, _ = graph_matrices(featurize_smiles(smiles))
         for col, width in enumerate(ATOM_FEATURE_WIDTHS):
-            assert np.all(fg.atom_indices[:, col] >= 0)
-            assert np.all(fg.atom_indices[:, col] < width)
+            assert np.all(atoms[:, col] >= 0)
+            assert np.all(atoms[:, col] < width)
         for col, width in enumerate(BOND_FEATURE_WIDTHS):
-            assert np.all(fg.bond_indices[:, col] >= 0)
-            assert np.all(fg.bond_indices[:, col] < width)
+            assert np.all(bonds[:, col] >= 0)
+            assert np.all(bonds[:, col] < width)
 
     def test_atom_order_follows_input_order(self):
-        fg = featurize_smiles("CCO")
-        assert fg.atom_indices[2][0] == 8
+        assert atom_row("CCO", 2)[0] == 8
 
     def test_isomorphic_rewrites_give_same_multisets(self):
         for left, right in [("CCO", "OCC"), ("Cc1ccccc1", "c1ccccc1C")]:
-            a = featurize_smiles(left)
-            b = featurize_smiles(right)
-            assert sorted(map(tuple, a.atom_indices)) == sorted(
-                map(tuple, b.atom_indices)
-            )
-            assert sorted(map(tuple, a.bond_indices)) == sorted(
-                map(tuple, b.bond_indices)
-            )
+            a = graph_matrices(featurize_smiles(left))
+            b = graph_matrices(featurize_smiles(right))
+            assert sorted(map(tuple, a[0])) == sorted(map(tuple, b[0]))
+            assert sorted(map(tuple, a[1])) == sorted(map(tuple, b[1]))
 
     def test_bad_schema_width_raises(self):
         with pytest.raises(SchemaError):
@@ -317,9 +315,7 @@ def assert_matches_reference(graph):
         assert got == expected
         return
     assert not isinstance(got, str), got
-    for array, want in zip(
-        (got.atom_indices, got.bond_indices, got.bond_endpoints), expected
-    ):
+    for array, want in zip(graph_matrices(got), expected):
         assert array.dtype == np.int64
         assert array.shape == want.shape
         assert array.flags.c_contiguous
@@ -391,8 +387,7 @@ class TestFeaturizeOracle:
         for smiles in oracle_corpus():
             graph = parse_smiles(smiles)
             assert_matches_reference(graph)
-            fg = featurize(graph)
-            for array in (fg.atom_indices, fg.bond_indices, fg.bond_endpoints):
+            for array in graph_matrices(featurize(graph)):
                 digest.update(array.tobytes())
         assert digest.hexdigest() == ORACLE_CORPUS_SHA256
 
@@ -410,10 +405,10 @@ class TestFeaturizeOracle:
         assert_matches_reference(parse_smiles(smiles))
 
     def test_bondless_views(self):
-        fg = featurize_smiles("C")
-        assert fg.atom_indices.shape == (1, 7)
-        assert fg.bond_indices.shape == (0, 3)
-        assert fg.bond_endpoints.shape == (0, 2)
+        atoms, bonds, endpoints = graph_matrices(featurize_smiles("C"))
+        assert atoms.shape == (1, 7)
+        assert bonds.shape == (0, 3)
+        assert endpoints.shape == (0, 2)
 
     def test_schema_rejecting_atoms(self):
         graph = out_of_range_graph(atom=True)

@@ -19,11 +19,11 @@ from molscreen.model import (
     GraphBatch,
     ModelParams,
     INFERENCE_BATCH,
-    empty_params,
-    init_heads,
     encode_graphs,
+    from_arrays,
     gin_forward,
     init_params,
+    initial_head_arrays,
     predict,
     predict_graphs,
     predict_heads,
@@ -31,6 +31,7 @@ from molscreen.model import (
 
 sys.path.insert(0, str(Path(__file__).parent))
 from gradcheck import grad_check  # noqa: E402
+from helpers import graph_matrices  # noqa: E402
 
 
 model_module = importlib.import_module("molscreen.model")
@@ -40,6 +41,17 @@ train_module = importlib.import_module("molscreen.train")
 
 def batch_of(*smiles):
     return GraphBatch.from_graphs([featurize_smiles(s) for s in smiles])
+
+
+def layer_arrays(params, k):
+    """Layer k's tensor values by their names within the layer."""
+    prefix = f"layer.{k}."
+    return {n[len(prefix):]: t.data for n, t in params.tensors.items() if n.startswith(prefix)}
+
+
+def node_row_sum(params, row):
+    """h0 of one atom: one row of each node table, summed."""
+    return sum(params.tensors[f"node_table.{i}"].data[row[i]] for i in range(7))
 
 
 class TestInit:
@@ -64,54 +76,60 @@ class TestInit:
         # head k must draw from its own stream so adding tasks never shifts it
         a = init_params(["t0"], embed_dim=8, n_layers=2, seed=3)
         b = init_params(["t0", "t1", "t2"], embed_dim=8, n_layers=2, seed=3)
-        np.testing.assert_array_equal(a.heads[0].w1.data, b.heads[0].w1.data)
-        np.testing.assert_array_equal(a.heads[0].w2.data, b.heads[0].w2.data)
+        for name in ("head.0.w1", "head.0.w2"):
+            np.testing.assert_array_equal(a.tensors[name].data, b.tensors[name].data)
 
     def test_shapes(self):
         p = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16)
-        assert p.node_tables[0].shape == (119, 8)
-        assert p.node_tables[6].shape == (5, 8)
-        assert len(p.layers) == 2
-        assert p.layers[0].edge_tables[0].shape == (7, 8)
-        assert p.layers[0].self_loop.shape == (8,)
-        assert p.layers[0].w1.shape == (8, 16)
-        assert p.layers[0].w2.shape == (16, 8)
-        assert p.heads[0].w1.shape == (8, 16)
-        assert p.heads[0].w2.shape == (16, 1)
+        shapes = {name: arr.shape for name, arr in p.named_arrays()}
+        assert shapes["node_table.0"] == (119, 8)
+        assert shapes["node_table.6"] == (5, 8)
+        assert "node_table.7" not in shapes
+        assert "layer.1.w1" in shapes and "layer.2.w1" not in shapes
+        assert shapes["layer.0.edge_table.0"] == (7, 8)
+        assert shapes["layer.0.self_loop"] == (8,)
+        assert shapes["layer.0.w1"] == (8, 16)
+        assert shapes["layer.0.w2"] == (16, 8)
+        assert shapes["head.0.w1"] == (8, 16)
+        assert shapes["head.0.w2"] == (16, 1)
+        assert "head.1.w1" in shapes and "head.2.w1" not in shapes
+        assert shapes["layer.1.bn_running_var"] == (8,)
+        assert list(p.state) == [
+            f"layer.{k}.bn_running_{s}" for k in range(2) for s in ("mean", "var")]
 
     def test_biases_zero_and_bn_affine_identity(self):
         p = init_params(["a"], embed_dim=8, n_layers=2)
-        assert np.all(p.layers[0].b1.data == 0)
-        assert np.all(p.heads[0].b2.data == 0)
-        assert np.all(p.layers[1].bn_gamma.data == 1)
-        assert np.all(p.layers[1].bn_beta.data == 0)
+        assert np.all(p.tensors["layer.0.b1"].data == 0)
+        assert np.all(p.tensors["head.0.b2"].data == 0)
+        assert np.all(p.tensors["layer.1.bn_gamma"].data == 1)
+        assert np.all(p.tensors["layer.1.bn_beta"].data == 0)
+        assert np.all(p.state["layer.1.bn_running_mean"] == 0)
+        assert np.all(p.state["layer.1.bn_running_var"] == 1)
 
-    def test_empty_params_has_the_init_layout_and_draws_nothing(self, monkeypatch):
+    def test_from_arrays_keeps_the_arrays_and_draws_nothing(self, monkeypatch):
         fresh = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16, dropout=0.3)
+        arrays = dict(fresh.named_arrays())
 
         def no_draws(*path):
             raise AssertionError(f"stream {path} requested")
 
         monkeypatch.setattr(model_module, "rng_stream", no_draws)
-        empty = empty_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16, dropout=0.3)
-        assert [(n, t.shape) for n, t in empty.named_parameters()] == [
-            (n, t.shape) for n, t in fresh.named_parameters()]
-        assert all(t.requires_grad for _, t in empty.named_parameters())
-        # drawn tensors are read-only zero views until a loader replaces them
-        assert not empty.layers[1].w2.data.flags.writeable
-        assert not empty.heads[1].w1.data.flags.writeable
-        for (name, a), (_, b) in zip(empty.named_state_arrays(), fresh.named_state_arrays()):
-            np.testing.assert_array_equal(a, b, err_msg=name)
-            assert a.flags.writeable, name
-        assert (empty.head_hidden, empty.dropout, empty.task_names) == (16, 0.3, ["a", "b"])
+        built = from_arrays(["a", "b"], 8, 2, 16, 0.3, arrays)
+        assert [n for n, _ in built.named_arrays()] == list(arrays)
+        for name, arr in built.named_arrays():
+            assert arr is arrays[name], name
+        assert list(built.state) == list(fresh.state)
+        assert all(t.requires_grad for _, t in built.named_parameters())
+        assert (built.embed_dim, built.n_layers, built.head_hidden, built.dropout,
+                built.task_names) == (8, 2, 16, 0.3, ["a", "b"])
 
     def test_copy_is_deep(self):
         p = init_params(["a"], embed_dim=4, n_layers=1)
         q = p.copy()
-        q.node_tables[0].data[0, 0] += 1.0
-        q.layers[0].bn_state.running_mean[0] += 1.0
-        assert p.node_tables[0].data[0, 0] != q.node_tables[0].data[0, 0]
-        assert p.layers[0].bn_state.running_mean[0] == 0.0
+        q.tensors["node_table.0"].data[0, 0] += 1.0
+        q.state["layer.0.bn_running_mean"][0] += 1.0
+        assert p.tensors["node_table.0"].data[0, 0] != q.tensors["node_table.0"].data[0, 0]
+        assert p.state["layer.0.bn_running_mean"][0] == 0.0
 
     def test_layout_bytes_checked_before_allocation(self, monkeypatch):
         p = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=4)
@@ -128,7 +146,7 @@ def _bits(arr):
 
 
 class TestCopy:
-    """``copy()`` is an empty layout filled with copies of every array."""
+    """``copy()`` is the same model built from copies of every array."""
 
     @staticmethod
     def _check_copy(p, monkeypatch):
@@ -150,15 +168,16 @@ class TestCopy:
 
     def test_trained_shape_model(self, monkeypatch):
         p = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16, seed=3)
-        p.layers[1].bn_state.running_var[:] = np.linspace(0.5, 2.0, 8)
-        p.layers[0].b1.data[0] = -0.0  # a signed zero must survive the copy
+        p.state["layer.1.bn_running_var"][:] = np.linspace(0.5, 2.0, 8)
+        p.tensors["layer.0.b1"].data[0] = -0.0  # a signed zero must survive the copy
         self._check_copy(p, monkeypatch)
 
     def test_transfer_shaped_model(self, monkeypatch):
-        p = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16, seed=3)
-        p.task_names = ["new"]
-        p.head_hidden = 5
-        p.heads = init_heads(["new"], p.embed_dim, 5, seed=4)
+        pretrained = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=16, seed=3)
+        arrays = dict(pretrained.named_backbone_arrays())
+        arrays.update(initial_head_arrays(1, 8, 5, seed=4))
+        p = from_arrays(["new"], 8, 2, 5, 0.2, arrays)
+        assert p.head_names() == ["head.0.w1", "head.0.b1", "head.0.w2", "head.0.b2"]
         self._check_copy(p, monkeypatch)
 
 
@@ -195,12 +214,13 @@ def reference_pack(graphs):
     src, dst, bond_of_edge = [], [], []
     node_offset = bond_offset = 0
     for gid, g in enumerate(graphs):
-        atom_rows.append(g.atom_indices)
-        bond_rows.append(g.bond_indices)
+        atom_rows.append(np.array(g.atom_values, dtype=np.int64).reshape(g.n_atoms, 7))
+        bond_rows.append(np.array(g.bond_values, dtype=np.int64).reshape(g.n_bonds, 3))
         graph_ids.append(np.full(g.n_atoms, gid, dtype=np.int64))
         if g.n_bonds:
-            a = g.bond_endpoints[:, 0] + node_offset
-            b = g.bond_endpoints[:, 1] + node_offset
+            ends = np.array(g.endpoint_values, dtype=np.int64).reshape(g.n_bonds, 2)
+            a = ends[:, 0] + node_offset
+            b = ends[:, 1] + node_offset
             idx = np.arange(g.n_bonds, dtype=np.int64) + bond_offset
             src.append(np.concatenate([a, b]))
             dst.append(np.concatenate([b, a]))
@@ -292,13 +312,14 @@ class TestPackingOracle:
         packed = GraphBatch.from_graphs(graphs)
         n_bonds = sum(g.n_bonds for g in graphs)
         endpoints = model_module._int_rows([g.endpoint_values for g in graphs], n_bonds, 2)
-        for name, array in (
+        per_graph = [graph_matrices(g) for g in graphs]
+        for i, (name, array) in enumerate((
             ("atom_indices", packed.atom_indices),
             ("bond_indices", packed.bond_indices),
             ("bond_endpoints", endpoints),
-        ):
+        )):
             assert array.flags.c_contiguous, name
-            _assert_same_array(array, np.concatenate([getattr(g, name) for g in graphs]), name)
+            _assert_same_array(array, np.concatenate([m[i] for m in per_graph]), name)
 
 
 class TestEmbedInputs:
@@ -327,11 +348,8 @@ class TestEmbedInputs:
         nodes, _ = self._record_lookups(monkeypatch, batch)
         gin_forward(batch, params, train=False)
         assert len(nodes) == 1
-        idx = featurize_smiles("C").atom_indices[0]
-        expected = sum(
-            params.node_tables[i].data[idx[i]] for i in range(7)
-        )
-        np.testing.assert_allclose(nodes[0][0], expected, rtol=1e-15)
+        idx = graph_matrices(featurize_smiles("C"))[0][0]
+        np.testing.assert_allclose(nodes[0][0], node_row_sum(params, idx), rtol=1e-15)
 
     def test_edge_states_are_sums_per_layer(self, monkeypatch):
         params = init_params(["t"], embed_dim=8, n_layers=2, seed=0)
@@ -339,12 +357,11 @@ class TestEmbedInputs:
         _, bonds = self._record_lookups(monkeypatch, batch)
         gin_forward(batch, params, train=False)
         assert len(bonds) == 2
-        idx = featurize_smiles("C=C").bond_indices[0]
+        idx = graph_matrices(featurize_smiles("C=C"))[1][0]
         for k, (tables, edge_state) in enumerate(bonds):
-            assert tables is params.layers[k].edge_tables
-            expected = sum(
-                params.layers[k].edge_tables[j].data[idx[j]] for j in range(3)
-            )
+            own = [params.tensors[f"layer.{k}.edge_table.{j}"] for j in range(3)]
+            assert len(tables) == 3 and all(a is b for a, b in zip(tables, own))
+            expected = sum(own[j].data[idx[j]] for j in range(3))
             np.testing.assert_allclose(edge_state[0], expected, rtol=1e-15)
 
 
@@ -355,19 +372,18 @@ class TestLayerBondEmbedding:
         params = init_params(["t"], embed_dim=6, n_layers=2, head_hidden=4, seed=5)
         z = gin_forward(batch_of("C=C"), params, train=False)
 
-        g = featurize_smiles("C=C")
+        atoms, bonds, _ = graph_matrices(featurize_smiles("C=C"))
         # h0 sums one row of each node table
-        h = np.stack(
-            [sum(params.node_tables[i].data[row[i]] for i in range(7)) for row in g.atom_indices]
-        )
-        for layer in params.layers:
+        h = np.stack([node_row_sum(params, row) for row in atoms])
+        for k in range(params.n_layers):
+            layer = layer_arrays(params, k)
             # layer k sums layer k's own bond tables
-            bond = sum(layer.edge_tables[j].data[g.bond_indices[0, j]] for j in range(3))
-            s = h + h[::-1] + bond + layer.self_loop.data  # each atom's one neighbour
-            t = np.maximum(s @ layer.w1.data + layer.b1.data, 0.0)
-            u = t @ layer.w2.data + layer.b2.data
+            bond = sum(layer[f"edge_table.{j}"][bonds[0, j]] for j in range(3))
+            s = h + h[::-1] + bond + layer["self_loop"]  # each atom's one neighbour
+            t = np.maximum(s @ layer["w1"] + layer["b1"], 0.0)
+            u = t @ layer["w2"] + layer["b2"]
             x_hat = u / np.sqrt(1.0 + ops.BN_EPS)
-            h = np.maximum(layer.bn_gamma.data * x_hat + layer.bn_beta.data, 0.0)
+            h = np.maximum(layer["bn_gamma"] * x_hat + layer["bn_beta"], 0.0)
         np.testing.assert_allclose(z.data[0], h.mean(axis=0), rtol=1e-12)
 
     @staticmethod
@@ -403,8 +419,9 @@ class TestLayerBondEmbedding:
         z = gin_forward(batch, params, train=True, rng_path=(0, 0), tape=tape)
         tape.backward(ops.masked_sse(z, np.zeros(z.shape), np.ones(z.shape), tape=tape))
         assert all_dead == []
-        assert all(t.grad is None for layer in params.layers for t in layer.edge_tables)
-        assert all(t.grad is not None for t in params.node_tables)
+        grads = {name: t.grad for name, t in params.tensors.items()}
+        assert all(g is None for name, g in grads.items() if "edge_table" in name)
+        assert all(grads[f"node_table.{i}"] is not None for i in range(7))
 
 
 class TestForward:
@@ -413,14 +430,13 @@ class TestForward:
         batch = batch_of("C")
         z = gin_forward(batch, params, train=False)
 
-        idx = featurize_smiles("C").atom_indices[0]
-        h0 = sum(params.node_tables[i].data[idx[i]] for i in range(7))
-        layer = params.layers[0]
-        s = h0 + layer.self_loop.data
-        t = np.maximum(s @ layer.w1.data + layer.b1.data, 0.0)
-        u = t @ layer.w2.data + layer.b2.data
+        h0 = node_row_sum(params, graph_matrices(featurize_smiles("C"))[0][0])
+        layer = layer_arrays(params, 0)
+        s = h0 + layer["self_loop"]
+        t = np.maximum(s @ layer["w1"] + layer["b1"], 0.0)
+        u = t @ layer["w2"] + layer["b2"]
         x_hat = u / np.sqrt(1.0 + ops.BN_EPS)
-        expected = np.maximum(layer.bn_gamma.data * x_hat + layer.bn_beta.data, 0.0)
+        expected = np.maximum(layer["bn_gamma"] * x_hat + layer["bn_beta"], 0.0)
         np.testing.assert_allclose(z.data[0], expected, rtol=1e-12)
 
     def test_eval_deterministic(self):
@@ -455,20 +471,18 @@ class TestForward:
     def test_train_mode_updates_running_stats(self):
         params = init_params(["t"], embed_dim=8, n_layers=1, seed=0)
         batch = batch_of("CCO", "CC")
-        before = params.layers[0].bn_state.running_mean.copy()
+        before = params.state["layer.0.bn_running_mean"].copy()
         gin_forward(batch, params, train=True, rng_path=(0, 0, 0))
-        assert not np.array_equal(params.layers[0].bn_state.running_mean, before)
+        assert not np.array_equal(params.state["layer.0.bn_running_mean"], before)
 
     def test_train_mode_can_freeze_running_stats(self):
         params = init_params(["t"], embed_dim=8, n_layers=1, seed=0)
         batch = batch_of("CCO", "CC")
-        before = params.layers[0].bn_state.running_mean.copy()
+        before = params.state["layer.0.bn_running_mean"].copy()
         gin_forward(
             batch, params, train=True, rng_path=(0, 0, 0), update_running=False
         )
-        np.testing.assert_array_equal(
-            params.layers[0].bn_state.running_mean, before
-        )
+        np.testing.assert_array_equal(params.state["layer.0.bn_running_mean"], before)
 
 
 class TestPredict:
@@ -749,7 +763,7 @@ class TestLeanTapeComposition:
         labels = np.arange(2.0 * batch.pool_layout.num_segments).reshape(-1, 2)
         tape.backward(ops.masked_sse(matrix, labels, np.ones_like(labels), tape=tape))
         out = {name: p.grad for name, p in params.named_parameters()}
-        out.update(params.named_state_arrays())
+        out.update(params.state)
         out["train_pred"] = matrix.data
         out["eval_pred"] = predict(batch, params)
         return out

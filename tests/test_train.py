@@ -23,7 +23,11 @@ from molscreen.train import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import replay_stopping  # noqa: E402
+from helpers import (  # noqa: E402
+    backbone_named_parameters,
+    head_named_parameters,
+    replay_stopping,
+)
 
 NAN = float("nan")
 
@@ -327,7 +331,7 @@ class TestTrainLoop:
         cfg = tiny_config(lr=0.01, min_epochs=10, max_epochs=10, seed=2)
         masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
         params = init_params(ds.task_names, embed_dim=8, n_layers=2, head_hidden=8, seed=2)
-        names = [n for n, _ in params.head_named_parameters()] if heads_only else None
+        names = params.head_names() if heads_only else None
         copies = {}
         got, log = train_with_split(
             ds, cfg, masks, params=params, trainable_names=names,
@@ -344,8 +348,8 @@ class TestTrainLoop:
             np.testing.assert_array_equal(arr.view(np.int64), expected.view(np.int64),
                                           err_msg=name)
             assert np.shares_memory(arr, current) == heads_only, name
-        best_heads = copies[log.best_epoch].heads[0].w1.data
-        assert not np.array_equal(best_heads, params.heads[0].w1.data)
+        best_heads = copies[log.best_epoch].tensors["head.0.w1"].data
+        assert not np.array_equal(best_heads, params.tensors["head.0.w1"].data)
 
     def test_backbone_names_are_not_trainable_alone(self):
         # trainable_names selects the frozen-backbone warm-up: a backbone or
@@ -354,7 +358,7 @@ class TestTrainLoop:
         cfg = tiny_config(max_epochs=1)
         masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
         params = init_params(ds.task_names, embed_dim=8, n_layers=2, head_hidden=8, seed=2)
-        heads = [n for n, _ in params.head_named_parameters()]
+        heads = params.head_names()
         for extra in ("layer.0.w1", "node_table.0", "no.such.name"):
             with pytest.raises(ValueError, match="head parameters only"):
                 train_with_split(ds, cfg, masks, params=params,
@@ -363,9 +367,10 @@ class TestTrainLoop:
     def test_head_count_matches_tasks(self):
         ds = make_dataset(24, 3)
         params, _ = train(ds, tiny_config())
-        assert len(params.heads) == 3
+        assert len(params.head_names()) == 3 * 4
+        assert {n.split(".")[1] for n in params.head_names()} == {"0", "1", "2"}
         params1, _ = train(ds.restrict_to_tasks([0]), tiny_config())
-        assert len(params1.heads) == 1
+        assert params1.head_names() == ["head.0.w1", "head.0.b1", "head.0.w2", "head.0.b2"]
 
     def test_bit_identical_given_seed(self):
         ds = make_dataset(24, 2)
@@ -424,18 +429,19 @@ class TestTrainLoop:
         st_params, st_log = train(ds.restrict_to_tasks([0]), cfg)
         assert mtl_log == st_log
         for (na, pa), (nb, pb) in zip(
-            mtl_params.backbone_named_parameters(),
-            st_params.backbone_named_parameters(),
+            backbone_named_parameters(mtl_params),
+            backbone_named_parameters(st_params),
+            strict=True,
         ):
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)
-        for name, arr_a in mtl_params.named_state_arrays():
-            arr_b = dict(st_params.named_state_arrays())[name]
-            np.testing.assert_array_equal(arr_a, arr_b)
+        assert mtl_params.state.keys() == st_params.state.keys()
+        for name, arr_a in mtl_params.state.items():
+            np.testing.assert_array_equal(arr_a, st_params.state[name])
         target_head = [
-            t for n, t in mtl_params.head_named_parameters() if n.startswith("head.0.")
+            t for n, t in head_named_parameters(mtl_params) if n.startswith("head.0.")
         ]
-        for pa, (_, pb) in zip(target_head, st_params.head_named_parameters(), strict=True):
+        for pa, (_, pb) in zip(target_head, head_named_parameters(st_params), strict=True):
             np.testing.assert_array_equal(pa.data, pb.data)
         # auxiliary heads never saw a labeled pair: still at initialization
         fresh = init_params(
@@ -446,12 +452,10 @@ class TestTrainLoop:
             dropout=cfg.dropout,
             seed=cfg.seed,
         )
-        np.testing.assert_array_equal(
-            mtl_params.heads[1].w1.data, fresh.heads[1].w1.data
-        )
-        np.testing.assert_array_equal(
-            mtl_params.heads[2].w2.data, fresh.heads[2].w2.data
-        )
+        for name in ("head.1.w1", "head.2.w2"):
+            np.testing.assert_array_equal(
+                mtl_params.tensors[name].data, fresh.tensors[name].data
+            )
 
     def test_single_task_restricts_to_task_zero(self):
         ds = make_dataset(24, 2)

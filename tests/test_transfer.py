@@ -2,6 +2,8 @@
 
 import dataclasses
 import importlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from molscreen.engine import AdamState, Tape, Tensor, adam_step, rng_stream
 from molscreen.model import (
     GraphBatch,
     ModelParams,
+    from_arrays,
     gin_forward,
-    init_heads,
     init_params,
+    initial_head_arrays,
     predict_graphs,
     predict_heads,
 )
@@ -28,6 +31,9 @@ from molscreen.train import (
     train_with_split,
 )
 from molscreen.transfer import TransferError, transfer_train
+
+sys.path.insert(0, str(Path(__file__).parent))
+from helpers import backbone_named_parameters, head_named_parameters  # noqa: E402
 
 # the package re-exports train(), which hides the submodule's name
 train_module = importlib.import_module("molscreen.train")
@@ -94,7 +100,9 @@ class TestTransferMechanics:
             seed=cfg.seed,
         )
         result = transfer_train(pre, ds, cfg, head_epochs=4)
-        assert not np.array_equal(result.params.heads[0].w1.data, fresh.heads[0].w1.data)
+        assert not np.array_equal(
+            result.params.tensors["head.0.w1"].data, fresh.tensors["head.0.w1"].data
+        )
 
     def test_epoch_numbering_default_twenty(self):
         cfg = small_config(max_epochs=3)
@@ -110,9 +118,10 @@ class TestTransferMechanics:
         assert [r.epoch for r in result.phase1_log.epochs] == [1, 2, 3]
         assert [r.epoch for r in result.phase2_log.epochs][:2] == [4, 5]
 
-    def test_two_model_copies_per_transfer(self, monkeypatch):
-        # the pretrained copy and phase 2's best-epoch snapshot: the warm-up
-        # keeps no snapshot of its own
+    def test_one_model_copy_per_transfer(self, monkeypatch):
+        # phase 2's best-epoch snapshot: transfer builds its model from
+        # copies of the pretrained backbone arrays and fresh heads, and the
+        # warm-up keeps no snapshot of its own
         calls = []
         copy = ModelParams.copy
 
@@ -123,7 +132,21 @@ class TestTransferMechanics:
         monkeypatch.setattr(ModelParams, "copy", counting)
         cfg = small_config()
         transfer_train(pretrained_backbone(cfg), new_task_dataset(), cfg, head_epochs=4)
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_new_head_takes_the_config_dimensions(self):
+        # the backbone keeps the pretrained arrays; the head, head_hidden and
+        # dropout come from the config, and the pretrained heads are dropped
+        cfg = small_config(head_hidden=5, dropout=0.1)
+        pre = pretrained_backbone(small_config())
+        result = transfer_train(pre, new_task_dataset(), cfg, head_epochs=0)
+        params = result.params
+        assert (params.head_hidden, params.dropout, params.task_names) == (5, 0.1, ["task0"])
+        assert [(n, t.shape) for n, t in head_named_parameters(params)] == [
+            ("head.0.w1", (8, 5)), ("head.0.b1", (5,)), ("head.0.w2", (5, 1)),
+            ("head.0.b2", (1,))]
+        assert [n for n, _ in params.named_backbone_arrays()] == [
+            n for n, _ in pre.named_backbone_arrays()]
 
     def test_pretrained_object_not_mutated(self):
         cfg = small_config()
@@ -152,7 +175,7 @@ class TestTransferMechanics:
         assert result.phase2_log.epochs == cold_log.epochs
         assert result.params.backbone_hash() == cold_params.backbone_hash()
         np.testing.assert_array_equal(
-            result.params.heads[0].w2.data, cold_params.heads[0].w2.data
+            result.params.tensors["head.0.w2"].data, cold_params.tensors["head.0.w2"].data
         )
 
 
@@ -194,20 +217,22 @@ class TestFreezeCheck:
 
     def test_value_change_shows_in_the_hashes(self, monkeypatch):
         def change(p):
-            p.layers[1].w1.data[2, 3] = np.nextafter(p.layers[1].w1.data[2, 3], np.inf)
+            w1 = p.tensors["layer.1.w1"].data
+            w1[2, 3] = np.nextafter(w1[2, 3], np.inf)
 
         self._check(monkeypatch, change)
 
     def test_zero_sign_flip_shows_in_the_hashes(self, monkeypatch):
         def change(p):
-            assert _bits(p.layers[0].b2.data[1]) == _bits(0.0)
-            p.layers[0].b2.data[1] = -0.0
+            b2 = p.tensors["layer.0.b2"].data
+            assert _bits(b2[1]) == _bits(0.0)
+            b2[1] = -0.0
 
         self._check(monkeypatch, change)
 
     def test_running_statistics_change_shows_in_the_hashes(self, monkeypatch):
         def change(p):
-            p.layers[1].bn_state.running_var[0] *= 2.0
+            p.state["layer.1.bn_running_var"][0] *= 2.0
 
         self._check(monkeypatch, change)
 
@@ -327,9 +352,9 @@ def _assert_same_logs(got, want):
 
 
 def _assert_same_state(got, want):
-    got_state = dict(got.named_state_arrays())
-    for name, arr in want.named_state_arrays():
-        np.testing.assert_array_equal(_bits(got_state[name]), _bits(arr), err_msg=name)
+    assert got.state.keys() == want.state.keys()
+    for name, arr in want.state.items():
+        np.testing.assert_array_equal(_bits(got.state[name]), _bits(arr), err_msg=name)
 
 
 def _assert_same_params(got, want):
@@ -355,18 +380,16 @@ def spy_on_tape(monkeypatch):
 def warmup_start(cfg, ds):
     """What phase 1 of transfer_train starts from: a pretrained backbone,
     with running statistics moved off their defaults, under a fresh head."""
-    params = pretrained_backbone(cfg)
+    pretrained = pretrained_backbone(cfg)
     rng = np.random.default_rng(3)
-    for layer in params.layers:
-        layer.bn_state.running_mean[:] = rng.normal(size=cfg.embed_dim)
-        layer.bn_state.running_var[:] = rng.uniform(0.5, 2.0, size=cfg.embed_dim)
-    params.task_names = list(ds.task_names)
-    params.heads = init_heads(ds.task_names, params.embed_dim, cfg.head_hidden, cfg.seed)
-    return params
-
-
-def head_names(params):
-    return [name for name, _ in params.head_named_parameters()]
+    for k in range(cfg.n_layers):
+        pretrained.state[f"layer.{k}.bn_running_mean"][:] = rng.normal(size=cfg.embed_dim)
+        pretrained.state[f"layer.{k}.bn_running_var"][:] = rng.uniform(
+            0.5, 2.0, size=cfg.embed_dim)
+    arrays = dict(pretrained.named_backbone_arrays())
+    arrays.update(initial_head_arrays(ds.n_tasks, cfg.embed_dim, cfg.head_hidden, cfg.seed))
+    return from_arrays(ds.task_names, cfg.embed_dim, cfg.n_layers, cfg.head_hidden,
+                       cfg.dropout, arrays)
 
 
 class TestFrozenPhaseOracle:
@@ -388,7 +411,7 @@ class TestFrozenPhaseOracle:
         hashes = []
         best, log = trainer(
             ds, fixed_epochs(cfg, self.EPOCHS), masks, params=params,
-            trainable_names=head_names(params),
+            trainable_names=params.head_names(),
             epoch_callback=lambda _epoch, p: hashes.append(p.backbone_hash()),
         )
         return params, best, log, hashes
@@ -408,7 +431,9 @@ class TestFrozenPhaseOracle:
         assert best is params
         _assert_same_params(best, ref_params)
         assert hashes == ref_hashes == [start.backbone_hash()] * self.EPOCHS
-        assert not np.array_equal(params.heads[0].w1.data, start.heads[0].w1.data)
+        assert not np.array_equal(
+            params.tensors["head.0.w1"].data, start.tensors["head.0.w1"].data
+        )
 
     def test_transfer_phase_one_log_matches_reference(self):
         cfg, ds, masks = self._setup()
@@ -423,9 +448,9 @@ class TestFrozenPhaseOracle:
         params = warmup_start(cfg, ds)
         recorded = spy_on_tape(monkeypatch)
         train_with_split(ds, fixed_epochs(cfg, 2), masks, params=params,
-                         trainable_names=head_names(params))
-        backbone = {id(t) for _, t in params.backbone_named_parameters()}
-        heads = {id(t) for _, t in params.head_named_parameters()}
+                         trainable_names=params.head_names())
+        backbone = {id(t) for _, t in backbone_named_parameters(params)}
+        heads = {id(t) for _, t in head_named_parameters(params)}
         assert heads <= recorded
         assert not backbone & recorded
 
@@ -448,7 +473,7 @@ class TestFrozenPhaseOracle:
         assert n_eval == 7 + 2
         params = warmup_start(cfg, ds)
         train_with_split(ds, fixed_epochs(cfg, self.EPOCHS), masks, params=params,
-                         trainable_names=head_names(params))
+                         trainable_names=params.head_names())
         assert calls == {False: n_eval, True: n_train * self.EPOCHS}
         # unfrozen, every epoch re-encodes every eval chunk
         calls.update({True: 0, False: 0})
