@@ -1,10 +1,12 @@
 """Differentiable primitives over :class:`~molscreen.engine.tensor.Tensor`.
 
 Every op takes an optional ``tape``; with ``tape=None`` it is a plain numpy
-forward pass.  Only the operations the graph model needs are provided; there
-is no general broadcasting beyond bias-style row vectors.  A backward closure
-captures only the arrays its backward reads (a mask, not the masked input;
-a row count, not the batch), since the tape keeps no op's output.
+forward pass that builds no array only backward reads (``relu`` makes no
+mask, batch norm no ``x_hat`` beside its output).  Only the operations the
+graph model needs are provided; there is no general broadcasting beyond
+bias-style row vectors.  A backward closure captures only the arrays its
+backward reads (a mask, not the masked input; a row count, not the batch),
+since the tape keeps no op's output.
 """
 
 from __future__ import annotations
@@ -71,15 +73,17 @@ def scale(x: Tensor, factor: float, tape: Tape | None = None) -> Tensor:
 
 
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
+    # fmax maps NaN to 0.0 and adding +0.0 turns -0.0 into +0.0: the bits of
+    # np.where(x > 0, x, 0.0), in less time
+    out = np.fmax(x.data, 0.0)
+    out += 0.0
+    if tape is None or not x.requires_grad:
+        return Tensor(out)
     keep = x.data > 0
 
     def backward(up):
         return (up * keep,)
 
-    # fmax maps NaN to 0.0 and adding +0.0 turns -0.0 into +0.0: the bits of
-    # np.where(keep, x, 0.0), in less time
-    out = np.fmax(x.data, 0.0)
-    out += 0.0
     return _result(out, (x,), backward, tape)
 
 
@@ -332,8 +336,14 @@ def batch_norm(
         mean = running_mean
         var = running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = (x.data - mean) * inv_std
-    out = gamma.data * x_hat + beta.data
+    x_hat = x.data - mean
+    x_hat *= inv_std
+    if tape is None:  # the output overwrites x_hat, which no backward reads
+        x_hat *= gamma.data
+        x_hat += beta.data
+        return Tensor(x_hat)
+    out = x_hat * gamma.data
+    out += beta.data
     n = x.shape[0]
 
     def backward(up):

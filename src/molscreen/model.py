@@ -210,6 +210,14 @@ def _memory_limit() -> int | None:
     return min((n for n in limits if 0 < n != resource.RLIM_INFINITY), default=None)
 
 
+def _check_fits(nbytes: int, what: str) -> None:
+    """Raise ``MemoryError`` if ``nbytes`` exceed the memory limit; ``what``
+    names the dimensions that ask for them and the arrays they size."""
+    limit = _memory_limit()
+    if limit is not None and nbytes > limit:
+        raise MemoryError(f"{what} need {nbytes} bytes, over the {limit}-byte memory limit")
+
+
 def _check_layout_fits(n_tasks: int, d: int, n_layers: int, h: int) -> None:
     """Raise ``MemoryError`` before allocating if the float64 values of the
     table exceed the memory limit.  The table without layers and heads,
@@ -220,12 +228,9 @@ def _check_layout_fits(n_tasks: int, d: int, n_layers: int, h: int) -> None:
 
     base = values(0, 0)
     total = base + n_layers * (values(0, 1) - base) + n_tasks * (values(1, 0) - base)
-    limit = _memory_limit()
-    if limit is not None and 8 * total > limit:
-        raise MemoryError(
-            f"embed_dim={d}, n_layers={n_layers}, head_hidden={h}: the parameters "
-            f"need {8 * total} bytes, over the {limit}-byte memory limit"
-        )
+    _check_fits(
+        8 * total, f"embed_dim={d}, n_layers={n_layers}, head_hidden={h}: the parameters"
+    )
 
 
 def from_arrays(
@@ -307,30 +312,33 @@ def gin_forward(
     node_tables = [tensors[f"node_table.{i}"] for i in range(len(ATOM_FEATURE_WIDTHS))]
     h = ops.embedding_lookup(node_tables, batch.atom_indices, tape=tape)
     has_edges = batch.neighbor_layout.counts.any()
+    # one name carries each layer's value from op to op, and the neighbour
+    # and bond sums are bound to none, so every array of a tapeless forward
+    # dies once the next op has consumed it: one layer's working set at a time
     for k in range(params.n_layers):
         layer = f"layer.{k}."
         self_loop = tensors[layer + "self_loop"]
         if has_edges:
-            summed = ops.segment_sum(h, batch.neighbor_layout, tape=tape)
-            # each layer embeds its own bonds, and no name keeps them, so an
-            # eval forward holds one layer's bond states at a time
             edge_tables = [
                 tensors[f"{layer}edge_table.{j}"] for j in range(len(BOND_FEATURE_WIDTHS))
             ]
-            edge_sum = ops.segment_sum(
-                ops.embedding_lookup(edge_tables, batch.bond_indices, tape=tape),
-                batch.bond_layout,
-                tape=tape,
+            h = ops.add(
+                h,
+                ops.segment_sum(h, batch.neighbor_layout, tape=tape),
+                ops.segment_sum(
+                    ops.embedding_lookup(edge_tables, batch.bond_indices, tape=tape),
+                    batch.bond_layout, tape=tape,
+                ),
+                self_loop, tape=tape,
             )
-            s = ops.add(h, summed, edge_sum, self_loop, tape=tape)
         else:
-            s = ops.add(h, self_loop, tape=tape)
-        hidden = ops.relu(
-            ops.matmul(s, tensors[layer + "w1"], tensors[layer + "b1"], tape=tape), tape=tape
+            h = ops.add(h, self_loop, tape=tape)
+        h = ops.relu(
+            ops.matmul(h, tensors[layer + "w1"], tensors[layer + "b1"], tape=tape), tape=tape
         )
-        mixed = ops.matmul(hidden, tensors[layer + "w2"], tensors[layer + "b2"], tape=tape)
-        normed = ops.batch_norm(
-            mixed,
+        h = ops.matmul(h, tensors[layer + "w2"], tensors[layer + "b2"], tape=tape)
+        h = ops.batch_norm(
+            h,
             tensors[layer + "bn_gamma"],
             tensors[layer + "bn_beta"],
             params.state[layer + "bn_running_mean"],
@@ -339,7 +347,7 @@ def gin_forward(
             update_running=update_running,
             tape=tape,
         )
-        h = ops.relu(normed, tape=tape)
+        h = ops.relu(h, tape=tape)
         if train and params.dropout > 0.0:
             stream = rng_stream(rng_path[0], *rng_path[1:], 1, 0, k)
             h = ops.dropout(h, params.dropout, stream, tape=tape)

@@ -18,6 +18,7 @@ import numpy as np
 from .data import TaskDataset
 from .engine import rng_stream
 from .featurize import featurize
+from .model import _check_fits
 from .smiles import MolGraph, parse_smiles
 
 _VALENCE = {6: 4, 7: 3, 8: 2}
@@ -234,6 +235,8 @@ def synth_dataset(
         raise ValueError(
             f"min_atoms ({min_atoms}) must not exceed max_atoms ({max_atoms})"
         )
+    nbytes = 8 * n_tasks * (2 + 2 * n_per_task)  # a and b, then the noise and the labels
+    _check_fits(nbytes, f"n_tasks={n_tasks}, n_per_task={n_per_task}: the labels")
     mol_stream = rng_stream(seed, 0)
     coef_stream = rng_stream(seed, 1)
     noise_stream = rng_stream(seed, 2)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import TaskDataset, split_train_val
-from .model import ModelParams, from_arrays, initial_head_arrays
+from .model import ModelParams, _check_layout_fits, from_arrays, initial_head_arrays
 from .train import TrainConfig, TrainLog, train_with_split
 
 
@@ -79,6 +79,7 @@ def transfer_train(
         )
 
     d, h = config.embed_dim, config.head_hidden
+    _check_layout_fits(new_ds.n_tasks, d, config.n_layers, h)
     arrays = {name: arr.copy() for name, arr in pretrained.named_backbone_arrays()}
     arrays.update(initial_head_arrays(new_ds.n_tasks, d, h, config.seed))
     params = from_arrays(new_ds.task_names, d, config.n_layers, h, config.dropout, arrays)

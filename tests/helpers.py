@@ -1,9 +1,11 @@
 """Test-only helpers shared by several test modules: replaying scripted loss
 curves through the training log's rules, the synthetic benchmark's
-noise-free labels, one graph's int64 matrices, and walks over a model's
-backbone and head tensors."""
+noise-free labels, one graph's int64 matrices, walks over a model's
+backbone and head tensors, and a call's traced memory."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -48,3 +50,17 @@ def graph_matrices(fg: FeaturizedGraph) -> tuple[np.ndarray, np.ndarray, np.ndar
     batch = GraphBatch.from_graphs([fg])
     endpoints = np.array(fg.endpoint_values, dtype=np.int64).reshape(fg.n_bonds, 2)
     return batch.atom_indices, batch.bond_indices, endpoints
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under tracemalloc; returns its result, the peak traced
+    bytes above those traced at the start, and the bytes still held above
+    them when it returned (its result among them)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before

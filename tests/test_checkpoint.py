@@ -6,7 +6,6 @@ import json
 import re
 import struct
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from molscreen.model import GraphBatch, init_params, predict
 from molscreen.train import EpochRecord, TrainLog, summarize_log
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import backbone_named_parameters  # noqa: E402
+from helpers import backbone_named_parameters, traced_peak  # noqa: E402
 from test_featurize import widths_hash  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "model.ckpt"
@@ -416,13 +415,12 @@ class TestHeaderDimensions:
         path = _with_header(tmp_path / "m.ckpt", header, arrays)
         dims = ", ".join(f"{k}={header[k]}" for k in ("embed_dim", "n_layers", "head_hidden"))
         message = re.escape(f"model layout of {dims}: ") + ".*" + re.escape(f"array {first}")
-        tracemalloc.start()
-        try:
+
+        def load_fails():
             with pytest.raises(CheckpointError, match=message):
                 load_checkpoint(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak, _ = traced_peak(load_fails)
         # the walk stops at the first array that differs: a 10**9-layer
         # header builds no row past layer 2
         assert peak < 2**22 * 8 // 16
@@ -442,12 +440,11 @@ class TestHeaderDimensions:
         header, arrays = _split_golden()
         header["embed_dim"] = 2**22
         path = _with_header(tmp_path / "m.ckpt", header, arrays)
-        tracemalloc.start()
-        try:
+
+        def load_fails():
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak, _ = traced_peak(load_fails)
         # one float64 array of 2**22 values is 32 MiB
         assert peak < 2**22 * 8 // 16

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import molscreen.cli
+import molscreen.model
 from molscreen.active import ALConfig, al_run
 from molscreen.checkpoint import load_checkpoint, save_checkpoint
 from molscreen.cli import main
@@ -186,6 +187,18 @@ class TestSynthGen:
         assert code == 3
         assert only_error(err)["error"] == "io-failure"
         assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_task_count_is_bad_config(self, tmp_path, capsys):
+        # the label bytes are checked before any molecule or draw
+        code, _, err = run(
+            capsys, "synth-gen", "--n-tasks", str(10**12), "--n-per-task", "2",
+            "--out", str(tmp_path / "x.csv"), "--meta-out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert error["message"].startswith("out of memory: n_tasks=1000000000000")
+        assert list(tmp_path.iterdir()) == []
 
     def test_exhausted_atom_range_exits_2(self, tmp_path, capsys):
         # one heavy atom gives three distinct molecules; five cannot be found
@@ -1082,6 +1095,22 @@ class TestTransferCommand:
         )
         assert code == 0
         assert load_checkpoint(out).params.head_hidden == 8  # default is 256
+
+    def test_huge_head_is_bad_config(self, workdir, tmp_path, capsys, monkeypatch):
+        # a fixed 2 GiB limit, so the count refuses the head on any machine
+        monkeypatch.setattr(molscreen.model, "_memory_limit", lambda: 2 << 30)
+        out = tmp_path / "x.ckpt"
+        code, _, err = run(
+            capsys, "transfer", "--pretrained", str(workdir / "mtl.ckpt"),
+            "--data", str(workdir / "data.csv"), "--target", "task0",
+            "--head-hidden", "100000000", "--out", str(out), "--batch-size", "16",
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert error["message"].startswith("out of memory: embed_dim=8, n_layers=1, "
+                                           "head_hidden=100000000: the parameters need")
+        assert not out.exists()
 
     def test_conflicting_dims_in_config_file_rejected(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

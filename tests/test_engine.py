@@ -20,6 +20,7 @@ from molscreen.engine import ops
 
 sys.path.insert(0, str(Path(__file__).parent))
 from gradcheck import grad_check  # noqa: E402
+from helpers import traced_peak  # noqa: E402
 
 
 def initial_running(n):
@@ -702,6 +703,49 @@ class TestReluExactness:
                 np.ascontiguousarray(got).view(np.int64),
                 np.ascontiguousarray(want).view(np.int64),
             )
+
+
+class TestUntapedOps:
+    """Without a tape an op builds no array that only backward reads:
+    relu no mask, batch norm no separate ``x_hat``.  So each allocates
+    little beyond its output, and gives the taped op's bits and the
+    formula's."""
+
+    def _x(self):
+        # 2 MiB, so numpy's fixed 64 KiB broadcasting buffer stays under 10%
+        x = np.random.default_rng(0).normal(loc=0.5, scale=3.0, size=(2048, 128))
+        x.flat[:4] = [0.0, -0.0, np.nan, -np.nan]
+        return x
+
+    def test_relu_allocates_its_output_alone(self):
+        x = self._x()
+        out, peak, _ = traced_peak(lambda: ops.relu(Tensor(x)))
+        assert peak <= 1.1 * out.data.nbytes
+        taped = ops.relu(Tensor(x, requires_grad=True), tape=Tape())
+        for got in (out.data, taped.data):
+            _assert_same_bits(got, np.where(x > 0, x, 0.0))
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_batch_norm_allocates_its_output_alone(self, train):
+        x = self._x()[4:]  # finite rows, so the batch statistics are
+        rng = np.random.default_rng(1)
+        gamma, beta = rng.normal(size=128), rng.normal(size=128)
+        running_mean, running_var = rng.normal(size=128), rng.uniform(0.5, 2.0, size=128)
+
+        def call(tape=None, requires_grad=False):
+            return ops.batch_norm(
+                Tensor(x, requires_grad=requires_grad), Tensor(gamma, requires_grad),
+                Tensor(beta, requires_grad), running_mean, running_var, train=train,
+                update_running=False, tape=tape,
+            )
+
+        out, peak, _ = traced_peak(call)
+        assert peak <= 1.1 * out.data.nbytes
+        mean, var = (x.mean(axis=0), x.var(axis=0)) if train else (running_mean, running_var)
+        want = gamma * ((x - mean) * (1.0 / np.sqrt(var + ops.BN_EPS))) + beta
+        _assert_same_bits(out.data, want)
+        if train:  # eval-mode batch norm takes no tape
+            _assert_same_bits(call(Tape(), requires_grad=True).data, want)
 
 
 class TestBatchNormSemantics:

@@ -1,6 +1,8 @@
 """Ranking and regression metrics against brute-force oracles."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from molscreen.metrics import (
     rank_best_first,
     recall_at,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from helpers import traced_peak  # noqa: E402
 
 
 # ---------------------------------------------------------------- oracles
@@ -181,18 +186,11 @@ class TestConcordanceIndex:
             assert concordance_index(y, yhat) == ci_matrix_oracle(y, yhat)
 
     def test_large_input_without_pair_matrices(self):
-        import tracemalloc
-
         rng = np.random.default_rng(9)
         n = 100_000
         y = rng.normal(size=n)
         yhat = y + rng.normal(size=n)
-        tracemalloc.start()
-        try:
-            value = concordance_index(y, yhat)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        value, peak, _ = traced_peak(lambda: concordance_index(y, yhat))
         # one n-by-n boolean matrix alone would be 10 GB
         assert peak < 50 * n * 8
         assert 0.6 < value < 0.9

@@ -21,7 +21,7 @@ from molscreen.synth import (
 from molscreen.engine import rng_stream
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import noiseless_labels  # noqa: E402
+from helpers import noiseless_labels, traced_peak  # noqa: E402
 
 
 class TestRandomMolecule:
@@ -101,6 +101,24 @@ class TestSynthDataset:
         oracle = task_oracle(meta, task=0)
         for i, smi in enumerate(ds.smiles):
             assert oracle(smi) == pytest.approx(ds.labels[i, 0], abs=1e-12)
+
+    def test_label_bytes_checked_before_generating(self, monkeypatch):
+        import molscreen.model as model_module
+
+        # a and b, then the noise and the label matrix: 8 * 2 * (2 + 2 * 3)
+        monkeypatch.setattr(model_module, "_memory_limit", lambda: 128)
+        synth_dataset(n_tasks=2, n_per_task=3, seed=0)  # fits exactly
+        monkeypatch.setattr(model_module, "_memory_limit", lambda: 127)
+        with pytest.raises(MemoryError, match="n_tasks=2, n_per_task=3: .* 128 bytes"):
+            synth_dataset(n_tasks=2, n_per_task=3, seed=0)
+
+    def test_huge_task_count_allocates_nothing(self):
+        def refused():
+            with pytest.raises(MemoryError, match="n_tasks=1000000000000"):
+                synth_dataset(n_tasks=10**12, n_per_task=2, seed=0)
+
+        _, peak, _ = traced_peak(refused)
+        assert peak < 2**21  # no molecule, no draw
 
     def test_requires_two_tasks(self):
         with pytest.raises(ValueError):

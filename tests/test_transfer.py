@@ -33,7 +33,11 @@ from molscreen.train import (
 from molscreen.transfer import TransferError, transfer_train
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import backbone_named_parameters, head_named_parameters  # noqa: E402
+from helpers import (  # noqa: E402
+    backbone_named_parameters,
+    head_named_parameters,
+    traced_peak,
+)
 
 # the package re-exports train(), which hides the submodule's name
 train_module = importlib.import_module("molscreen.train")
@@ -272,6 +276,21 @@ class TestTransferValidation:
         pre = pretrained_backbone(small_config(n_layers=2))
         with pytest.raises(TransferError):
             transfer_train(pre, new_task_dataset(), cfg)
+
+    def test_head_bytes_checked_before_drawing(self, monkeypatch):
+        """A new head too large for memory is refused by the model's byte
+        count before anything is copied or drawn."""
+        cfg = small_config()
+        pre, ds = pretrained_backbone(cfg), new_task_dataset()
+        monkeypatch.setattr(model_module, "_memory_limit", lambda: 2 << 30)
+        wide = dataclasses.replace(cfg, head_hidden=10**8)
+
+        def refused():
+            with pytest.raises(MemoryError, match="head_hidden=100000000: the parameters"):
+                transfer_train(pre, ds, wide)
+
+        _, peak, _ = traced_peak(refused)
+        assert peak < 2 << 20
 
     def test_negative_head_epochs_rejected(self):
         cfg = small_config()
