@@ -300,6 +300,9 @@ def cmd_predict(args) -> dict:
     except csv.Error as exc:  # a line break outside quotes
         raise ConfigError(f"--tasks is not one CSV record: {exc}") from exc
     names = [name.strip() for name in names] or list(tasks)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:  # the output header would repeat them, which ingest refuses
+        raise ConfigError(f"--tasks names a task more than once: {repeated}")
     indices = [_task_index(name, tasks, "checkpoint") for name in names]
     smiles, graphs = _load_smiles(args.input, strict=True)
     _write_matrix(args.out, smiles, names, predict_graphs(graphs, ck.params, indices))

@@ -27,13 +27,32 @@ def _result(data, inputs, backward_fn, tape: Tape | None) -> Tensor:
     return out
 
 
+# OpenBLAS sums a row of a full 8-row block in one order at any row count, a
+# shorter tail or a lone row in others; 4-row tiles still left rows differing
+ROW_TILE = 8
+
+
+def _row_tiled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with each row's bits independent of the other rows: full
+    ``ROW_TILE``-row tiles in place, the tail in one zero-padded tile."""
+    n, full = len(a), len(a) - len(a) % ROW_TILE
+    out = np.empty((n, b.shape[1]))
+    np.matmul(a[:full], b, out=out[:full])
+    if full < n:
+        tail = np.concatenate((a[full:], np.zeros((full + ROW_TILE - n, a.shape[1]))))
+        out[full:] = (tail @ b)[: n - full]
+    return out
+
+
 def matmul(
-    a: Tensor, b: Tensor, bias: Tensor | None = None, tape: Tape | None = None
+    a: Tensor, b: Tensor, bias: Tensor | None = None, tape: Tape | None = None, *,
+    train: bool = True,
 ) -> Tensor:
-    """``a @ b``, with an optional bias row added in place into the product."""
+    """``a @ b``, with an optional bias row added in place into the product;
+    with ``train=False`` each row's bits depend on that row of ``a`` alone."""
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
-    out = a.data @ b.data
+    out = a.data @ b.data if train else _row_tiled(a.data, b.data)
     inputs = (a, b)
     if bias is not None:
         out += bias.data
@@ -287,16 +306,15 @@ def segment_sum(
 def segment_mean(
     values: Tensor, layout: SegmentLayout, tape: Tape | None = None
 ) -> Tensor:
-    """:func:`segment_sum` divided by each segment's term count; empty
-    segments are zero."""
+    """:func:`segment_sum` of (rows, width) values divided by each segment's
+    term count; empty segments are zero."""
     _check_layout(values, layout)
-    divisor = np.maximum(layout.counts, 1).astype(np.float64)
-    totals = layout.totals(values.data)
-    means = totals / divisor[:, None] if totals.ndim == 2 else totals / divisor
+    divisor = np.maximum(layout.counts, 1).astype(np.float64)[:, None]
+    means = layout.totals(values.data)
+    means /= divisor  # in place: 1-D values raise rather than broadcast
 
     def backward(up):
-        scaled = up / divisor[:, None] if up.ndim == 2 else up / divisor
-        return (layout.scatter(scaled),)
+        return (layout.scatter(up / divisor),)
 
     return _result(means, (values,), backward, tape)
 

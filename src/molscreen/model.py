@@ -28,7 +28,7 @@ from .engine import Tape, Tensor, ops, rng_stream
 from .featurize import ATOM_FEATURE_WIDTHS, BOND_FEATURE_WIDTHS, FeaturizedGraph
 
 _EMBED_STD = 0.02
-INFERENCE_BATCH = 256  # graphs packed per eval-mode forward
+INFERENCE_BATCH = 256  # graphs packed per eval-mode forward, a memory bound: no bit depends on it
 
 
 def _int_rows(lists: list[list[int]], n_rows: int, width: int) -> np.ndarray:
@@ -333,10 +333,9 @@ def gin_forward(
             )
         else:
             h = ops.add(h, self_loop, tape=tape)
-        h = ops.relu(
-            ops.matmul(h, tensors[layer + "w1"], tensors[layer + "b1"], tape=tape), tape=tape
-        )
-        h = ops.matmul(h, tensors[layer + "w2"], tensors[layer + "b2"], tape=tape)
+        w1, b1, w2, b2 = (tensors[layer + p] for p in ("w1", "b1", "w2", "b2"))
+        h = ops.relu(ops.matmul(h, w1, b1, tape=tape, train=train), tape=tape)
+        h = ops.matmul(h, w2, b2, tape=tape, train=train)
         h = ops.batch_norm(
             h,
             tensors[layer + "bn_gamma"],
@@ -374,11 +373,11 @@ def predict_heads(
             raise IndexError(f"unknown task index {t}")
         head = f"head.{t}."
         w1, b1, w2, b2 = (params.tensors[head + p] for p in ("w1", "b1", "w2", "b2"))
-        hidden = ops.relu(ops.matmul(z, w1, b1, tape=tape), tape=tape)
+        hidden = ops.relu(ops.matmul(z, w1, b1, tape=tape, train=train), tape=tape)
         if train and params.dropout > 0.0:
             stream = rng_stream(rng_path[0], *rng_path[1:], 1, 1, t)
             hidden = ops.dropout(hidden, params.dropout, stream, tape=tape)
-        cols.append(ops.matmul(hidden, w2, b2, tape=tape))
+        cols.append(ops.matmul(hidden, w2, b2, tape=tape, train=train))
     return ops.concat_columns(cols, tape=tape)
 
 

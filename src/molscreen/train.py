@@ -3,10 +3,10 @@
 Each epoch shuffles the compounds that carry at least one training label,
 steps Adam over mini-batches of the masked loss, then records eval-mode train
 and validation losses.  Each of those is the squared error summed over every
-labeled cell of its mask, divided by their count, taken from one prediction
-matrix that the inference path builds in ``INFERENCE_BATCH``-row chunks, so
-it does not depend on ``batch_size``.  Training stops when the validation
-loss has exceeded the training loss for more than ``patience`` consecutive
+labeled cell of its mask, divided by their count, and both come from one
+eval-mode prediction matrix over the rows either mask labels, so they do not
+depend on ``batch_size``.  Training stops when the validation loss has
+exceeded the training loss for more than ``patience`` consecutive
 epochs past the ``min_epochs`` warmup, and the parameters from the epoch
 with the smallest validation loss are returned (the frozen-backbone warm-up
 returns its last epoch's instead).  ``TrainLog.observe`` is where both
@@ -141,19 +141,18 @@ def batch_plan(n: int, batch_size: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _eval_loss(ds: TaskDataset, mask: np.ndarray, frozen: ModelParams | None):
-    """``loss(params)``: ``masked_loss`` over one eval-mode prediction matrix
-    of every row of ``mask`` that carries a label, built as ``predict_graphs``
-    builds it, in ``INFERENCE_BATCH``-row chunks, so it does not depend on the
-    training batch size.  The chunks are packed once, here.  Given ``frozen``
-    parameters each chunk is encoded once instead, only its embeddings are
-    kept, and ``loss`` runs just the heads; this is exact while the backbone
-    weights and running statistics stay as ``frozen`` had them, and ``loss``
-    must then be given those parameters."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
+def _eval_losses(ds: TaskDataset, masks: SplitMasks, frozen: ModelParams | None):
+    """``losses(params)``: train then validation ``masked_loss`` over one
+    ``predict_graphs`` matrix of the rows either mask labels, packed once,
+    here; eval scores are per compound, so each loss has the bits of a pass
+    over its own rows.  Given ``frozen`` parameters each chunk is encoded
+    once instead and ``losses`` runs just the heads: exact while the backbone
+    weights and running statistics stay as ``frozen`` had them, and
+    ``losses`` must then be given those parameters."""
+    if not (masks.train.any() and masks.val.any()):
         raise ValueError("mask selects no compounds")
-    labels, mask = ds.labels[rows], mask[rows]
+    rows = np.flatnonzero(masks.train.any(axis=1) | masks.val.any(axis=1))
+    labels, split = ds.labels[rows], (masks.train[rows], masks.val[rows])
     chunks = _packed_chunks([ds.graphs[i] for i in rows])
     if frozen is None:
         chunks, score = list(chunks), predict
@@ -163,11 +162,11 @@ def _eval_loss(ds: TaskDataset, mask: np.ndarray, frozen: ModelParams | None):
         def score(z: Tensor, params: ModelParams) -> np.ndarray:
             return predict_heads(z, params).data
 
-    def loss(params: ModelParams) -> float:
-        pred = np.concatenate([score(chunk, params) for chunk in chunks])
-        return masked_loss(Tensor(pred), labels, mask).item()
+    def losses(params: ModelParams) -> tuple[float, float]:
+        pred = Tensor(np.concatenate([score(chunk, params) for chunk in chunks]))
+        return tuple(masked_loss(pred, labels, mask).item() for mask in split)
 
-    return loss
+    return losses
 
 
 def train(ds: TaskDataset, config: TrainConfig) -> tuple[ModelParams, TrainLog]:
@@ -189,7 +188,7 @@ def train_with_split(
 
     ``params`` continues from existing parameters (default: fresh init);
     ``epoch_offset`` shifts logged epoch numbers; ``epoch_callback(epoch,
-    params)`` runs after each epoch's bookkeeping.  The eval chunks of both
+    params)`` runs after each epoch's bookkeeping.  The eval rows of both
     masks are packed once per call, not once per epoch.
 
     With ``trainable_names=None`` everything trains, and the best epoch's
@@ -199,7 +198,7 @@ def train_with_split(
     Otherwise only the named head parameters train (a backbone name is a
     ``ValueError``), with the backbone frozen: each training batch runs it
     without a tape and without updating running statistics (the same
-    embeddings), and each mask's eval rows are encoded once, so each epoch's
+    embeddings), and the eval rows are encoded once, so each epoch's
     eval runs only the heads; losses and parameters equal, bit for bit, those
     of the full tape with every epoch re-encoding through ``predict_graphs``.
     This warm-up keeps no best-epoch copy: the log still reports a best
@@ -224,9 +223,7 @@ def train_with_split(
         if not_heads:
             raise ValueError(f"trainable_names may name head parameters only: {sorted(not_heads)}")
     trainable = [t for name, t in all_named if not frozen or name in trainable_names]
-    encode_once = params if frozen else None
-    train_eval = _eval_loss(ds, masks.train, encode_once)
-    val_eval = _eval_loss(ds, masks.val, encode_once)
+    eval_losses = _eval_losses(ds, masks, params if frozen else None)
     adam = AdamState(lr=config.lr)
     log = TrainLog()
     best_params = None
@@ -267,8 +264,7 @@ def train_with_split(
                 raise TrainingDiverged(
                     f"non-finite gradient at epoch {epoch}, batch {b_idx}"
                 ) from exc
-        train_loss = train_eval(params)
-        val_loss = val_eval(params)
+        train_loss, val_loss = eval_losses(params)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDiverged(
                 f"epoch {epoch}: train {train_loss}, val {val_loss}"

@@ -16,11 +16,10 @@ optimizer; the epoch counter keeps running across the phases.
 Phase 1 names the head parameters as trainable, which puts
 ``train_with_split`` in its frozen-backbone mode: nothing can change the
 backbone's weights or running statistics, so it runs the backbone without a
-tape (backward stops at the embeddings) and encodes the train and validation
-rows once for the whole phase, in the ``INFERENCE_BATCH``-row chunks of
-``predict_graphs``, so each epoch's eval runs only the heads.  Both are
-exact: the losses, head weights and backbone hashes are those the full tape
-and per-epoch ``predict_graphs`` give, bit for bit.  The mode keeps no
+tape (backward stops at the embeddings) and encodes the rows either mask
+labels once for the whole phase, so each epoch's eval runs only the heads.
+Both are exact: the losses, head weights and backbone hashes are those the
+full tape and per-epoch ``predict_graphs`` give, bit for bit.  The mode keeps no
 best-epoch copy; phase 2 starts from the parameters as phase 1's last epoch
 left them, and the phase-1 log still reports its best epoch.
 

@@ -1,18 +1,22 @@
 """Test-only helpers shared by several test modules: replaying scripted loss
-curves through the training log's rules, the synthetic benchmark's
-noise-free labels, one graph's int64 matrices, walks over a model's
-backbone and head tensors, and a call's traced memory."""
+curves through the training log's rules, the two-pass eval losses that
+training's one pass must reproduce, the synthetic benchmark's noise-free
+labels, one graph's int64 matrices, walks over a model's backbone and head
+tensors, a call's traced memory, and the BLAS kernel the tests run on."""
 
 from __future__ import annotations
 
+import ctypes
 import tracemalloc
 
 import numpy as np
 
+from molscreen.data import SplitMasks, TaskDataset
+from molscreen.engine import Tensor
 from molscreen.featurize import FeaturizedGraph
-from molscreen.model import GraphBatch, ModelParams
+from molscreen.model import GraphBatch, ModelParams, predict_graphs
 from molscreen.synth import SynthMeta
-from molscreen.train import EpochRecord, TrainLog
+from molscreen.train import EpochRecord, TrainLog, masked_loss
 
 
 def replay_stopping(
@@ -26,6 +30,17 @@ def replay_stopping(
         if log.observe(EpochRecord(epoch, train_loss, val_loss), min_epochs, patience):
             break
     return log.stop_epoch, log.best_epoch, log.stop_reason
+
+
+def two_pass_losses(ds: TaskDataset, masks: SplitMasks, params: ModelParams):
+    """(train_loss, val_loss) as two separate eval passes give them: each
+    mask's ``masked_loss`` over ``predict_graphs`` of the rows it labels."""
+    losses = []
+    for mask in (masks.train, masks.val):
+        rows = np.flatnonzero(mask.any(axis=1))
+        pred = predict_graphs([ds.graphs[i] for i in rows], params)
+        losses.append(masked_loss(Tensor(pred), ds.labels[rows], mask[rows]).item())
+    return tuple(losses)
 
 
 def noiseless_labels(meta: SynthMeta, task: int) -> np.ndarray:
@@ -64,3 +79,23 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - before, held - before
+
+
+def blas_core() -> str:
+    """OpenBLAS's runtime core name, the kernel set it picked for this CPU
+    (which a build string may not name), or "unknown" where it cannot be
+    read: the loaded library is found through ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for prefix in ("scipy_openblas", "openblas"):
+                for suffix in ("64_", ""):
+                    corename = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+                    if corename is not None:
+                        corename.argtypes, corename.restype = [], ctypes.c_char_p
+                        return (corename() or b"unknown").decode()
+    except (OSError, UnicodeDecodeError):
+        pass
+    return "unknown"

@@ -507,6 +507,19 @@ class TestPredictCommand:
         assert "seed=20" in stdout
         assert out.read_bytes() == (GOLDEN / "expected_predictions.csv").read_bytes()
 
+    def test_repeated_task_name_refused(self, tmp_path, capsys):
+        # a repeated column header is a file that ingest refuses
+        out = tmp_path / "preds.csv"
+        code, _, err = run(
+            capsys, "predict", "--checkpoint", str(GOLDEN / "model.ckpt"),
+            "--input", str(GOLDEN / "input.csv"), "--tasks", "task0,task0", "--out", str(out),
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert "'task0'" in error["message"]
+        assert not out.exists()
+
     def test_golden_fixture_matches_recipe(self, tmp_path):
         # scripts/ is not a package, so load the generator by path.
         spec = importlib.util.spec_from_file_location("generate_golden_fixture", GOLDEN_SCRIPT)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import molscreen.model as model_module
+from molscreen.data import SplitMasks
 from molscreen.engine import Tape, Tensor, ops
 from molscreen.featurize import featurize_smiles
 from molscreen.synth import synth_dataset
@@ -30,7 +31,7 @@ from molscreen.model import (
 
 sys.path.insert(0, str(Path(__file__).parent))
 from gradcheck import grad_check  # noqa: E402
-from helpers import graph_matrices, traced_peak  # noqa: E402
+from helpers import blas_core, graph_matrices, traced_peak  # noqa: E402
 
 
 model_module = importlib.import_module("molscreen.model")
@@ -528,22 +529,70 @@ class TestBatchedInference:
 
     def test_chunked_matches_one_batch(self):
         # more graphs than one inference chunk: every chunk boundary must
-        # give the rows a single packed batch gives
+        # give, bit for bit, the rows a single packed batch gives
         pool = ["CCO", "c1ccccc1", "CC(=O)O", "CCN", "C1CC1", "CCCl", "OCCO"]
         graphs = [featurize_smiles(pool[i % len(pool)]) for i in range(INFERENCE_BATCH + 5)]
         params = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=8, seed=2)
         whole = GraphBatch.from_graphs(graphs)
         preds = predict_graphs(graphs, params)
         assert preds.shape == (len(graphs), 2)
-        np.testing.assert_allclose(preds, predict(whole, params), atol=1e-12)
+        np.testing.assert_array_equal(preds.view(np.int64), predict(whole, params).view(np.int64))
         np.testing.assert_array_equal(
             predict_graphs(graphs, params, [1])[:, 0], preds[:, 1]
         )
-        np.testing.assert_allclose(
-            encode_graphs(graphs, params),
-            gin_forward(whole, params, train=False).data,
-            atol=1e-12,
+        np.testing.assert_array_equal(
+            encode_graphs(graphs, params).view(np.int64),
+            gin_forward(whole, params, train=False).data.view(np.int64),
         )
+
+
+class TestPerCompoundBits:
+    """Eval-mode scores and embeddings are per compound: any slice of a
+    batch, and any inference chunk size, gives each compound the bits the
+    whole batch gives it.  A failure names the BLAS kernel it ran on."""
+
+    SLICES = [
+        (start, size)
+        for start in (0, 13, 101)
+        for size in [*range(1, 20), 37, 100, 255]
+        if start + size <= 150
+    ]
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return synth_dataset(2, 150, 0)[0].graphs
+
+    @staticmethod
+    def _same(got, want, what):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+            f"{what} differs from the whole batch's rows "
+            f"(BLAS core {blas_core()}, ROW_TILE {ops.ROW_TILE})"
+        )
+
+    @pytest.mark.parametrize("dims", [(32, 3), (256, 8)], ids=["32x3", "256x8"])
+    def test_slices_match_whole_batch(self, graphs, dims):
+        assert len(self.SLICES) == 62
+        params = init_params(["a", "b"], embed_dim=dims[0], n_layers=dims[1],
+                             head_hidden=dims[0], seed=0)
+        whole = GraphBatch.from_graphs(graphs)
+        scores, emb = predict(whole, params), gin_forward(whole, params).data
+        for start, size in self.SLICES:
+            batch = GraphBatch.from_graphs(graphs[start : start + size])
+            rows = slice(start, start + size)
+            self._same(predict(batch, params), scores[rows], f"predict[{rows}]")
+            self._same(gin_forward(batch, params).data, emb[rows], f"embeddings[{rows}]")
+
+    @pytest.mark.parametrize("dims", [(32, 3), (256, 8)], ids=["32x3", "256x8"])
+    def test_chunk_size_moves_no_bit(self, graphs, dims, monkeypatch):
+        params = init_params(["a", "b"], embed_dim=dims[0], n_layers=dims[1],
+                             head_hidden=dims[0], seed=0)
+        outputs = {}
+        for chunk in (1, 3, 8, 256):
+            monkeypatch.setattr(model_module, "INFERENCE_BATCH", chunk)
+            outputs[chunk] = (predict_graphs(graphs, params), encode_graphs(graphs, params))
+        for chunk, (scores, emb) in outputs.items():
+            self._same(scores, outputs[256][0], f"predict_graphs at INFERENCE_BATCH={chunk}")
+            self._same(emb, outputs[256][1], f"encode_graphs at INFERENCE_BATCH={chunk}")
 
 
 class TestLazyBackwardLayouts:
@@ -562,9 +611,11 @@ class TestLazyBackwardLayouts:
         params = init_params(["a", "b"], embed_dim=8, n_layers=2, head_hidden=8, seed=0)
         predict_graphs(ds.graphs, params)
         encode_graphs(ds.graphs, params)
-        # training's eval packs, kept for every epoch or encoded once
-        train_module._eval_loss(ds, ds.label_mask, None)(params)
-        train_module._eval_loss(ds, ds.label_mask, params)(params)
+        # training's eval packs, kept for every epoch or encoded once: the
+        # rows either mask labels are packed once, not once per mask
+        both = SplitMasks(train=ds.label_mask, val=ds.label_mask)
+        train_module._eval_losses(ds, both, None)(params)
+        train_module._eval_losses(ds, both, params)(params)
         assert len(batches) == 8  # two chunks each for predict, encode and both eval modes
         for batch in batches:
             for name in self.LAYOUTS:
@@ -765,8 +816,8 @@ class TestLeanTapeComposition:
             rows = [lookup(t, indices[:, j], tape) for j, t in enumerate(tables)]
             return pairwise_add(*rows, tape=tape)
 
-        def unbiased_matmul(a, b, bias=None, tape=None):
-            out = matmul(a, b, tape=tape)
+        def unbiased_matmul(a, b, bias=None, tape=None, train=True):
+            out = matmul(a, b, tape=tape, train=train)
             return out if bias is None else add(out, bias, tape=tape)
 
         monkeypatch.setattr(ops, "add", pairwise_add)

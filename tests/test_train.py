@@ -27,12 +27,14 @@ from helpers import (  # noqa: E402
     backbone_named_parameters,
     head_named_parameters,
     replay_stopping,
+    two_pass_losses,
 )
 
 NAN = float("nan")
 
 # the package re-exports train(), which hides the submodule's name
 train_module = importlib.import_module("molscreen.train")
+model_module = importlib.import_module("molscreen.model")
 
 # a pool of small valid molecules to build datasets from
 MOLECULES = [
@@ -293,6 +295,34 @@ class TestTrainLoop:
             exact, by_numpy = loss_over_predictions(ds, mask, params)
             assert logged == exact
             assert logged == pytest.approx(by_numpy, rel=1e-12, abs=0.0)
+
+    def test_one_eval_pass_per_epoch(self, monkeypatch):
+        # dense two-task labels split per task: most compounds carry both a
+        # training and a validation cell, and 7-row chunks leave a tail
+        monkeypatch.setattr(model_module, "INFERENCE_BATCH", 7)
+        forward = model_module.gin_forward
+        calls = []
+        monkeypatch.setattr(
+            model_module, "gin_forward",
+            lambda *a, **k: calls.append(k.get("train", False)) or forward(*a, **k),
+        )
+        ds, _ = synth_dataset(n_tasks=2, n_per_task=40, seed=0)
+        cfg = tiny_config(max_epochs=3, min_epochs=3)
+        masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
+        union = int((masks.train.any(axis=1) | masks.val.any(axis=1)).sum())
+        assert union < int(masks.train.any(axis=1).sum() + masks.val.any(axis=1).sum())
+        per_epoch, reference = [], []
+
+        def check(_epoch, params):
+            per_epoch.append(calls.count(False))
+            reference.append(two_pass_losses(ds, masks, params))
+            calls.clear()
+
+        _, log = train_with_split(ds, cfg, masks, epoch_callback=check)
+        assert per_epoch == [-(-union // 7)] * 3
+        for record, (train_loss, val_loss) in zip(log.epochs, reference, strict=True):
+            assert record.train_loss.hex() == train_loss.hex(), record.epoch
+            assert record.val_loss.hex() == val_loss.hex(), record.epoch
 
     def test_empty_validation_mask_fails_before_any_step(self, monkeypatch):
         steps = []

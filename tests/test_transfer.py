@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molscreen.data import split_train_val
-from molscreen.engine import AdamState, Tape, Tensor, adam_step, rng_stream
+from molscreen.data import TaskDataset, split_train_val
+from molscreen.engine import AdamState, Tape, adam_step, rng_stream
+from molscreen.featurize import featurize_smiles
 from molscreen.model import (
     GraphBatch,
     ModelParams,
@@ -17,7 +18,6 @@ from molscreen.model import (
     gin_forward,
     init_params,
     initial_head_arrays,
-    predict_graphs,
     predict_heads,
 )
 from molscreen.synth import synth_dataset
@@ -37,6 +37,7 @@ from helpers import (  # noqa: E402
     backbone_named_parameters,
     head_named_parameters,
     traced_peak,
+    two_pass_losses,
 )
 
 # the package re-exports train(), which hides the submodule's name
@@ -299,6 +300,25 @@ class TestTransferValidation:
             transfer_train(pre, new_task_dataset(), cfg, head_epochs=-1)
 
 
+# batches of 2-7 atom rows: at 256 dims a (n x 512) @ (512 x 256) product
+# of fewer than 8 rows gives other bits when it is tiled
+TINY_BATCHES = (("C", "O"), ("CC", "O"), ("CCC", "CO"), ("CCCC", "CCO"))
+
+
+class TestTapelessTrainForward:
+    """Frozen phase 1 runs the backbone in train mode without a tape and
+    claims the taped forward's bits, so only eval-mode products are tiled."""
+
+    @pytest.mark.parametrize("smiles", TINY_BATCHES, ids="+".join)
+    def test_equals_taped_forward(self, smiles):
+        params = init_params(["a"], embed_dim=256, n_layers=8, head_hidden=8, seed=0)
+        batch = GraphBatch.from_graphs([featurize_smiles(s) for s in smiles])
+        kw = dict(train=True, rng_path=(0, 1), update_running=False)
+        bare = gin_forward(batch, params, **kw).data
+        taped = gin_forward(batch, params, tape=Tape(), **kw).data
+        np.testing.assert_array_equal(bare.view(np.int64), taped.view(np.int64))
+
+
 def fixed_epochs(config, epochs):
     """``config`` for exactly ``epochs`` epochs: with min_epochs at the cap
     and the count starting at 1, early stopping cannot fire."""
@@ -310,7 +330,7 @@ def reference_train_with_split(ds, config, masks, params, trainable_names,
     """train_with_split's head-only mode under a fixed_epochs config as it
     ran before frozen backbones were special-cased: every training batch
     records the whole model on the tape (running statistics not updated)
-    and every epoch re-encodes every eval row through ``predict_graphs``.
+    and every epoch scores each mask's rows through ``predict_graphs``.
     Like the real mode, it returns the live parameters."""
     assert config.min_epochs >= config.max_epochs
     all_named = list(params.named_parameters())
@@ -322,11 +342,6 @@ def reference_train_with_split(ds, config, masks, params, trainable_names,
                         update_running=False, tape=tape)
         pred = predict_heads(z, params, train=True, rng_path=rng_path, tape=tape)
         return masked_loss(pred, labels, mask, tape=tape)
-
-    def eval_loss(mask):
-        rows = np.flatnonzero(mask.any(axis=1))
-        pred = predict_graphs([ds.graphs[i] for i in rows], params)
-        return masked_loss(Tensor(pred), ds.labels[rows], mask[rows]).item()
 
     train_rows = np.flatnonzero(masks.train.any(axis=1))
     adam = AdamState(lr=config.lr)
@@ -346,7 +361,7 @@ def reference_train_with_split(ds, config, masks, params, trainable_names,
             grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
                      for t in trainable]
             adam_step(trainable, grads, adam)
-        train_loss, val_loss = eval_loss(masks.train), eval_loss(masks.val)
+        train_loss, val_loss = two_pass_losses(ds, masks, params)
         log.epochs.append(EpochRecord(epoch, train_loss, val_loss))
         if val_loss < log.best_val_loss:
             log.best_val_loss, log.best_epoch = val_loss, epoch
@@ -416,7 +431,8 @@ class TestFrozenPhaseOracle:
     and the eval embeddings encoded once give, bit for bit, what the full
     tape and per-epoch re-encoding gave; the parameters returned are the
     live ones, as the last epoch left them.  Eval chunks of 5 rows split
-    both the 32 training and the 8 validation rows across chunks."""
+    the 40 rows either mask labels (32 training, 8 validation) across
+    chunks."""
 
     EPOCHS = 4
     CHUNK = 5
@@ -462,6 +478,22 @@ class TestFrozenPhaseOracle:
         _assert_same_logs(result.phase1_log, ref_log)
         assert result.phase1_backbone_hashes == ref_hashes
 
+    def test_tiny_batches_match_full_tape_reference(self):
+        # training batches of 2-7 atom rows at 256 dims, where a tiled
+        # product would not give the taped product's bits
+        cfg = small_config(embed_dim=256, n_layers=8, head_hidden=16, batch_size=2,
+                           val_fraction=0.25)
+        smiles = [s for pair in TINY_BATCHES for s in pair if s != "O"] + ["O", "N"]
+        ds = TaskDataset.from_smiles(smiles, 0.1 * np.arange(8.0)[:, None], ["t"],
+                                     ["lower_is_better"])
+        masks = split_train_val(ds, cfg.seed, cfg.val_fraction)
+        params, _, log, hashes = self._run(train_with_split, cfg, ds, masks)
+        ref_params, _, ref_log, ref_hashes = self._run(
+            reference_train_with_split, cfg, ds, masks)
+        _assert_same_logs(log, ref_log)
+        _assert_same_params(params, ref_params)
+        assert hashes == ref_hashes
+
     def test_no_backbone_tensor_reaches_the_tape(self, monkeypatch):
         cfg, ds, masks = self._setup()
         params = warmup_start(cfg, ds)
@@ -485,11 +517,10 @@ class TestFrozenPhaseOracle:
         # predict calls the model's
         monkeypatch.setattr(train_module, "gin_forward", counting)
         monkeypatch.setattr(model_module, "gin_forward", counting)
-        n_eval = sum(
-            -(-int(m.any(axis=1).sum()) // self.CHUNK) for m in (masks.train, masks.val)
-        )
+        # one pass over the rows either mask labels, in CHUNK-row chunks
+        n_eval = -(-int((masks.train.any(axis=1) | masks.val.any(axis=1)).sum()) // self.CHUNK)
         n_train = len(batch_plan(int(masks.train.any(axis=1).sum()), cfg.batch_size))
-        assert n_eval == 7 + 2
+        assert n_eval == 8
         params = warmup_start(cfg, ds)
         train_with_split(ds, fixed_epochs(cfg, self.EPOCHS), masks, params=params,
                          trainable_names=params.head_names())
