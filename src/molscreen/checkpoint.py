@@ -5,9 +5,10 @@ length, UTF-8 JSON header, then one block per array of the model's table
 (``model._layout``), in its order, which ``ModelParams.named_arrays()``
 walks.  Each block is a uint32 rank, that many uint64 dimensions, and the
 raw float64 values, all little-endian.  Loading checks the header against
-this build's feature widths, reads every block, then hands the arrays to
-``model.from_arrays``, which checks each name and shape against the table
-that the header's dimensions give and keeps the arrays bit for bit.
+this build's feature widths, reads every block (refusing NaN or infinite
+values), then hands the arrays to ``model.from_arrays``, which checks each
+name and shape against the table that the header's dimensions give and
+keeps the arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ def load_checkpoint(path) -> Checkpoint:
         shape = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim))
         count = math.prod(shape)  # exact, so corrupt dimensions read past the end
         data = np.frombuffer(reader.take(8 * count), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"array {name}: holds a NaN or infinite value")
         # astype makes the one copy, so each array is fresh and writable
         loaded[name] = data.reshape(shape).astype(np.float64)
     if reader.pos != len(reader.blob):

@@ -6,7 +6,9 @@ mask, batch norm no ``x_hat`` beside its output).  Only the operations the
 graph model needs are provided; there is no general broadcasting beyond
 bias-style row vectors.  A backward closure captures only the arrays its
 backward reads (a mask, not the masked input; a row count, not the batch),
-since the tape keeps no op's output.
+since the tape keeps no op's output.  Segment sums, forward and backward,
+and embedding-table gradients add their terms from +0.0 in term order, as
+``np.add.at`` does.
 """
 
 from __future__ import annotations
@@ -169,11 +171,6 @@ def embedding_lookup(
     return _result(out, tables, backward, tape)
 
 
-# np.add.reduceat sums a segment of at most this many rows as
-# a0 + ((a1 + a2) + ...); longer ones it sums pairwise in blocks
-SHORT_SEGMENT = 8
-
-
 def _slot_columns(keys: np.ndarray, items: np.ndarray, num_keys: int):
     """CSR slots of ``items`` grouped by ``keys``, in their given order.
 
@@ -194,6 +191,21 @@ def _slot_columns(keys: np.ndarray, items: np.ndarray, num_keys: int):
     return by_count, columns
 
 
+def _fold(data: np.ndarray, slots, n_out: int) -> np.ndarray:
+    """Row ``keys[i]`` of the result sums ``data[column[i]]`` over the slot
+    columns that reach ``i``, from +0.0 in column order: bit-identical to
+    ``np.add.at`` of those rows into zeros.  Rows no key names are +0.0."""
+    keys, columns = slots
+    out = np.zeros((n_out,) + data.shape[1:], dtype=data.dtype)
+    if columns:
+        acc = data[columns[0]]
+        acc += 0.0
+        for column in columns[1:]:
+            acc[: column.size] += data[column]
+        out[keys] = acc
+    return out
+
+
 class SegmentLayout:
     """Which value rows each segment of a :func:`segment_sum` adds up.
 
@@ -201,14 +213,13 @@ class SegmentLayout:
     ``segment_ids[t]``; a segment sums its terms in their given order.
     With ``rows=None`` term ``t`` is row ``t`` (a plain segment reduction
     over ``len(segment_ids)`` rows).  The layout is built once and reused
-    for every call over the same graph structure:
+    for every call over the same graph structure.  Both directions fold
+    slot columns from +0.0 in term order, as ``np.add.at`` would:
 
-    * forward, segments of 1..``SHORT_SEGMENT`` terms: slot columns of
-      value rows, folded in ``np.add.reduceat``'s order;
-    * forward, longer segments: their rows, summed by ``np.add.reduceat``;
-    * backward: slot columns of the segments each value row feeds, folded
-      from +0.0 in term order as ``np.add.at`` would.  They are built on
-      the first :meth:`scatter`, so an eval-mode pass never pays for them.
+    * forward: for each segment, the value rows it sums;
+    * backward: for each value row, the segments it feeds.  These slots
+      are built on the first :meth:`scatter`, so an eval-mode pass never
+      pays for them.
     """
 
     def __init__(self, segment_ids, num_segments: int, rows=None, num_rows=None):
@@ -232,17 +243,8 @@ class SegmentLayout:
         self.num_segments = int(num_segments)
         self.num_rows = int(num_rows)
         self.counts = np.bincount(segment_ids, minlength=num_segments)
-
-        short = self.counts[segment_ids] <= SHORT_SEGMENT
-        self.short_segments, self.short_columns = _slot_columns(
-            segment_ids[short], rows[short], num_segments
-        )
-        long_terms = np.flatnonzero(~short)
-        long_terms = long_terms[np.argsort(segment_ids[long_terms], kind="stable")]
-        self.long_rows = rows[long_terms]
-        self.long_segments = np.unique(segment_ids[long_terms])
-        long_counts = self.counts[self.long_segments]
-        self.long_starts = np.cumsum(long_counts) - long_counts
+        # (segments, term_columns): the forward slots
+        self._sums = _slot_columns(segment_ids, rows, num_segments)
         self._terms = (rows, segment_ids)
 
     @cached_property
@@ -250,37 +252,15 @@ class SegmentLayout:
         return _slot_columns(*self._terms, self.num_rows)
 
     def totals(self, data: np.ndarray) -> np.ndarray:
-        """Per-segment sums of ``data`` rows, bit-identical to gathering the
-        terms and calling ``np.add.reduceat`` on the sorted segments."""
-        totals = np.zeros((self.num_segments,) + data.shape[1:], dtype=data.dtype)
-        columns = self.short_columns
-        if columns:
-            head = data[columns[0]]
-            if len(columns) > 1:
-                tail = data[columns[1]]
-                for column in columns[2:]:
-                    tail[: column.size] += data[column]
-                head[: tail.shape[0]] += tail
-            totals[self.short_segments] = head
-        if self.long_segments.size:
-            totals[self.long_segments] = np.add.reduceat(
-                data[self.long_rows], self.long_starts, axis=0
-            )
-        return totals
+        """Per-segment sums of ``data`` rows, bit-identical to
+        ``np.add.at(zeros, segment_ids, data[rows])``."""
+        return _fold(data, self._sums, self.num_segments)
 
     def scatter(self, up: np.ndarray) -> np.ndarray:
         """Per-value-row sums of the ``up`` rows of the segments it feeds:
         the gradient of :meth:`totals`, bit-identical to
         ``np.add.at(zeros, rows, up[segment_ids])``."""
-        grad = np.zeros((self.num_rows,) + up.shape[1:], dtype=up.dtype)
-        used_rows, columns = self._uses
-        if columns:
-            acc = up[columns[0]]
-            acc += 0.0
-            for column in columns[1:]:
-                acc[: column.size] += up[column]
-            grad[used_rows] = acc
-        return grad
+        return _fold(up, self._uses, self.num_rows)
 
 
 def _check_layout(values: Tensor, layout: SegmentLayout) -> None:

@@ -46,9 +46,10 @@ class GraphBatch:
     forward direction, then every reverse one, then the sort.  A node's
     incoming edges all come from its own graph, so this is the order that
     packing graph by graph gives, and the order in which each segment sum
-    folds its terms.  The three slot layouts are built once per batch and
-    serve every layer, forward and backward: neighbor states and bond states
-    summed into each destination node, and node states pooled per graph.
+    folds its terms, forward and backward alike.  The three slot layouts
+    are built once per batch and serve every layer: neighbor states and
+    bond states summed into each destination node, and node states pooled
+    per graph.
     """
 
     atom_indices: np.ndarray  # (n_nodes, 7)

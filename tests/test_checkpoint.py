@@ -273,6 +273,30 @@ class TestLayoutCheck:
             load_checkpoint(path)
 
 
+class TestNonFiniteArrays:
+    """A NaN or infinite value makes a checkpoint corrupt; the error names
+    the first array, in file order, that holds one."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_array_named(self, tmp_path, value):
+        params = sample_params()
+        params.tensors["head.0.b2"].data[0] = value
+        params.state["layer.1.bn_running_var"][3] = value  # later in the file
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, ["lower_is_better"] * 2, seed=7)
+        message = "array head.0.b2: holds a NaN or infinite value"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    def test_running_statistic_checked_too(self, tmp_path):
+        params = sample_params()
+        params.state["layer.0.bn_running_mean"][1] = np.inf
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, ["lower_is_better"] * 2, seed=7)
+        with pytest.raises(CheckpointError, match="array layer.0.bn_running_mean:"):
+            load_checkpoint(path)
+
+
 class TestBackboneHash:
     def test_golden_digest_equals_tobytes_formula(self):
         params = load_checkpoint(GOLDEN).params

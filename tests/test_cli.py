@@ -880,6 +880,45 @@ class TestZeroTaskCheckpoint:
         assert read_rows(out)[0].keys() == {"smiles", "e0", "e1", "e2", "e3"}
 
 
+class TestNonFiniteCheckpoint:
+    """A checkpoint holding a NaN is an io-failure naming the file and the
+    array, before any command scores with it or writes its output."""
+
+    @pytest.fixture
+    def poisoned(self, tmp_path):
+        ckpt = tmp_path / "nan.ckpt"
+        params = init_params(["task0", "task1"], embed_dim=4, n_layers=1, head_hidden=4, seed=0)
+        params.tensors["head.0.b2"].data[0] = np.nan
+        save_checkpoint(ckpt, params, ["lower_is_better"] * 2, 0)
+        data = tmp_path / "data.csv"
+        data.write_text("smiles,task0,task1\nCCO,1.0,2.0\nc1ccccc1,3.0,4.0\n")
+        return ckpt, data
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["screen", "--library", "{data}"],
+            ["predict", "--input", "{data}"],
+            ["eval", "--data", "{data}"],
+            ["export-embeddings", "--input", "{data}"],
+        ],
+        ids=["screen", "predict", "eval", "export-embeddings"],
+    )
+    def test_every_command_is_io_failure(self, argv, poisoned, tmp_path, capsys):
+        ckpt, data = poisoned
+        out = tmp_path / "out.csv"
+        code, stdout, err = run(
+            capsys, *[a.format(data=data) for a in argv], "--checkpoint", str(ckpt),
+            "--out", str(out),
+        )
+        assert code == 3
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert error["message"] == f"{ckpt}: array head.0.b2: holds a NaN or infinite value"
+        assert stdout == ""
+        assert not out.exists()
+
+
 QUOTED_TASKS = ["dock,5HT2A", 'say "hi"\nagain']
 
 

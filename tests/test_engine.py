@@ -347,7 +347,7 @@ class TestPrimitiveGradients:
 
     def test_segment_sum_gathers_rows(self):
         # the message-passing form: rows used several times or never,
-        # a segment of 10 terms (reduceat path) and an empty segment
+        # a segment of 10 terms and an empty segment
         x = Tensor(self.rng.normal(size=(5, 2)), requires_grad=True)
         ids = np.array([2, 0, 2, 0] + [3] * 10)
         rows = np.array([4, 1, 1, 0] + [0, 1, 4, 4, 1, 0, 0, 1, 4, 1])
@@ -525,19 +525,6 @@ class _Capture(Tape):
         super().record(output, inputs, backward_fn)
 
 
-def _reduceat_totals(data, ids, num_segments):
-    """Segment sums as the engine computed them before slot layouts: sort
-    the terms by segment (stably) and np.add.reduceat the present ones."""
-    counts = np.bincount(ids, minlength=num_segments)
-    totals = np.zeros((num_segments,) + data.shape[1:])
-    if ids.size:
-        order = np.argsort(ids, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        present = counts > 0
-        totals[present] = np.add.reduceat(data[order], starts[present], axis=0)
-    return totals, counts
-
-
 def _add_at(num_rows, index, terms):
     grad = np.zeros((num_rows,) + terms.shape[1:])
     np.add.at(grad, index, terms)
@@ -550,8 +537,8 @@ def _assert_same_bits(actual, expected):
 
 
 class TestSegmentExactness:
-    """The slot-layout ops reproduce, bit for bit, the gather + reduceat and
-    np.add.at computations they replaced, -0.0 included."""
+    """The slot-layout ops reproduce, bit for bit, np.add.at of the
+    gathered terms into zeros, forward and backward, -0.0 included."""
 
     def _values(self, rng, shape):
         # magnitudes over 16 decades so rounding order shows, and signed zeros
@@ -561,10 +548,10 @@ class TestSegmentExactness:
         return data
 
     def _layout(self, rng):
-        # segment lengths: empty, 1..8 (slot fold) and 9..20 (reduceat)
+        # segment lengths: empty, short, and 64 terms over as many slot columns
         num_segments = int(rng.integers(1, 25))
         lengths = rng.choice(
-            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 20], size=num_segments
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 20, 64], size=num_segments
         )
         ids = rng.permutation(np.repeat(np.arange(num_segments), lengths))
         num_rows = int(rng.integers(1, 30))
@@ -578,7 +565,7 @@ class TestSegmentExactness:
             ids, rows, num_segments, num_rows = self._layout(rng)
             data = self._values(rng, (num_rows, width))
             layout = ops.SegmentLayout(ids, num_segments, rows=rows, num_rows=num_rows)
-            expected, _ = _reduceat_totals(data[rows], ids, num_segments)
+            expected = _add_at(num_segments, ids, data[rows])
             _assert_same_bits(ops.segment_sum(Tensor(data), layout).data, expected)
 
     @pytest.mark.parametrize("width", [1, 3, 16])
@@ -606,9 +593,9 @@ class TestSegmentExactness:
                 Tensor(data, requires_grad=True), ops.SegmentLayout(ids, num_segments),
                 tape=tape,
             )
-            totals, counts = _reduceat_totals(data, ids, num_segments)
+            counts = np.bincount(ids, minlength=num_segments)
             divisor = np.maximum(counts, 1).astype(np.float64)[:, None]
-            _assert_same_bits(out.data, totals / divisor)
+            _assert_same_bits(out.data, _add_at(num_segments, ids, data) / divisor)
             up = self._values(rng, (num_segments, width))
             (grad,) = tape.backward_fn(up)
             # the old backward gathered (up / divisor)[ids]; the tape's first

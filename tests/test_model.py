@@ -262,15 +262,13 @@ class TestPackingOracle:
     """Whole-batch packing gives, array for array, what the per-graph loop
     gives: the same edge order, so the same layouts and fold orders.  The
     pool mixes bondless molecules, single atoms, rings and a sulfur with
-    ten neighbours (past the slot fold's 8-term limit)."""
+    ten neighbours."""
 
     POOL = (
         "C", "[Na+]", "O", "CCO", "c1ccccc1O", "C1CC1C(=O)N", "CC(=O)O",
         "[S](C)(C)(C)(C)(C)(C)(C)(C)(C)C", "c1ccc2ccccc2c1", "N#CC",
     )
     ARRAYS = ("atom_indices", "bond_indices")
-    LAYOUT_ARRAYS = ("counts", "short_segments", "long_rows", "long_segments",
-                     "long_starts")
 
     def _assert_matches_reference(self, graphs):
         packed = GraphBatch.from_graphs(graphs)
@@ -280,16 +278,12 @@ class TestPackingOracle:
         for layout in ("neighbor_layout", "bond_layout", "pool_layout"):
             got, want = getattr(packed, layout), getattr(reference, layout)
             assert (got.num_segments, got.num_rows) == (want.num_segments, want.num_rows)
-            for name in self.LAYOUT_ARRAYS:
-                _assert_same_array(
-                    getattr(got, name), getattr(want, name), f"{layout}.{name}"
+            _assert_same_array(got.counts, want.counts, f"{layout}.counts")
+            for name in ("_sums", "_uses"):
+                (got_keys, got_columns), (want_keys, want_columns) = (
+                    getattr(got, name), getattr(want, name)
                 )
-            (got_rows, got_uses), (want_rows, want_uses) = got._uses, want._uses
-            _assert_same_array(got_rows, want_rows, f"{layout}.used_rows")
-            for name, got_columns, want_columns in (
-                ("short_columns", got.short_columns, want.short_columns),
-                ("use_columns", got_uses, want_uses),
-            ):
+                _assert_same_array(got_keys, want_keys, f"{layout}.{name}.keys")
                 assert len(got_columns) == len(want_columns), f"{layout}.{name}"
                 for j, (a, b) in enumerate(zip(got_columns, want_columns)):
                     _assert_same_array(a, b, f"{layout}.{name}[{j}]")
@@ -663,11 +657,11 @@ class TestTapeFootprint:
 class TestInferenceFootprint:
     """An eval-mode forward holds one GIN layer's working set at a time:
     each intermediate dies once the next op has consumed it, and untaped
-    ops build no backward-only array.  Its peak is about 6 n x d float64
+    ops build no backward-only array.  Its peak is about 5.7 n x d float64
     arrays, at its bond sums (the layer's input, the neighbour sum, the
-    bond states and the fold's output and slot columns), whatever the
-    number of layers; keeping the previous layer's arrays alive too
-    measured 12.3."""
+    bond states, and the fold's zeroed output, its accumulator and one
+    gathered slot column), whatever the number of layers; keeping the
+    previous layer's arrays alive too measured 12.3."""
 
     @pytest.mark.parametrize("embed_dim,n_layers", [(32, 3), (256, 8)])
     def test_predict_peak_within_one_layer(self, embed_dim, n_layers):
@@ -715,10 +709,10 @@ class TestEndToEndGradient:
 class TestFusedMessagePassing:
     """The fused segment_sum in gin_forward gives, bit for bit, what the
     two-op composition it replaced gave: embedding_lookup of one row per
-    edge, then a reduceat segment sum whose backward gathers up[edge_dst].
-    The sulfur has in-degree 10, past the slot fold's 8-term limit, and the
-    lone carbon has no neighbors.  The plain edge list comes from
-    reference_pack, which TestPackingOracle ties to GraphBatch.from_graphs."""
+    edge, then an np.add.at segment sum whose backward gathers up[edge_dst].
+    The sulfur has in-degree 10 and the lone carbon has no neighbors.  The
+    plain edge list comes from reference_pack, which TestPackingOracle ties
+    to GraphBatch.from_graphs."""
 
     SMILES = ("[S](C)(C)(C)(C)(C)(C)(C)(C)(C)C", "CCO", "c1ccccc1O", "C")
 
@@ -728,15 +722,12 @@ class TestFusedMessagePassing:
             id(batch.neighbor_layout): edges.edge_src,
             id(batch.bond_layout): edges.edge_bond,
         }
-        ids, n = edges.edge_dst, edges.n_nodes  # edges are sorted by edge_dst
-        counts = np.bincount(ids, minlength=n)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        present = counts > 0
+        ids, n = edges.edge_dst, edges.n_nodes
 
         def segment_sum(values, layout, tape=None):
             per_edge = ops.embedding_lookup([values], rows[id(layout)][:, None], tape=tape)
             totals = np.zeros((n,) + values.shape[1:])
-            totals[present] = np.add.reduceat(per_edge.data, starts[present], axis=0)
+            np.add.at(totals, ids, per_edge.data)
             out = Tensor(totals)
             if tape is not None and per_edge.requires_grad:
                 out.requires_grad = True
