@@ -63,6 +63,9 @@ def save_checkpoint(
         if d not in HIT_DIRECTIONS:
             raise ValueError(f"hit direction {d!r} not in {HIT_DIRECTIONS}")
     arrays = list(params.named_arrays())
+    for name, arr in arrays:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"array {name}: holds a NaN or infinite value")
     header = {
         "format_version": FORMAT_VERSION,
         "embed_dim": params.embed_dim,

@@ -46,15 +46,12 @@ def _row_tiled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(
-    a: Tensor, b: Tensor, bias: Tensor | None = None, tape: Tape | None = None, *,
-    train: bool = True,
-) -> Tensor:
-    """``a @ b``, with an optional bias row added in place into the product;
-    with ``train=False`` each row's bits depend on that row of ``a`` alone."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, tape: Tape | None = None) -> Tensor:
+    """``a @ b`` row-tiled, so each row's bits depend on that row of ``a``
+    alone, with an optional bias row added in place into the product."""
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
-    out = a.data @ b.data if train else _row_tiled(a.data, b.data)
+    out = _row_tiled(a.data, b.data)
     inputs = (a, b)
     if bias is not None:
         out += bias.data

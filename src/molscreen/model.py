@@ -335,8 +335,8 @@ def gin_forward(
         else:
             h = ops.add(h, self_loop, tape=tape)
         w1, b1, w2, b2 = (tensors[layer + p] for p in ("w1", "b1", "w2", "b2"))
-        h = ops.relu(ops.matmul(h, w1, b1, tape=tape, train=train), tape=tape)
-        h = ops.matmul(h, w2, b2, tape=tape, train=train)
+        h = ops.relu(ops.matmul(h, w1, b1, tape=tape), tape=tape)
+        h = ops.matmul(h, w2, b2, tape=tape)
         h = ops.batch_norm(
             h,
             tensors[layer + "bn_gamma"],
@@ -374,11 +374,11 @@ def predict_heads(
             raise IndexError(f"unknown task index {t}")
         head = f"head.{t}."
         w1, b1, w2, b2 = (params.tensors[head + p] for p in ("w1", "b1", "w2", "b2"))
-        hidden = ops.relu(ops.matmul(z, w1, b1, tape=tape, train=train), tape=tape)
+        hidden = ops.relu(ops.matmul(z, w1, b1, tape=tape), tape=tape)
         if train and params.dropout > 0.0:
             stream = rng_stream(rng_path[0], *rng_path[1:], 1, 1, t)
             hidden = ops.dropout(hidden, params.dropout, stream, tape=tape)
-        cols.append(ops.matmul(hidden, w2, b2, tape=tape, train=train))
+        cols.append(ops.matmul(hidden, w2, b2, tape=tape))
     return ops.concat_columns(cols, tape=tape)
 
 

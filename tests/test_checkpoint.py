@@ -200,20 +200,43 @@ def _with_header(path, header_value, arrays: bytes):
     return path
 
 
-def _golden_arrays():
-    """Every array block of the golden checkpoint, parsed straight from the
-    bytes by name."""
-    header, section = _split_golden()
-    arrays, pos = {}, 0
+def _block_offsets(path):
+    """Every array block of the checkpoint at ``path``, parsed straight from
+    the bytes: name -> (file offset of its first value, shape)."""
+    header, section = _split(path)
+    start = path.stat().st_size - len(section)
+    blocks, pos = {}, 0
     for name in header["arrays"]:
         (ndim,) = struct.unpack("<I", section[pos : pos + 4])
         shape = struct.unpack(f"<{ndim}Q", section[pos + 4 : pos + 4 + 8 * ndim])
         pos += 4 + 8 * ndim
-        count = int(np.prod(shape, dtype=np.int64))
-        arrays[name] = np.frombuffer(section[pos : pos + 8 * count], "<f8").reshape(shape)
-        pos += 8 * count
+        blocks[name] = (start + pos, shape)
+        pos += 8 * int(np.prod(shape, dtype=np.int64))
     assert pos == len(section)
-    return arrays
+    return blocks
+
+
+def _golden_arrays():
+    """Every array of the golden checkpoint, read straight from the bytes
+    by name."""
+    blob = GOLDEN.read_bytes()
+    return {
+        name: np.frombuffer(
+            blob, "<f8", count=int(np.prod(shape, dtype=np.int64)), offset=offset
+        ).reshape(shape)
+        for name, (offset, shape) in _block_offsets(GOLDEN).items()
+    }
+
+
+def _patch_values(path, values):
+    """Overwrite values in the checkpoint file at ``path`` byte by byte:
+    ``values`` maps (array name, flat index) to the float64 to write."""
+    blob = bytearray(path.read_bytes())
+    blocks = _block_offsets(path)
+    for (name, index), value in values.items():
+        offset = blocks[name][0] + 8 * index
+        blob[offset : offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(blob))
 
 
 class TestLoadDrawsNothing:
@@ -279,22 +302,47 @@ class TestNonFiniteArrays:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_first_non_finite_array_named(self, tmp_path, value):
-        params = sample_params()
-        params.tensors["head.0.b2"].data[0] = value
-        params.state["layer.1.bn_running_var"][3] = value  # later in the file
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params, ["lower_is_better"] * 2, seed=7)
+        save_checkpoint(path, sample_params(), ["lower_is_better"] * 2, seed=7)
+        # the running variance comes later in the file
+        _patch_values(path, {("head.0.b2", 0): value, ("layer.1.bn_running_var", 3): value})
         message = "array head.0.b2: holds a NaN or infinite value"
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 
     def test_running_statistic_checked_too(self, tmp_path):
-        params = sample_params()
-        params.state["layer.0.bn_running_mean"][1] = np.inf
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params, ["lower_is_better"] * 2, seed=7)
+        save_checkpoint(path, sample_params(), ["lower_is_better"] * 2, seed=7)
+        _patch_values(path, {("layer.0.bn_running_mean", 1): np.inf})
         with pytest.raises(CheckpointError, match="array layer.0.bn_running_mean:"):
             load_checkpoint(path)
+
+
+class TestSaveRefusesNonFinite:
+    """save_checkpoint refuses what load_checkpoint would refuse: a
+    ValueError naming the first non-finite array, raised before any file is
+    created, so an existing file at the path stays as it was."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_array_named(self, tmp_path, value):
+        params = sample_params()
+        params.tensors["head.0.b2"].data[0] = value
+        params.state["layer.1.bn_running_var"][3] = value  # later in the file
+        message = "array head.0.b2: holds a NaN or infinite value"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_checkpoint(tmp_path / "m.ckpt", params, ["lower_is_better"] * 2, seed=7)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, sample_params(), ["lower_is_better"] * 2, seed=7)
+        before = path.read_bytes()
+        params = sample_params(seed=1)
+        params.state["layer.0.bn_running_mean"][1] = np.inf
+        with pytest.raises(ValueError, match="array layer.0.bn_running_mean:"):
+            save_checkpoint(path, params, ["lower_is_better"] * 2, seed=7)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 class TestBackboneHash:

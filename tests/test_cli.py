@@ -27,7 +27,7 @@ from molscreen.train import TrainConfig
 from molscreen.transfer import transfer_train
 
 sys.path.insert(0, str(Path(__file__).parent))
-from test_checkpoint import _split_golden, _with_header  # noqa: E402
+from test_checkpoint import _patch_values, _split_golden, _with_header  # noqa: E402
 from test_featurize import widths_hash  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -888,8 +888,8 @@ class TestNonFiniteCheckpoint:
     def poisoned(self, tmp_path):
         ckpt = tmp_path / "nan.ckpt"
         params = init_params(["task0", "task1"], embed_dim=4, n_layers=1, head_hidden=4, seed=0)
-        params.tensors["head.0.b2"].data[0] = np.nan
         save_checkpoint(ckpt, params, ["lower_is_better"] * 2, 0)
+        _patch_values(ckpt, {("head.0.b2", 0): np.nan})
         data = tmp_path / "data.csv"
         data.write_text("smiles,task0,task1\nCCO,1.0,2.0\nc1ccccc1,3.0,4.0\n")
         return ckpt, data

@@ -692,6 +692,23 @@ class TestReluExactness:
             )
 
 
+class TestMatmulRows:
+    """Every product is row-tiled, taped (train) or not: each row of the
+    output has the bits of that row of ``a`` multiplied alone, whatever the
+    row count and wherever the row falls in its tile."""
+
+    @pytest.mark.parametrize("n", range(1, 20))
+    def test_taped_rows_equal_rows_alone(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(n, 512)), rng.normal(size=(512, 256))
+        out = ops.matmul(
+            Tensor(a, requires_grad=True), Tensor(b, requires_grad=True), tape=Tape()
+        ).data
+        for i in range(n):
+            alone = ops.matmul(Tensor(a[i : i + 1]), Tensor(b)).data
+            _assert_same_bits(out[i : i + 1], alone)
+
+
 class TestUntapedOps:
     """Without a tape an op builds no array that only backward reads:
     relu no mask, batch norm no separate ``x_hat``.  So each allocates

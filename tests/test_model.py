@@ -807,8 +807,8 @@ class TestLeanTapeComposition:
             rows = [lookup(t, indices[:, j], tape) for j, t in enumerate(tables)]
             return pairwise_add(*rows, tape=tape)
 
-        def unbiased_matmul(a, b, bias=None, tape=None, train=True):
-            out = matmul(a, b, tape=tape, train=train)
+        def unbiased_matmul(a, b, bias=None, tape=None):
+            out = matmul(a, b, tape=tape)
             return out if bias is None else add(out, bias, tape=tape)
 
         monkeypatch.setattr(ops, "add", pairwise_add)

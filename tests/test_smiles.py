@@ -2,9 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import molscreen.smiles as smiles_module
+from molscreen.engine import rng_stream
+from molscreen.featurize import featurize, featurize_smiles
 from molscreen.smiles import (
     Atom,
     AtomSyntaxError,
@@ -23,6 +26,7 @@ from molscreen.smiles import (
     parse_smiles,
     perceive_rings,
 )
+from molscreen.synth import random_molecule
 
 S = BondOrder.SINGLE
 D = BondOrder.DOUBLE
@@ -595,3 +599,92 @@ class TestPerceiveRings:
         flags = [b.in_ring for b in graph.bonds]
         perceive_rings(graph)
         assert [b.in_ring for b in graph.bonds] == flags
+
+
+def shuffled_smiles(elements, adjacent, rng):
+    """SMILES for a graph of single bonds, the vocabulary of
+    ``synth._graph_to_smiles``, written from a random root with neighbours
+    visited in random order and ring bonds given random closure numbers
+    (``0``-``9`` and ``%10``-``%99``, reused once closed).  Returns the
+    SMILES and the graph's atom index for each atom of the string, in order."""
+    n = len(elements)
+    root = int(rng.integers(n))
+    rank = {root: 0}
+    parent = {root: -1}
+    children = [[] for _ in range(n)]
+    ring_partners = [[] for _ in range(n)]
+    stack = [(root, iter(rng.permutation(sorted(adjacent[root])).tolist()))]
+    while stack:
+        v, neighbors = stack[-1]
+        for w in neighbors:
+            if w not in rank:
+                rank[w] = len(rank)
+                parent[w] = v
+                children[v].append(w)
+                stack.append((w, iter(rng.permutation(sorted(adjacent[w])).tolist())))
+                break
+            if w != parent[v] and rank[w] < rank[v]:
+                ring_partners[v].append(w)
+                ring_partners[w].append(v)
+        else:
+            stack.pop()
+
+    open_numbers = {}
+
+    def ring_marks(v):
+        marks = []
+        for w in rng.permutation(ring_partners[v]).tolist():
+            edge = frozenset((v, w))
+            if edge in open_numbers:
+                number = open_numbers.pop(edge)
+            else:
+                free = [k for k in range(100) if k not in open_numbers.values()]
+                small = [k for k in free if k < 10]
+                pool = small if small and rng.random() < 0.5 else free
+                number = open_numbers[edge] = int(rng.choice(pool))
+            marks.append(str(number) if number < 10 else f"%{number}")
+        return "".join(marks)
+
+    symbols = {6: "C", 7: "N", 8: "O"}
+
+    def emit(v):
+        out = symbols[elements[v]] + ring_marks(v)
+        for c in children[v][:-1]:
+            out += "(" + emit(c) + ")"
+        return out + (emit(children[v][-1]) if children[v] else "")
+
+    return emit(root), sorted(rank, key=rank.get)
+
+
+class TestRoundTrip:
+    """Each of 200 seeded ``random_molecule`` graphs, rewritten in a random
+    atom order with random ring-closure numbers, parses to the same
+    featurized molecule: every atom row and every bond row (endpoints
+    mapped back through the atom order) is the original's."""
+
+    def test_random_order_and_ring_numbers(self):
+        stream, rng = rng_stream(0, 91), np.random.default_rng(91)
+        written = []
+        for _ in range(200):
+            graph = parse_smiles(random_molecule(stream))
+            elements = [atom.atomic_number for atom in graph.atoms]
+            adjacent = [{w for w, _ in pairs} for pairs in graph.neighbors]
+            text, order = shuffled_smiles(elements, adjacent, rng)
+            written.append(text)
+            want, got = featurize(graph), featurize_smiles(text)
+            assert got.n_atoms == want.n_atoms and got.n_bonds == want.n_bonds, text
+            atom_rows = np.reshape(want.atom_values, (-1, 7))
+            assert np.reshape(got.atom_values, (-1, 7)).tolist() == atom_rows[order].tolist(), text
+
+            def bond_rows(featurized, index):
+                ends = np.reshape(featurized.endpoint_values, (-1, 2))
+                rows = np.reshape(featurized.bond_values, (-1, 3)).tolist()
+                return sorted(
+                    (tuple(row), tuple(sorted(index[e] for e in pair)))
+                    for row, pair in zip(rows, ends.tolist())
+                )
+
+            assert bond_rows(got, order) == bond_rows(want, range(want.n_atoms)), text
+        # the writer did reach every case it exists for
+        assert any("%" in t for t in written)
+        assert any(any(ch.isdigit() for ch in t.replace("%", "")) for t in written)

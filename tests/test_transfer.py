@@ -300,14 +300,16 @@ class TestTransferValidation:
             transfer_train(pre, new_task_dataset(), cfg, head_epochs=-1)
 
 
-# batches of 2-7 atom rows: at 256 dims a (n x 512) @ (512 x 256) product
-# of fewer than 8 rows gives other bits when it is tiled
+# batches of 2-7 atom rows: at 256 dims each (n x 512) @ (512 x 256) product
+# is one zero-padded tail tile, whose bits differ from BLAS's own blocking
+# of the same rows, so a forward that tiled only with a tape would part here
 TINY_BATCHES = (("C", "O"), ("CC", "O"), ("CCC", "CO"), ("CCCC", "CCO"))
 
 
 class TestTapelessTrainForward:
     """Frozen phase 1 runs the backbone in train mode without a tape and
-    claims the taped forward's bits, so only eval-mode products are tiled."""
+    claims the taped forward's bits: with a tape or without, in train mode
+    or eval, every product runs the same row tiles."""
 
     @pytest.mark.parametrize("smiles", TINY_BATCHES, ids="+".join)
     def test_equals_taped_forward(self, smiles):
@@ -479,8 +481,8 @@ class TestFrozenPhaseOracle:
         assert result.phase1_backbone_hashes == ref_hashes
 
     def test_tiny_batches_match_full_tape_reference(self):
-        # training batches of 2-7 atom rows at 256 dims, where a tiled
-        # product would not give the taped product's bits
+        # training batches of 2-7 atom rows at 256 dims, where tapeless and
+        # taped products would part if only one of them were tiled
         cfg = small_config(embed_dim=256, n_layers=8, head_hidden=16, batch_size=2,
                            val_fraction=0.25)
         smiles = [s for pair in TINY_BATCHES for s in pair if s != "O"] + ["O", "N"]
