@@ -16,14 +16,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_write
-from .data import HIT_DIRECTIONS
+from .data import HIT_DIRECTIONS, _is_int, _is_list_of, _repeated
 from .featurize import ATOM_FEATURE_WIDTHS, BOND_FEATURE_WIDTHS, SCHEMA_HASH
 from .model import ModelParams, from_arrays
 
@@ -96,19 +95,6 @@ _HEADER_KEYS = (
     "task_names", "hit_directions", "atom_widths", "bond_widths",
     "schema_hash", "seed", "log_summary", "arrays",
 )
-
-
-def _repeated(names: list[str]) -> list[str]:
-    """The names that occur more than once, in order of first occurrence."""
-    return [name for name, count in Counter(names).items() if count > 1]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_list_of(value, check) -> bool:
-    return isinstance(value, list) and all(check(v) for v in value)
 
 
 def _check_header(header, version: int) -> None:
@@ -196,8 +182,10 @@ def load_checkpoint(path) -> Checkpoint:
         data = np.frombuffer(reader.take(8 * count), dtype="<f8")
         if not np.isfinite(data).all():
             raise CheckpointError(f"array {name}: holds a NaN or infinite value")
-        # astype makes the one copy, so each array is fresh and writable
-        loaded[name] = data.reshape(shape).astype(np.float64)
+        try:  # astype makes the one copy, so each array is fresh and writable
+            loaded[name] = data.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # an empty block's dimensions past numpy's limits
+            raise CheckpointError(f"array {name}: unreadable shape ({exc})") from exc
     if reader.pos != len(reader.blob):
         raise CheckpointError("trailing bytes after final array")
     try:

@@ -39,7 +39,7 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .data import HIT_DIRECTIONS, DatasetError, TaskDataset, subsample_task_labels
+from .data import HIT_DIRECTIONS, DatasetError, TaskDataset, _repeated, subsample_task_labels
 from .dataset_io import (
     IngestError,
     IngestReport,
@@ -296,11 +296,11 @@ def cmd_predict(args) -> dict:
     _print_seed(ck.seed)
     tasks = _scored_tasks(ck, args.checkpoint)
     try:  # one CSV record: a name holding a comma is quoted as in the output header
-        names = next(csv.reader([args.tasks or ""], skipinitialspace=True))
-    except csv.Error as exc:  # a line break outside quotes
+        names = next(csv.reader([args.tasks or ""], skipinitialspace=True, strict=True))
+    except csv.Error as exc:  # a line break outside quotes, or a stray quote
         raise ConfigError(f"--tasks is not one CSV record: {exc}") from exc
     names = [name.strip() for name in names] or list(tasks)
-    repeated = sorted({name for name in names if names.count(name) > 1})
+    repeated = sorted(_repeated(names))
     if repeated:  # the output header would repeat them, which ingest refuses
         raise ConfigError(f"--tasks names a task more than once: {repeated}")
     indices = [_task_index(name, tasks, "checkpoint") for name in names]

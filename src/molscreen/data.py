@@ -7,6 +7,7 @@ interest and the remaining columns are auxiliary tasks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,19 @@ from .engine import rng_stream
 from .featurize import FeaturizedGraph, featurize_smiles
 
 HIT_DIRECTIONS = ("lower_is_better", "higher_is_better")
+
+
+def _repeated(names: list[str]) -> list[str]:
+    """The names that occur more than once, in order of first occurrence."""
+    return [name for name, count in Counter(names).items() if count > 1]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(value, check) -> bool:
+    return isinstance(value, list) and all(check(v) for v in value)
 
 
 class DatasetError(ValueError):
@@ -43,7 +57,7 @@ class TaskDataset:
             raise DatasetError(
                 f"{t} label columns need {t} task names and hit directions"
             )
-        repeated = sorted({n for n in self.task_names if self.task_names.count(n) > 1})
+        repeated = sorted(_repeated(self.task_names))
         if repeated:
             raise DatasetError(f"task names must be distinct, repeated: {repeated}")
         for d in self.hit_directions:

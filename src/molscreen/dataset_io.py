@@ -10,7 +10,9 @@ that rank higher-is-better (this is how such tasks are written back).
 Plain columns rank lower-is-better (docking-score convention).  Duplicate
 SMILES rows are averaged per task after conversion, and each distinct SMILES
 is featurized once.  Every data row either contributes a compound or is
-reported with its row number, in row order.
+reported with its row number, in row order, so quoting is read strictly:
+a quote left open or text after a closing quote is an ``IngestError``
+naming the file and the line where its record starts.
 """
 
 from __future__ import annotations
@@ -51,14 +53,18 @@ def _read_rows(path) -> list[list[str]]:
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
+    rows, line = [], 1  # line: where the record being read starts
     try:
         # utf-8-sig also drops a leading byte-order mark ("CSV UTF-8" files)
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle, strict=True)
+            for row in reader:
+                rows.append(row)
+                line = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc})") from exc
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise IngestError(f"{path}: unreadable CSV ({exc})") from exc
+    except csv.Error as exc:  # malformed quoting, or a field over csv.field_size_limit()
+        raise IngestError(f"{path}: unreadable CSV at line {line} ({exc})") from exc
     if not rows:
         raise IngestError(f"{path}: empty file (header required)")
     return rows

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .smiles import BondDirection, BondOrder, Chirality, MolGraph, parse_smiles
 
 # atomic type, formal charge, degree, chirality, numH, aromaticity, hybridization
-ATOM_FEATURE_WIDTHS = (119, 16, 11, 4, 9, 2, 5)
+ATOM_FEATURE_WIDTHS = (119, 16, 11, len(Chirality), 9, 2, 5)
 # direction, type, in-ring
-BOND_FEATURE_WIDTHS = (7, 4, 2)
+BOND_FEATURE_WIDTHS = (len(BondDirection), len(BondOrder), 2)
 
 SCHEMA_HASH = hashlib.sha256(
     json.dumps(
@@ -34,29 +34,9 @@ HYB_SP2 = 2
 HYB_SP3 = 3
 HYB_MISC = 4
 
-_CHIRALITY_INDEX = {
-    Chirality.NONE: 0,
-    Chirality.CLOCKWISE: 1,
-    Chirality.COUNTERCLOCKWISE: 2,
-    Chirality.OTHER: 3,
-}
-
-_DIRECTION_INDEX = {
-    BondDirection.NONE: 0,
-    BondDirection.UP: 1,
-    BondDirection.DOWN: 2,
-    BondDirection.BEGIN_WEDGE: 3,
-    BondDirection.BEGIN_DASH: 4,
-    BondDirection.EITHER: 5,
-    BondDirection.UNKNOWN: 6,
-}
-
-_BOND_TYPE_INDEX = {
-    BondOrder.SINGLE: 0,
-    BondOrder.DOUBLE: 1,
-    BondOrder.TRIPLE: 2,
-    BondOrder.AROMATIC: 3,
-}
+# read once here: an attribute lookup on an Enum class goes through
+# EnumType's __getattr__ hook, ~0.1 us a time
+_MULTIPLE_BONDS = (BondOrder.DOUBLE, BondOrder.TRIPLE)
 
 
 class SchemaError(ValueError):
@@ -65,9 +45,10 @@ class SchemaError(ValueError):
 
 @dataclass(slots=True)
 class FeaturizedGraph:
-    """One molecule's feature integers, row after row: 7 per atom, 3 per
-    bond and 2 endpoints per bond.  ``GraphBatch.from_graphs`` converts a
-    whole batch into its int64 matrices at once."""
+    """One molecule's feature integers, row after row: one per schema column
+    for each atom and each bond, and 2 endpoints per bond.
+    ``GraphBatch.from_graphs`` converts a whole batch into its int64
+    matrices at once."""
 
     atom_values: list[int]
     bond_values: list[int]
@@ -76,10 +57,14 @@ class FeaturizedGraph:
     n_bonds: int
 
     def __post_init__(self):  # packing reads the lists back to back by these counts
+        atom_columns, bond_columns = len(ATOM_FEATURE_WIDTHS), len(BOND_FEATURE_WIDTHS)
         if (len(self.atom_values), len(self.bond_values), len(self.endpoint_values)) != (
-            7 * self.n_atoms, 3 * self.n_bonds, 2 * self.n_bonds
+            atom_columns * self.n_atoms, bond_columns * self.n_bonds, 2 * self.n_bonds
         ):
-            raise ValueError("feature lists must hold 7 values per atom, 3 per bond and 2 ends")
+            raise ValueError(
+                f"feature lists must hold {atom_columns} values per atom, {bond_columns} per bond "
+                "and 2 ends"
+            )
 
 
 def featurize(graph: MolGraph) -> FeaturizedGraph:
@@ -101,14 +86,14 @@ def featurize(graph: MolGraph) -> FeaturizedGraph:
     bond_fault = False
     for bond in bonds:
         a, b = bond.a, bond.b
-        bond_type = _BOND_TYPE_INDEX[bond.order]
-        if bond_type == 1 or bond_type == 2:
-            unsaturation[a] += bond_type
-            unsaturation[b] += bond_type
+        order = bond.order
+        if order in _MULTIPLE_BONDS:
+            unsaturation[a] += order
+            unsaturation[b] += order
         in_ring = int(bond.in_ring)
         if in_ring != 0 and in_ring != 1:
             bond_fault = True
-        bond_values += (_DIRECTION_INDEX[bond.direction], bond_type, in_ring)
+        bond_values += (bond.direction, order, in_ring)
         endpoints += (a, b)
     values: list[int] = []
     for atom, unsaturated in zip(atoms, unsaturation):
@@ -132,7 +117,7 @@ def featurize(graph: MolGraph) -> FeaturizedGraph:
             z if 1 <= z <= 118 else 0,
             charge + 7 if -7 <= charge <= 7 else 15,
             degree if degree < 10 else 10,
-            _CHIRALITY_INDEX[atom.chirality],
+            atom.chirality,
             hydrogens if hydrogens < 8 else 8,
             aromatic,
             hybridization,

@@ -52,8 +52,8 @@ class GraphBatch:
     per graph.
     """
 
-    atom_indices: np.ndarray  # (n_nodes, 7)
-    bond_indices: np.ndarray  # (n_bonds, 3)
+    atom_indices: np.ndarray  # (n_nodes, len(ATOM_FEATURE_WIDTHS))
+    bond_indices: np.ndarray  # (n_bonds, len(BOND_FEATURE_WIDTHS))
     neighbor_layout: ops.SegmentLayout  # source node states summed by destination
     bond_layout: ops.SegmentLayout  # bond states summed by destination node
     pool_layout: ops.SegmentLayout  # node states summed by graph
@@ -68,6 +68,7 @@ class GraphBatch:
         bond_counts = np.array([g.n_bonds for g in graphs], dtype=np.int64)
         n_nodes = int(node_counts.sum())
         n_bonds = int(bond_counts.sum())
+        atom_columns, bond_columns = len(ATOM_FEATURE_WIDTHS), len(BOND_FEATURE_WIDTHS)
         graph_ids = np.repeat(np.arange(len(graphs), dtype=np.int64), node_counts)
         ends = _int_rows([g.endpoint_values for g in graphs], n_bonds, 2) + np.repeat(
             np.cumsum(node_counts) - node_counts, bond_counts
@@ -78,8 +79,8 @@ class GraphBatch:
         order = np.argsort(edge_dst, kind="stable")
         edge_src, edge_dst, edge_bond = edge_src[order], edge_dst[order], edge_bond[order]
         return cls(
-            atom_indices=_int_rows([g.atom_values for g in graphs], n_nodes, 7),
-            bond_indices=_int_rows([g.bond_values for g in graphs], n_bonds, 3),
+            atom_indices=_int_rows([g.atom_values for g in graphs], n_nodes, atom_columns),
+            bond_indices=_int_rows([g.bond_values for g in graphs], n_bonds, bond_columns),
             neighbor_layout=ops.SegmentLayout(
                 edge_dst, n_nodes, rows=edge_src, num_rows=n_nodes
             ),

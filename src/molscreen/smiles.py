@@ -9,37 +9,32 @@ dot-separated fragments are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 
 
-class _IdentityEnum(Enum):
-    # Members compare by identity, so hash them by identity too: Enum's own
-    # __hash__ is a Python-level call on every dict lookup keyed by a member.
-    __hash__ = object.__hash__
+# A category's values are its feature indices, which ``featurize`` writes.
+class BondOrder(IntEnum):
+    SINGLE = 0
+    DOUBLE = 1
+    TRIPLE = 2
+    AROMATIC = 3
 
 
-class BondOrder(_IdentityEnum):
-    SINGLE = "single"
-    DOUBLE = "double"
-    TRIPLE = "triple"
-    AROMATIC = "aromatic"
+class BondDirection(IntEnum):
+    NONE = 0
+    UP = 1
+    DOWN = 2
+    BEGIN_WEDGE = 3
+    BEGIN_DASH = 4
+    EITHER = 5
+    UNKNOWN = 6
 
 
-class BondDirection(_IdentityEnum):
-    NONE = "none"
-    UP = "up"
-    DOWN = "down"
-    BEGIN_WEDGE = "begin_wedge"
-    BEGIN_DASH = "begin_dash"
-    EITHER = "either"
-    UNKNOWN = "unknown"
-
-
-class Chirality(_IdentityEnum):
-    NONE = "none"
-    CLOCKWISE = "clockwise"
-    COUNTERCLOCKWISE = "counterclockwise"
-    OTHER = "other"
+class Chirality(IntEnum):
+    NONE = 0
+    CLOCKWISE = 1
+    COUNTERCLOCKWISE = 2
+    OTHER = 3
 
 
 class SmilesError(ValueError):
@@ -116,12 +111,8 @@ VALENCES = {
     53: (1,),
 }
 
-BOND_ORDER_VALUE = {
-    BondOrder.SINGLE: 1,
-    BondOrder.DOUBLE: 2,
-    BondOrder.TRIPLE: 3,
-    BondOrder.AROMATIC: 1,
-}
+# the valence a bond uses, indexed by its BondOrder; an aromatic bond uses 1
+BOND_ORDER_VALUE = (1, 2, 3, 1)
 
 # bond symbol -> (order, direction); an unwritten bond is ':' between two
 # aromatic atoms and '-' otherwise

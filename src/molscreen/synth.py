@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TaskDataset
+from .data import TaskDataset, _is_int, _is_list_of
 from .engine import rng_stream
 from .featurize import featurize
 from .model import _check_fits
-from .smiles import MolGraph, parse_smiles
-
-_VALENCE = {6: 4, 7: 3, 8: 2}
-_SYMBOL = {6: "C", 7: "N", 8: "O"}
+from .smiles import ELEMENTS, VALENCES, MolGraph, parse_smiles
 
 # weights over (atom count, ring-bond count, heteroatom count, mean degree)
 DESCRIPTOR_WEIGHTS = np.array([0.08, -0.15, 0.25, -0.4])
@@ -50,13 +47,14 @@ def latent_score(smiles: str) -> float:
 
 def random_molecule(stream, min_atoms: int = 4, max_atoms: int = 14) -> str:
     """A random connected molecule over C/N/O: a random tree plus up to two
-    extra valence-respecting edges (rings), all single bonds."""
+    extra edges (rings), all single bonds, each atom within its lowest
+    standard valence (``smiles.VALENCES``)."""
     n = int(stream.integers(min_atoms, max_atoms + 1))
     elements = [int(z) for z in stream.choice([6, 7, 8], size=n, p=[0.7, 0.15, 0.15])]
     adjacent: list[set[int]] = [set() for _ in range(n)]
 
     def capacity(v: int) -> int:
-        return _VALENCE[elements[v]] - len(adjacent[v])
+        return VALENCES[elements[v]][0] - len(adjacent[v])
 
     for v in range(1, n):
         candidates = [u for u in range(v) if capacity(u) > 0]
@@ -118,7 +116,7 @@ def _graph_to_smiles(elements: list[int], adjacent: list[set[int]]) -> str:
         return "".join(marks)
 
     def emit(v: int) -> str:
-        out = _SYMBOL[elements[v]] + ring_marks(v)
+        out = ELEMENTS[elements[v]] + ring_marks(v)
         kids = children[v]
         for c in kids[:-1]:
             out += "(" + emit(c) + ")"
@@ -132,10 +130,6 @@ def _graph_to_smiles(elements: list[int], adjacent: list[set[int]]) -> str:
 _META_KEYS = ("seed", "n_tasks", "a_values", "b_values", "noise_sigma", "latent_scores")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_finite(value) -> bool:
     """A JSON number that converts to a finite float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -144,10 +138,6 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
-
-
-def _is_finite_list(value) -> bool:
-    return isinstance(value, list) and all(_is_finite(v) for v in value)
 
 
 @dataclass
@@ -193,11 +183,11 @@ class SynthMeta:
             raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
         for key in ("a_values", "b_values"):
             values = raw[key]
-            if not (_is_finite_list(values) and len(values) == n_tasks):
+            if not (_is_list_of(values, _is_finite) and len(values) == n_tasks):
                 raise ValueError(f"{key} must be a list of {n_tasks} finite numbers")
         if not (_is_finite(raw["noise_sigma"]) and raw["noise_sigma"] >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {raw['noise_sigma']!r}")
-        if not _is_finite_list(raw["latent_scores"]):
+        if not _is_list_of(raw["latent_scores"], _is_finite):
             raise ValueError("latent_scores must be a list of finite numbers")
         return cls(
             seed=raw["seed"],

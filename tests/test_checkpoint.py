@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import math
 import re
 import struct
 import sys
@@ -520,3 +521,49 @@ class TestHeaderDimensions:
         _, peak, _ = traced_peak(load_fails)
         # one float64 array of 2**22 values is 32 MiB
         assert peak < 2**22 * 8 // 16
+
+
+class TestArrayBlockFuzz:
+    """Corrupt array blocks are refused as ``CheckpointError``, whatever
+    numpy makes of the dimensions they claim."""
+
+    MASKS = (0x01, 0x02, 0x80, 0xFF)
+
+    def test_flipped_rank_byte_names_the_array(self, tmp_path):
+        # rank 2 becomes 253, and the dimensions read from the values after
+        # it include a 0, so the block holds no bytes and reads as complete
+        blob = bytearray(GOLDEN.read_bytes())
+        offset, shape = _block_offsets(GOLDEN)["layer.0.edge_table.1"]
+        blob[offset - 4 - 8 * len(shape)] ^= 0xFF
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=r"^array layer\.0\.edge_table\.1: "):
+            load_checkpoint(path)
+
+    def test_flips_and_truncations_load_or_raise_checkpoint_error(self, tmp_path):
+        blob = GOLDEN.read_bytes()
+        blocks = _block_offsets(GOLDEN).values()
+        starts = [offset - 4 - 8 * len(shape) for offset, shape in blocks]
+        headers = [i for start, (offset, _) in zip(starts, blocks) for i in range(start, offset)]
+        values = [
+            i for offset, shape in blocks for i in range(offset, offset + 8 * math.prod(shape))
+        ]
+        rng = np.random.default_rng(0)
+        flips = headers + rng.choice(values, size=64, replace=False).tolist()
+        variants = [blob[:i] for i in starts + [start + 4 for start in starts]]
+        for i in flips:
+            for mask in self.MASKS:
+                flipped = bytearray(blob)
+                flipped[i] ^= mask
+                variants.append(bytes(flipped))
+        path = tmp_path / "fuzzed.ckpt"
+        loaded = 0
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                load_checkpoint(path)
+                loaded += 1
+            except CheckpointError:
+                pass
+        # a flipped value bit mostly leaves a finite value, which loads
+        assert 0 < loaded < len(variants)

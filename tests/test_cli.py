@@ -258,6 +258,19 @@ class TestIngest:
         assert "field larger than field limit" in error["message"]
         assert not out.exists()
 
+    def test_stray_quote_is_io_error(self, tmp_path, capsys):
+        # the unclosed quote on line 3 used to swallow rows 4-5 unreported
+        raw = tmp_path / "raw.csv"
+        raw.write_text('smiles,t\nCCO,1\n"CCN,2\nCCC,3\nCCCC,4\n')
+        out = tmp_path / "clean.csv"
+        code, stdout, err = run(capsys, "ingest", "--input", str(raw), "--out", str(out))
+        assert code == 3
+        assert stdout == ""
+        error = only_error(err)
+        assert error["error"] == "io-failure"
+        assert error["message"] == f"{raw}: unreadable CSV at line 3 (unexpected end of data)"
+        assert not out.exists()
+
     def test_repeated_task_name_is_io_error(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         raw.write_text("smiles,a,a:ic50_molar\nCCO,-7.1,1e-6\nCCN,-5.0,2e-6\n")
@@ -1018,6 +1031,17 @@ class TestCsvQuoting:
                            "--out", str(tmp_path / "out.csv"))
         assert code == 2
         assert message in only_error(err)["message"]
+
+    @pytest.mark.parametrize(
+        "value", ['"dock,5HT2A', '"dock,5HT2A"x'], ids=["unclosed-quote", "text-after-quote"]
+    )
+    def test_predict_tasks_malformed_quoting(self, value, quoted, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, "predict", "--checkpoint", f"{quoted}/model.ckpt",
+                           "--input", f"{quoted}/data.csv", "--tasks", value, "--out", str(out))
+        assert code == 2
+        assert only_error(err)["message"].startswith("--tasks is not one CSV record: ")
+        assert not out.exists()
 
 
 class TestFeaturizeOnce:

@@ -1,5 +1,7 @@
 """Dataset container and train/validation splitting."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,19 @@ class TestTaskDataset:
                 np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
                 ["a", "b", "a"],
                 ["lower_is_better", "lower_is_better", "higher_is_better"],
+            )
+
+    def test_repeats_found_in_linear_time(self):
+        # 30,000 names: counting each one's occurrences by a list scan took
+        # tens of seconds; one tally takes milliseconds
+        names = [f"t{i}" for i in range(30_000)]
+        labels = np.ones((1, len(names)))
+        start = time.perf_counter()
+        TaskDataset.from_smiles(["C"], labels, names, ["lower_is_better"] * len(names))
+        assert time.perf_counter() - start < 2.0
+        with pytest.raises(DatasetError, match=r"repeated: \['t1', 't7'\]$"):
+            TaskDataset.from_smiles(
+                ["C"], labels, names[:-3] + ["t7", "t1", "t7"], ["lower_is_better"] * len(names)
             )
 
     def test_bad_hit_direction_rejected(self):

@@ -173,6 +173,27 @@ class TestIngestErrors:
         with pytest.raises(IngestError, match="latin1.csv.*UTF-8"):
             reader(path)
 
+    @pytest.mark.parametrize("reader", [ingest_csv, read_smiles_csv])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # an unclosed quote would swallow every later row into one cell
+            'smiles,T0\nCCO,1.0\n"CCN,2.0\nCCC,3.0\nCCCC,4.0\n',
+            'smiles,T0\nCCO,1.0\n"CCN"x,2.0\nCCC,3.0\n',
+        ],
+        ids=["unclosed-quote", "text-after-closing-quote"],
+    )
+    def test_malformed_quoting_names_the_file_and_line(self, tmp_path, reader, text):
+        path = write(tmp_path, text, name="stray.csv")
+        with pytest.raises(IngestError, match=r"stray\.csv: unreadable CSV at line 3 \("):
+            reader(path)
+
+    def test_line_count_includes_quoted_line_breaks(self, tmp_path):
+        # the record on lines 3-4 holds a line break in quotes; line 5 opens
+        # a quote that never closes
+        path = write(tmp_path, 'smiles,T0\n"CCO",1.0\n"C\nC",2.0\n"CCN\n')
+        with pytest.raises(IngestError, match=r"unreadable CSV at line 5 \("):
+            ingest_csv(path)
 
 
 class TestRowOrder:

@@ -75,6 +75,21 @@ class TestSchema:
         other = widths_hash((119, 16, 11, 4, 9, 2, 6), BOND_FEATURE_WIDTHS)
         assert other != SCHEMA_HASH
 
+    def test_category_values_are_the_oracle_indices(self):
+        # the parser's members are written as feature indices: each class
+        # counts 0, 1, ... in declaration order, matches the oracle's own
+        # table, and is as wide as its schema column
+        for category, oracle, width in (
+            (Chirality, CHIRALITY_INDEX, ATOM_FEATURE_WIDTHS[3]),
+            (BondDirection, DIRECTION_INDEX, BOND_FEATURE_WIDTHS[0]),
+            (BondOrder, BOND_TYPE_INDEX, BOND_FEATURE_WIDTHS[1]),
+        ):
+            assert [int(member) for member in category] == list(range(len(category)))
+            assert {member: int(member) for member in category} == oracle
+            assert width == len(category) == len(oracle)
+            # members hash as the ints they are, in C
+            assert category.__hash__ is int.__hash__
+
 
 class TestAtomRows:
     # Columns: atomic type, formal charge, degree, chirality, numH,
