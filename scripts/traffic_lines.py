@@ -10,8 +10,7 @@ Run it from the root of a checkout.  Under ``sys.settrace`` it runs:
   seed 7;
 * the README quickstart commands, in process through ``cli.main``, on a
   small synthetic set with a few epochs;
-* the README library snippet and both scikit-learn-style estimators, at
-  small sizes.
+* the README library snippet, at small sizes.
 
 It then prints ``path:line: source`` for every statement of the package
 that none of these executed, and their count last.  A statement listed here
@@ -138,12 +137,7 @@ def run_quickstart(work: Path) -> list[str]:
 
 
 def run_library() -> None:
-    import numpy as np
-
-    from molscreen import (
-        GINRegressor, MultiTaskGINRegressor, TrainConfig, encode_graphs,
-        predict_graphs, synth_dataset, train,
-    )
+    from molscreen import TrainConfig, encode_graphs, predict_graphs, synth_dataset, train
 
     ds, _ = synth_dataset(n_tasks=2, n_per_task=40, seed=0)
     params, _ = train(ds, TrainConfig(embed_dim=16, n_layers=2, seed=0,
@@ -151,16 +145,6 @@ def run_library() -> None:
     predict_graphs(ds.graphs, params)
     predict_graphs(ds.graphs, params, [0])
     encode_graphs(ds.graphs, params)
-
-    small = {"embed_dim": 16, "n_layers": 2, "head_hidden": 16, "seed": 0,
-             "min_epochs": 1, "max_epochs": 2}
-    labels = np.where(ds.label_mask, ds.labels, np.nan)
-    model = MultiTaskGINRegressor(**small).fit(ds.smiles, labels)
-    model.predict(ds.smiles)
-    model.transform(ds.smiles)
-    model.get_params()
-    single = GINRegressor(**small).fit(ds.smiles, labels[:, 0])
-    single.predict(ds.smiles)
 
 
 def main() -> int:

@@ -8,8 +8,7 @@ The package covers the full screening workflow: a SMILES parser
 (:mod:`molscreen.active`), two-phase transfer learning
 (:mod:`molscreen.transfer`), screening metrics (:mod:`molscreen.metrics`),
 CSV dataset I/O (:mod:`molscreen.dataset_io`), checkpoints
-(:mod:`molscreen.checkpoint`), scikit-learn-style estimators
-(:mod:`molscreen.estimators`), and a command-line interface
+(:mod:`molscreen.checkpoint`), and a command-line interface
 (:mod:`molscreen.cli`).
 """
 
@@ -17,7 +16,6 @@ from .active import ALConfig, ALResult, al_run
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TaskDataset
 from .dataset_io import IngestReport, ingest_csv, read_smiles_csv, write_dataset_csv
-from .estimators import GINRegressor, MultiTaskGINRegressor, NotFittedError
 from .featurize import featurize_smiles
 from .metrics import (
     concordance_index,
@@ -44,13 +42,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ALConfig",
     "ALResult",
-    "GINRegressor",
     "GraphBatch",
     "IngestReport",
     "ModelParams",
     "MolGraph",
-    "MultiTaskGINRegressor",
-    "NotFittedError",
     "SmilesError",
     "SynthMeta",
     "TaskDataset",

@@ -45,6 +45,11 @@ class ALConfig:
             raise ValueError(f"acquisition must be one of {ACQUISITIONS}")
         if not 0.0 <= self.ucb_beta < math.inf:  # false for NaN too
             raise ValueError("ucb_beta must be >= 0 and finite")
+        if self.init_size == 0:
+            raise ValueError(
+                f"init_fraction {self.init_fraction} of total_budget "
+                f"{self.total_budget} rounds to an initial batch of 0 labels"
+            )
         remaining = self.total_budget - self.init_size
         if self.n_rounds == 0:
             if remaining != 0:

@@ -226,7 +226,10 @@ def parse_smiles(text: str) -> MolGraph:
                 raise StructureError("dangling bond at branch close", pending[1])
             if not branches:
                 raise UnmatchedParenthesisError("unmatched ')'", pos)
-            prev = branches.pop()[0]
+            opened_at, open_pos = branches.pop()
+            if prev == opened_at:
+                raise StructureError("branch holds no atom", open_pos)
+            prev = opened_at
             pos += 1
             continue
         elif ch in _DIGITS or ch == "%":

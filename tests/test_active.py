@@ -72,6 +72,12 @@ class TestALConfig:
         with pytest.raises(ValueError):
             ALConfig(total_budget=10, acquisition="entropy")
 
+    @pytest.mark.parametrize("budget, fraction", [(10, 0.01), (1, 0.5)])
+    def test_initial_batch_rounding_to_zero_rejected(self, budget, fraction):
+        # round() halves to even, so 1 * 0.5 rounds to 0 as well
+        with pytest.raises(ValueError, match="init_fraction .* total_budget .* 0 labels"):
+            ALConfig(total_budget=budget, n_rounds=1, init_fraction=fraction)
+
     @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
     def test_bad_ucb_beta_rejected(self, beta):
         with pytest.raises(ValueError, match="ucb_beta"):

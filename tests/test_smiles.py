@@ -1,6 +1,7 @@
 """Parser tests against a hand-verified molecule corpus."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from molscreen.smiles import (
     BondDirection,
     BondOrder,
     Chirality,
+    ELEMENTS,
     EmptySmilesError,
     MolGraph,
     MultipleFragmentsError,
@@ -463,6 +465,17 @@ class TestErrors:
         with pytest.raises(StructureError):
             parse_smiles("C:C")
 
+    @pytest.mark.parametrize(
+        "smiles, position",
+        [("C()C", 1), ("CC()", 2), ("C(())C", 2), ("C1CC1()", 5), ("C(1)CC1", 1)],
+    )
+    def test_branch_without_an_atom(self, smiles, position):
+        # OpenSMILES: branch ::= '(' [bond|dot] chain ')', and a chain
+        # starts with an atom; a ring bond alone is not one
+        with pytest.raises(StructureError) as exc:
+            parse_smiles(smiles)
+        assert exc.value.position == position
+
     def test_errors_carry_byte_offsets(self):
         for bad, err in [
             ("C1CC", UnclosedRingError),
@@ -601,19 +614,28 @@ class TestPerceiveRings:
         assert [b.in_ring for b in graph.bonds] == flags
 
 
-def shuffled_smiles(elements, adjacent, rng):
-    """SMILES for a graph of single bonds, the vocabulary of
-    ``synth._graph_to_smiles``, written from a random root with neighbours
-    visited in random order and ring bonds given random closure numbers
-    (``0``-``9`` and ``%10``-``%99``, reused once closed).  Returns the
-    SMILES and the graph's atom index for each atom of the string, in order."""
-    n = len(elements)
-    root = int(rng.integers(n))
+def shuffled_smiles(graph, rng):
+    """SMILES for a parsed molecule without chirality or bond directions,
+    written from a random root with neighbours visited in random order and
+    ring bonds given random closure numbers (``0``-``9`` and ``%10``-``%99``,
+    reused once closed), each ring bond's symbol at its opening, its closing
+    or both.  A bond symbol the parser would infer is written half the time.
+    Bracket atoms keep their element, aromaticity, H count and charge, each
+    count in one of its two spellings; featurize drops the isotope and atom
+    class, so they are not written.  Returns the SMILES and the graph's atom
+    index for each atom of the string, in order."""
+    atoms = graph.atoms
+    order = {frozenset((bond.a, bond.b)): bond.order for bond in graph.bonds}
+    root = int(rng.integers(len(atoms)))
     rank = {root: 0}
     parent = {root: -1}
-    children = [[] for _ in range(n)]
-    ring_partners = [[] for _ in range(n)]
-    stack = [(root, iter(rng.permutation(sorted(adjacent[root])).tolist()))]
+    children = [[] for _ in atoms]
+    ring_partners = [[] for _ in atoms]
+
+    def shuffled_neighbors(v):
+        return iter(rng.permutation(sorted(w for w, _ in graph.neighbors[v])).tolist())
+
+    stack = [(root, shuffled_neighbors(root))]
     while stack:
         v, neighbors = stack[-1]
         for w in neighbors:
@@ -621,7 +643,7 @@ def shuffled_smiles(elements, adjacent, rng):
                 rank[w] = len(rank)
                 parent[w] = v
                 children[v].append(w)
-                stack.append((w, iter(rng.permutation(sorted(adjacent[w])).tolist())))
+                stack.append((w, shuffled_neighbors(w)))
                 break
             if w != parent[v] and rank[w] < rank[v]:
                 ring_partners[v].append(w)
@@ -629,62 +651,112 @@ def shuffled_smiles(elements, adjacent, rng):
         else:
             stack.pop()
 
-    open_numbers = {}
+    def bond_symbol(v, w):
+        symbol = "-=#:"[order[frozenset((v, w))]]
+        inferred = ":" if atoms[v].aromatic and atoms[w].aromatic else "-"
+        return "" if symbol == inferred and rng.random() < 0.5 else symbol
+
+    open_numbers = {}  # ring bond -> (number, symbol to write at its closing)
 
     def ring_marks(v):
         marks = []
         for w in rng.permutation(ring_partners[v]).tolist():
             edge = frozenset((v, w))
             if edge in open_numbers:
-                number = open_numbers.pop(edge)
+                number, symbol = open_numbers.pop(edge)
             else:
-                free = [k for k in range(100) if k not in open_numbers.values()]
+                taken = {number for number, _ in open_numbers.values()}
+                free = [k for k in range(100) if k not in taken]
                 small = [k for k in free if k < 10]
                 pool = small if small and rng.random() < 0.5 else free
-                number = open_numbers[edge] = int(rng.choice(pool))
-            marks.append(str(number) if number < 10 else f"%{number}")
+                number, symbol = int(rng.choice(pool)), bond_symbol(v, w)
+                at_open, at_close = [(symbol, ""), ("", symbol), (symbol, symbol)][
+                    int(rng.integers(3))
+                ]
+                open_numbers[edge] = (number, at_close)
+                symbol = at_open
+            marks.append(symbol + (str(number) if number < 10 else f"%{number}"))
         return "".join(marks)
 
-    symbols = {6: "C", 7: "N", 8: "O"}
+    def count(prefix, n):
+        return prefix if n == 1 and rng.random() < 0.5 else f"{prefix}{n}"
+
+    def atom_text(v):
+        atom = atoms[v]
+        symbol = ELEMENTS[atom.atomic_number]
+        symbol = symbol.lower() if atom.aromatic else symbol
+        if atom.bracket_hydrogens is None:
+            return symbol
+        charge = atom.formal_charge
+        hydrogens = count("H", atom.hydrogens) if atom.hydrogens else ""
+        sign = count("+" if charge > 0 else "-", abs(charge)) if charge else ""
+        return f"[{symbol}{hydrogens}{sign}]"
 
     def emit(v):
-        out = symbols[elements[v]] + ring_marks(v)
-        for c in children[v][:-1]:
-            out += "(" + emit(c) + ")"
-        return out + (emit(children[v][-1]) if children[v] else "")
+        out = atom_text(v) + ring_marks(v)
+        branches = [bond_symbol(v, c) + emit(c) for c in children[v]]
+        return out + "".join(f"({b})" for b in branches[:-1]) + "".join(branches[-1:])
 
     return emit(root), sorted(rank, key=rank.get)
 
 
+def assert_round_trip(graph, text, order):
+    """``text`` featurizes to ``graph``'s rows: every atom row, and every
+    bond row with its endpoints mapped back through the atom ``order``."""
+    want, got = featurize(graph), featurize_smiles(text)
+    assert got.n_atoms == want.n_atoms and got.n_bonds == want.n_bonds, text
+    atom_rows = np.reshape(want.atom_values, (-1, 7))
+    assert np.reshape(got.atom_values, (-1, 7)).tolist() == atom_rows[order].tolist(), text
+
+    def bond_rows(featurized, index):
+        ends = np.reshape(featurized.endpoint_values, (-1, 2))
+        rows = np.reshape(featurized.bond_values, (-1, 3)).tolist()
+        return sorted(
+            (tuple(row), tuple(sorted(index[e] for e in pair)))
+            for row, pair in zip(rows, ends.tolist())
+        )
+
+    assert bond_rows(got, order) == bond_rows(want, range(want.n_atoms)), text
+
+
 class TestRoundTrip:
-    """Each of 200 seeded ``random_molecule`` graphs, rewritten in a random
-    atom order with random ring-closure numbers, parses to the same
-    featurized molecule: every atom row and every bond row (endpoints
-    mapped back through the atom order) is the original's."""
+    """A molecule rewritten in a random atom order with random ring-closure
+    numbers parses to the same featurized molecule."""
 
     def test_random_order_and_ring_numbers(self):
+        # 200 seeded ``random_molecule`` graphs
         stream, rng = rng_stream(0, 91), np.random.default_rng(91)
         written = []
         for _ in range(200):
             graph = parse_smiles(random_molecule(stream))
-            elements = [atom.atomic_number for atom in graph.atoms]
-            adjacent = [{w for w, _ in pairs} for pairs in graph.neighbors]
-            text, order = shuffled_smiles(elements, adjacent, rng)
+            text, order = shuffled_smiles(graph, rng)
             written.append(text)
-            want, got = featurize(graph), featurize_smiles(text)
-            assert got.n_atoms == want.n_atoms and got.n_bonds == want.n_bonds, text
-            atom_rows = np.reshape(want.atom_values, (-1, 7))
-            assert np.reshape(got.atom_values, (-1, 7)).tolist() == atom_rows[order].tolist(), text
-
-            def bond_rows(featurized, index):
-                ends = np.reshape(featurized.endpoint_values, (-1, 2))
-                rows = np.reshape(featurized.bond_values, (-1, 3)).tolist()
-                return sorted(
-                    (tuple(row), tuple(sorted(index[e] for e in pair)))
-                    for row, pair in zip(rows, ends.tolist())
-                )
-
-            assert bond_rows(got, order) == bond_rows(want, range(want.n_atoms)), text
+            assert_round_trip(graph, text, order)
         # the writer did reach every case it exists for
         assert any("%" in t for t in written)
         assert any(any(ch.isdigit() for ch in t.replace("%", "")) for t in written)
+
+    def test_hand_verified_corpus(self):
+        # every molecule of CORPUS and of the featurizer's edge cases that
+        # has no chirality or bond direction: featurize records those as
+        # written, and they change with atom order
+        from test_featurize import EDGE_CASES
+
+        rng = np.random.default_rng(92)
+        written = []
+        for smiles in sorted(set(CORPUS) | set(EDGE_CASES)):
+            graph = parse_smiles(smiles)
+            if any(a.chirality for a in graph.atoms) or any(b.direction for b in graph.bonds):
+                continue
+            for _ in range(10):
+                text, order = shuffled_smiles(graph, rng)
+                written.append(text)
+                assert_round_trip(graph, text, order)
+        # bracket atoms with a charge and with explicit H; outside brackets,
+        # aromatic ring closures, double and triple bonds, ring-bond symbols
+        # and symbols the parser would infer
+        assert any(re.search(r"\[[^]]*[+-]", t) for t in written)
+        assert any(re.search(r"\[[a-zA-Z]+H", t) for t in written)
+        bare = [re.sub(r"\[[^]]*\]", "*", t) for t in written]
+        for pattern in (r"[bcnops][\d%]", "=", "#", r"[-=#:][\d%]", "-", ":"):
+            assert any(re.search(pattern, t) for t in bare), pattern
