@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -494,6 +495,14 @@ def cmd_synth_gen(args) -> dict:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+# The library states each default a flag shares with it; read once, at import
+# (a dataclass's signature holds its fields' defaults).
+_AL_CONFIG, _AL_RUN, _TRANSFER, _SYNTH = (
+    {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+    for fn in (ALConfig, al_run, transfer_train, synth_dataset)
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors (unknown subcommand, bad flag value, missing flag) are
     ``bad-config`` failures like any other; ``--help`` still exits 0."""
@@ -529,13 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", required=True, help="benchmark metadata JSON (the labeler)")
     p.add_argument("--oracle-task", type=int, default=0, help="metadata task used as labeler")
     p.add_argument("--budget", type=int, required=True, help="total labels to spend")
-    p.add_argument("--rounds", type=int, default=4)
-    p.add_argument("--ensemble-size", type=int, default=5)
-    p.add_argument("--init-fraction", type=float, default=0.5)
-    p.add_argument("--acquisition", choices=list(ACQUISITIONS), default="greedy_mean")
-    p.add_argument("--ucb-beta", type=float, default=1.0)
-    p.add_argument("--hit-direction", choices=list(HIT_DIRECTIONS), default="lower_is_better")
-    p.add_argument("--task-name", default="T0", help="task name for outputs")
+    p.add_argument("--rounds", type=int, default=_AL_CONFIG["n_rounds"])
+    p.add_argument("--ensemble-size", type=int, default=_AL_CONFIG["ensemble_size"])
+    p.add_argument("--init-fraction", type=float, default=_AL_CONFIG["init_fraction"])
+    p.add_argument("--acquisition", choices=list(ACQUISITIONS), default=_AL_CONFIG["acquisition"])
+    p.add_argument("--ucb-beta", type=float, default=_AL_CONFIG["ucb_beta"])
+    p.add_argument(
+        "--hit-direction", choices=list(HIT_DIRECTIONS), default=_AL_RUN["hit_direction"]
+    )
+    p.add_argument("--task-name", default=_AL_RUN["task_name"], help="task name for outputs")
     p.add_argument("--log-out", required=True, help="per-round log CSV")
     p.add_argument("--acquired-out", help="labeled-set CSV (acquisition order)")
     p.add_argument("--out", help="checkpoint of final-ensemble member 0 only")
@@ -546,7 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretrained", required=True, help="checkpoint to start from")
     p.add_argument("--data", required=True, help="new-target dataset CSV")
     p.add_argument("--target", help="task column (required when the dataset has several)")
-    p.add_argument("--head-epochs", type=int, default=20, help="frozen-encoder warmup epochs")
+    p.add_argument(
+        "--head-epochs",
+        type=int,
+        default=_TRANSFER["head_epochs"],
+        help="frozen-encoder warmup epochs",
+    )
     p.add_argument("--out", required=True, help="checkpoint file to write")
     _add_config_flags(p)
     p.set_defaults(func=cmd_transfer)
@@ -586,9 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-tasks", type=int, required=True)
     p.add_argument("--n-per-task", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--min-atoms", type=int, default=4)
-    p.add_argument("--max-atoms", type=int, default=14)
+    p.add_argument("--noise-sigma", type=float, default=_SYNTH["noise_sigma"])
+    p.add_argument("--min-atoms", type=int, default=_SYNTH["min_atoms"])
+    p.add_argument("--max-atoms", type=int, default=_SYNTH["max_atoms"])
     p.add_argument("--out", required=True, help="dataset CSV")
     p.add_argument("--meta-out", required=True, help="ground-truth metadata JSON")
     p.set_defaults(func=cmd_synth_gen)

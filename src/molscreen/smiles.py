@@ -8,6 +8,7 @@ dot-separated fragments are rejected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -89,7 +90,7 @@ ELEMENTS = (
 SYMBOL_TO_NUMBER = {symbol: z for z, symbol in enumerate(ELEMENTS) if z}
 
 AROMATIC_SYMBOLS = {"b": 5, "c": 6, "n": 7, "o": 8, "p": 15, "s": 16}
-AROMATIC_BRACKET_SYMBOLS = dict(AROMATIC_SYMBOLS, se=34, te=52)
+AROMATIC_BRACKET_SYMBOLS = {**AROMATIC_SYMBOLS, "as": 33, "se": 34, "te": 52}
 
 # Organic subset: written without brackets, hydrogens filled in by valence.
 # One-letter symbol -> (atomic number, aromatic); "Cl" and "Br" are the two
@@ -125,11 +126,24 @@ _BOND_CHARS = {
     "\\": (BondOrder.SINGLE, BondDirection.DOWN),
 }
 
-# Ring numbers, bracket isotopes, H counts, charges and atom classes are
-# ASCII digits only: str.isdigit() also accepts '²' or '٣'.
+# Ring numbers, like every number in a bracket atom, are ASCII digits only:
+# str.isdigit() and re's \d also accept '²' or '٣'.
 _DIGITS = "0123456789"
 
-_CHIRAL_CLASSES = ("TH", "AL", "SP", "TB", "OH")
+# OpenSMILES: bracket_atom ::= '[' isotope? symbol chiral? hcount? charge? class? ']'.
+# Every group is optional, so the body always matches, and the match ends
+# where the body stops following the grammar.  Longer symbols are tried
+# first: "[Sc]" is scandium, not sulfur and an aromatic carbon.
+_BRACKET_SYMBOLS = {**SYMBOL_TO_NUMBER, **AROMATIC_BRACKET_SYMBOLS}
+_BRACKET_BODY = re.compile(
+    "(?P<isotope>[0-9]*)"
+    f"(?P<symbol>{'|'.join(sorted(_BRACKET_SYMBOLS, key=len, reverse=True))})?"
+    "(?P<chiral>@(?:@|(?:TH|AL|SP|TB|OH)[0-9]*)?)?"
+    "(?P<hcount>H[0-9]*)?"
+    r"(?P<charge>[+-][0-9]+|\++|-+)?"
+    "(?::(?P<class>[0-9]+))?"
+)
+_CHIRALITY = {None: Chirality.NONE, "@": Chirality.COUNTERCLOCKWISE, "@@": Chirality.CLOCKWISE}
 
 
 @dataclass(slots=True)
@@ -294,97 +308,35 @@ def parse_smiles(text: str) -> MolGraph:
     return graph
 
 
-def _skip_digits(body: str, k: int) -> int:
-    while k < len(body) and body[k] in _DIGITS:
-        k += 1
-    return k
-
-
 def _bracket_atom(text: str, start: int) -> tuple[Atom, int]:
     """The bracket atom opening at ``start``, and the position after its ']'."""
     end = text.find("]", start + 1)
     if end < 0:
         raise AtomSyntaxError("unterminated bracket atom", start)
-    body = text[start + 1 : end]
-
-    def fail(message: str, offset: int):
-        raise AtomSyntaxError(message, start + 1 + offset)
-
-    k = _skip_digits(body, 0)  # isotope (parsed and discarded)
-    if k == len(body):
-        fail("missing element symbol", k)
-
-    aromatic = False
-    two = body[k : k + 2] if len(body) - k >= 2 else ""
-    if two in AROMATIC_BRACKET_SYMBOLS:
-        number = AROMATIC_BRACKET_SYMBOLS[two]
-        aromatic = True
-        k += 2
-    elif two in SYMBOL_TO_NUMBER:
-        number = SYMBOL_TO_NUMBER[two]
-        k += 2
-    elif body[k] in SYMBOL_TO_NUMBER:
-        number = SYMBOL_TO_NUMBER[body[k]]
-        k += 1
-    elif body[k] in AROMATIC_SYMBOLS:
-        number = AROMATIC_SYMBOLS[body[k]]
-        aromatic = True
-        k += 1
-    else:
-        raise UnknownAtomError(f"unknown element symbol at {body[k:]!r}", start + 1 + k)
-
-    chirality = Chirality.NONE
-    if k < len(body) and body[k] == "@":
-        k += 1
-        if k < len(body) and body[k] == "@":
-            chirality = Chirality.CLOCKWISE
-            k += 1
-        elif body[k : k + 2] in _CHIRAL_CLASSES:
-            chirality = Chirality.OTHER
-            k = _skip_digits(body, k + 2)
-        else:
-            chirality = Chirality.COUNTERCLOCKWISE
-
-    hydrogens = 0
-    if k < len(body) and body[k] == "H":
-        digits_end = _skip_digits(body, k + 1)
-        hydrogens = int(body[k + 1 : digits_end]) if digits_end > k + 1 else 1
-        k = digits_end
-
-    charge = 0
-    if k < len(body) and body[k] in "+-":
-        sign = 1 if body[k] == "+" else -1
-        first = body[k]
-        digits_end = _skip_digits(body, k + 1)
-        if digits_end > k + 1:
-            charge = sign * int(body[k + 1 : digits_end])
-            k = digits_end
-        else:
-            k += 1
-            magnitude = 1
-            while k < len(body) and body[k] == first:
-                magnitude += 1
-                k += 1
-            charge = sign * magnitude
-
-    if k < len(body) and body[k] == ":":
-        digits_end = _skip_digits(body, k + 1)
-        if digits_end == k + 1:
-            fail("':' must be followed by an atom-class number", k + 1)
-        k = digits_end
-
-    if k != len(body):
-        fail(f"unexpected bracket content {body[k:]!r}", k)
-
-    atom = Atom(
-        atomic_number=number,
-        aromatic=aromatic,
-        formal_charge=charge,
+    m = _BRACKET_BODY.match(text, start + 1, end)
+    symbol = m["symbol"]
+    if symbol is None:
+        k = m.end("isotope")
+        if k == end:
+            raise AtomSyntaxError("missing element symbol", k)
+        raise UnknownAtomError(f"unknown element symbol at {text[k:end]!r}", k)
+    k = m.end()
+    if k != end:
+        if text[k] == ":" and m["class"] is None:  # not a second ':' after a class
+            raise AtomSyntaxError("':' must be followed by an atom-class number", k + 1)
+        raise AtomSyntaxError(f"unexpected bracket content {text[k:end]!r}", k)
+    hcount, charge = m["hcount"] or "H0", m["charge"] or "+0"
+    hydrogens = int(hcount[1:] or 1)  # 'H' alone is one
+    # a sign without digits counts its repeats: '--' is -2
+    magnitude = int(charge[1:]) if charge[1:].isdigit() else len(charge)
+    return Atom(
+        atomic_number=_BRACKET_SYMBOLS[symbol],
+        aromatic=symbol in AROMATIC_BRACKET_SYMBOLS,
+        formal_charge=-magnitude if charge[0] == "-" else magnitude,
         hydrogens=hydrogens,
         bracket_hydrogens=hydrogens,
-        chirality=chirality,
-    )
-    return atom, end + 1
+        chirality=_CHIRALITY.get(m["chiral"], Chirality.OTHER),
+    ), end + 1
 
 
 def _assign_hydrogens(graph: MolGraph) -> None:

@@ -387,6 +387,58 @@ class TestBracketAtoms:
         graph = parse_smiles("[H][H]")
         assert [a.atomic_number for a in graph.atoms] == [1, 1]
 
+    def test_aromatic_arsenic(self):
+        # OpenSMILES's bracket aromatic symbols are b c n o p s se as
+        graph = parse_smiles("c1cc[as]c1")
+        assert graph.atoms[3] == Atom(33, aromatic=True, bracket_hydrogens=0, degree=2)
+        assert all(bond.order is BondOrder.AROMATIC for bond in graph.bonds)
+
+
+class TestBracketAtomProperty:
+    """Bodies built from the parts of OpenSMILES's
+    ``'[' isotope? symbol chiral? hcount? charge? class? ']'``, in order and
+    shuffled, some with one character inserted, replaced or dropped: each
+    parses or raises a positioned AtomSyntaxError or UnknownAtomError, and
+    a parsed body's atom does not depend on its isotope or atom class."""
+
+    PARTS = (
+        ("", "13", "007"),
+        ("C", "c", "Sc", "se", "as", "H", "Xq", ""),
+        ("", "@", "@@", "@TH1", "@OH", "@SP"),
+        ("", "H", "H0", "H3", "H12"),
+        ("", "+", "--", "+2", "-0", "+++"),
+        ("", ":1", ":42", ":"),
+    )
+    MUTATIONS = ("@", "H", "+", "-", ":", "0", "9", "C", "c", "s", "S", "\u00b2", "\u0663")
+
+    def bodies(self, n):
+        rnd = random.Random(20211)
+        for _ in range(n):
+            parts = [rnd.choice(options) for options in self.PARTS]
+            if rnd.random() < 0.3:
+                rnd.shuffle(parts)
+            body = "".join(parts)
+            if rnd.random() < 0.5:
+                k, char = rnd.randrange(len(body) + 1), rnd.choice(self.MUTATIONS)
+                body = rnd.choice(
+                    (body[:k] + char + body[k:], body[:k] + char + body[k + 1 :],
+                     body[:k] + body[k + 1 :])
+                )
+            yield body
+
+    def test_parses_or_fails_inside_its_brackets(self):
+        accepted = 0
+        for body in self.bodies(4000):
+            try:
+                atom = parse_smiles(f"[{body}]").atoms[0]
+            except (AtomSyntaxError, UnknownAtomError) as exc:
+                assert 1 <= exc.position <= len(body) + 1, body
+                continue
+            accepted += 1
+            bare = re.sub(r":[0-9]+\Z", "", body.lstrip("0123456789"))
+            assert parse_smiles(f"[{bare}]").atoms[0] == atom, body
+        assert 400 < accepted < 3600
+
 
 class TestErrors:
     def test_empty_string(self):
