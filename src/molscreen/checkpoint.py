@@ -6,9 +6,9 @@ length, UTF-8 JSON header, then one block per array of the model's table
 walks.  Each block is a uint32 rank, that many uint64 dimensions, and the
 raw float64 values, all little-endian.  Loading checks the header against
 this build's feature widths, reads every block (refusing NaN or infinite
-values), then hands the arrays to ``model.from_arrays``, which checks each
-name and shape against the table that the header's dimensions give and
-keeps the arrays bit for bit.
+values), then hands the arrays to ``model.from_arrays``, which checks the
+header's dimensions, then each name and shape against the table that they
+give, and keeps the arrays bit for bit.  Every refusal names the file.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .data import HIT_DIRECTIONS, _is_int, _is_list_of, _repeated
+from .data import _is_int, _is_list_of, check_tasks
 from .featurize import ATOM_FEATURE_WIDTHS, BOND_FEATURE_WIDTHS, SCHEMA_HASH
 from .model import ModelParams, from_arrays
 
@@ -53,14 +53,7 @@ def save_checkpoint(
     seed: int,
     log_summary: dict | None = None,
 ) -> None:
-    if len(hit_directions) != len(params.task_names):
-        raise ValueError("one hit direction per task required")
-    repeated = _repeated(params.task_names)
-    if repeated:
-        raise ValueError(f"task names repeat: {repeated}")
-    for d in hit_directions:
-        if d not in HIT_DIRECTIONS:
-            raise ValueError(f"hit direction {d!r} not in {HIT_DIRECTIONS}")
+    check_tasks(params.task_names, hit_directions)
     arrays = list(params.named_arrays())
     for name, arr in arrays:
         if not np.isfinite(arr).all():
@@ -98,7 +91,8 @@ _HEADER_KEYS = (
 
 
 def _check_header(header, version: int) -> None:
-    """Reject a header that ``from_arrays`` and the loader cannot use."""
+    """Reject a header that the loader cannot use; ``from_arrays`` checks
+    the model's dimensions."""
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
     missing = [key for key in _HEADER_KEYS if key not in header]
@@ -106,13 +100,6 @@ def _check_header(header, version: int) -> None:
         raise CheckpointError(f"checkpoint header lacks {missing}")
     if header["format_version"] != version:
         raise CheckpointError("header format_version differs from the file's")
-    for key in ("embed_dim", "n_layers", "head_hidden"):
-        if not _is_int(header[key]) or header[key] < 1:
-            raise CheckpointError(f"{key} must be a positive integer, got {header[key]!r}")
-    dropout = header["dropout"]
-    is_number = isinstance(dropout, (int, float)) and not isinstance(dropout, bool)
-    if not (is_number and 0.0 <= dropout < 1.0):
-        raise CheckpointError(f"dropout must be in [0, 1), got {dropout!r}")
     if not _is_int(header["seed"]):
         raise CheckpointError(f"seed must be an integer, got {header['seed']!r}")
     for key in ("task_names", "hit_directions", "arrays"):
@@ -121,14 +108,7 @@ def _check_header(header, version: int) -> None:
     for key in ("atom_widths", "bond_widths"):
         if not _is_list_of(header[key], lambda v: _is_int(v) and v >= 1):
             raise CheckpointError(f"{key} must be a list of positive integers")
-    repeated = _repeated(header["task_names"])
-    if repeated:
-        raise CheckpointError(f"task names repeat: {repeated}")
-    if len(header["hit_directions"]) != len(header["task_names"]):
-        raise CheckpointError("one hit direction per task required")
-    for d in header["hit_directions"]:
-        if d not in HIT_DIRECTIONS:
-            raise CheckpointError(f"hit direction {d!r} not in {HIT_DIRECTIONS}")
+    check_tasks(header["task_names"], header["hit_directions"])
     if not isinstance(header["schema_hash"], str):
         raise CheckpointError("schema_hash must be a string")
     if header["log_summary"] is not None and not isinstance(header["log_summary"], dict):
@@ -151,9 +131,20 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
+    """The checkpoint in the file at ``path``.  Every refusal is a
+    ``CheckpointError`` (a ``ForeignSchemaError`` for feature widths other
+    than this build's) whose message starts with ``path``."""
+    try:
+        return _read_checkpoint(Path(path))
+    except ForeignSchemaError as exc:
+        raise ForeignSchemaError(f"{path}: {exc}") from exc
+    except (OSError, ValueError, CheckpointError) as exc:  # ValueError: from_arrays, check_tasks
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _read_checkpoint(path: Path) -> Checkpoint:
     if not path.exists():
-        raise CheckpointError(f"no such checkpoint: {path}")
+        raise CheckpointError("no such checkpoint")
     reader = _Reader(path.read_bytes())
     if reader.take(4) != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
@@ -169,7 +160,7 @@ def load_checkpoint(path) -> Checkpoint:
     widths = (header["atom_widths"], header["bond_widths"])
     if widths != (list(ATOM_FEATURE_WIDTHS), list(BOND_FEATURE_WIDTHS)):
         raise ForeignSchemaError(
-            f"{path}: checkpoint feature schema {header['schema_hash'][:12]}… does not "
+            f"checkpoint feature schema {header['schema_hash'][:12]}… does not "
             f"match this build's schema {SCHEMA_HASH[:12]}…"
         )
     if header["schema_hash"] != SCHEMA_HASH:
@@ -188,13 +179,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"array {name}: unreadable shape ({exc})") from exc
     if reader.pos != len(reader.blob):
         raise CheckpointError("trailing bytes after final array")
-    try:
-        params = from_arrays(
-            header["task_names"], header["embed_dim"], header["n_layers"],
-            header["head_hidden"], header["dropout"], loaded,
-        )
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
+    params = from_arrays(
+        header["task_names"], header["embed_dim"], header["n_layers"],
+        header["head_hidden"], header["dropout"], loaded,
+    )
     return Checkpoint(
         params=params,
         hit_directions=list(header["hit_directions"]),

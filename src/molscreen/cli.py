@@ -14,7 +14,9 @@ exit nonzero with a single JSON error line on stderr.  Commands let library
 exceptions propagate, and :data:`_FAILURES` maps each to a row of
 ``(exception type, category, exit code)``: 2 bad configuration (or out of
 memory), 3 input/output, 4 feature-schema mismatch, 5 training failure.
-Only the loaders catch, to add a path, key or task name.
+The library's loaders name their own file; here only ``_read_json``,
+``_load_meta`` and the strict ``_load_smiles`` add a path, ``_config_value``
+a configuration key and ``cmd_eval`` a task name.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .data import HIT_DIRECTIONS, DatasetError, TaskDataset, _repeated, subsample_task_labels
+from .data import HIT_DIRECTIONS, TaskDataset, _repeated, subsample_task_labels
 from .dataset_io import (
     IngestError,
-    IngestReport,
+    dataset_column,
     ingest_csv,
     read_smiles_csv,
     write_csv,
@@ -114,7 +116,7 @@ def _config_value(key: str, value):
         )
     try:
         return typ(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past float's range
         raise ConfigError(f"configuration key {key!r}: {exc}") from exc
 
 
@@ -141,17 +143,8 @@ def resolve_train_config(args, **base) -> TrainConfig:
 # ----------------------------------------------------------------------
 # shared I/O helpers
 # ----------------------------------------------------------------------
-def _ingest(path) -> tuple[TaskDataset, IngestReport]:
-    """``ingest_csv``, where a dataset check failing on what the file holds
-    is an input failure (exit 3), not a configuration one."""
-    try:
-        return ingest_csv(path)
-    except DatasetError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def _load_dataset(path) -> TaskDataset:
-    ds, report = _ingest(path)
+    ds, report = ingest_csv(path)
     if report.n_rejected:
         _print_report(path, report)
     return ds
@@ -186,17 +179,6 @@ def _print_report(path, report) -> None:
             }
         )
     )
-
-
-def _load_ckpt(path) -> Checkpoint:
-    """``load_checkpoint``, naming the file in an input failure.  A
-    ``ForeignSchemaError`` names it already and goes to ``main`` as is."""
-    try:
-        return load_checkpoint(path)
-    except ForeignSchemaError:
-        raise
-    except (OSError, CheckpointError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def _scored_tasks(ck: Checkpoint, path) -> list[str]:
@@ -235,7 +217,7 @@ def _print_seed(seed: int) -> None:
 # subcommands
 # ----------------------------------------------------------------------
 def cmd_ingest(args) -> dict:
-    ds, report = _ingest(args.input)
+    ds, report = ingest_csv(args.input)
     write_dataset_csv(args.out, ds)
     _print_report(args.input, report)
     return {
@@ -293,7 +275,7 @@ def cmd_train(args) -> dict:
 
 
 def cmd_predict(args) -> dict:
-    ck = _load_ckpt(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint)
     _print_seed(ck.seed)
     tasks = _scored_tasks(ck, args.checkpoint)
     try:  # one CSV record: a name holding a comma is quoted as in the output header
@@ -311,7 +293,7 @@ def cmd_predict(args) -> dict:
 
 
 def cmd_screen(args) -> dict:
-    ck = _load_ckpt(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint)
     _print_seed(ck.seed)
     if not 0.0 < args.top_frac < 1.0:
         raise ConfigError("--top-frac must be in (0, 1)")
@@ -339,7 +321,7 @@ def cmd_screen(args) -> dict:
 
 
 def cmd_eval(args) -> dict:
-    ck = _load_ckpt(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint)
     _print_seed(ck.seed)
     ks = args.k or []
     fracs = args.top_frac or []
@@ -380,7 +362,7 @@ def cmd_eval(args) -> dict:
 
 
 def cmd_export_embeddings(args) -> dict:
-    ck = _load_ckpt(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint)
     _print_seed(ck.seed)
     smiles, graphs = _load_smiles(args.input, strict=True)
     matrix = encode_graphs(graphs, ck.params)
@@ -390,7 +372,7 @@ def cmd_export_embeddings(args) -> dict:
 
 
 def cmd_transfer(args) -> dict:
-    ck = _load_ckpt(args.pretrained)
+    ck = load_checkpoint(args.pretrained)
     # Encoder dimensions are fixed by the pretrained model; adopt them unless
     # the user pinned conflicting values (which transfer_train rejects).
     config = resolve_train_config(
@@ -432,6 +414,8 @@ def cmd_active_learn(args) -> dict:
         acquisition=args.acquisition,
         ucb_beta=args.ucb_beta,
     )
+    if args.acquired_out:  # refuse a task name the labeled-set CSV cannot read back
+        dataset_column(args.task_name, args.hit_direction)
     check_writable(args.log_out, args.acquired_out, args.out)
     meta = _load_meta(args.meta)
     if not 0 <= args.oracle_task < meta.n_tasks:

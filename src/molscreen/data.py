@@ -35,6 +35,20 @@ class DatasetError(ValueError):
     """The dataset violates a structural requirement."""
 
 
+def check_tasks(task_names: list[str], hit_directions: list[str]) -> None:
+    """The rule every task list keeps, in a dataset or a checkpoint: the
+    names are distinct, and each task has one hit direction from
+    ``HIT_DIRECTIONS``."""
+    if len(hit_directions) != len(task_names):
+        raise DatasetError("one hit direction per task required")
+    repeated = _repeated(task_names)
+    if repeated:
+        raise DatasetError(f"task names repeat: {repeated}")
+    for d in hit_directions:
+        if d not in HIT_DIRECTIONS:
+            raise DatasetError(f"hit direction {d!r} not in {HIT_DIRECTIONS}")
+
+
 @dataclass
 class TaskDataset:
     smiles: list[str]
@@ -53,18 +67,9 @@ class TaskDataset:
                 f"{len(self.smiles)} SMILES / {len(self.graphs)} graphs "
                 f"do not match {n} label rows"
             )
-        if len(self.task_names) != t or len(self.hit_directions) != t:
-            raise DatasetError(
-                f"{t} label columns need {t} task names and hit directions"
-            )
-        repeated = sorted(_repeated(self.task_names))
-        if repeated:
-            raise DatasetError(f"task names must be distinct, repeated: {repeated}")
-        for d in self.hit_directions:
-            if d not in HIT_DIRECTIONS:
-                raise DatasetError(
-                    f"hit direction {d!r} not in {HIT_DIRECTIONS}"
-                )
+        if len(self.task_names) != t:
+            raise DatasetError(f"{t} label columns need {t} task names")
+        check_tasks(self.task_names, self.hit_directions)
         if np.isinf(self.labels).any():
             raise DatasetError("labels must be finite or NaN")
         if t == 0:

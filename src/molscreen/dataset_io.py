@@ -7,7 +7,8 @@ named ``<target>:ic50_molar`` holds molar activity values that are converted
 to their negative log10 on ingest (and the task ranks higher-is-better); a
 column named ``<target>:higher_is_better`` holds already-converted values
 that rank higher-is-better (this is how such tasks are written back).
-Plain columns rank lower-is-better (docking-score convention).  Duplicate
+Plain columns rank lower-is-better (docking-score convention).  The writer
+refuses a task whose column would not read back as that task.  Duplicate
 SMILES rows are averaged per task after conversion, and each distinct SMILES
 is featurized once.  Every data row either contributes a compound or is
 reported with its row number, in row order, so quoting is read strictly:
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .data import TaskDataset
+from .data import DatasetError, TaskDataset
 from .featurize import FeaturizedGraph, SchemaError, featurize_smiles
 from .metrics import MetricError, pchembl
 from .smiles import SmilesError
@@ -70,23 +71,28 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
-def _parse_task_header(columns) -> tuple[list[str], list[str], list[bool]]:
-    names, directions, is_activity = [], [], []
-    for col in columns:
-        col = col.strip()
-        if col.endswith(ACTIVITY_SUFFIX):
-            names.append(col[: -len(ACTIVITY_SUFFIX)])
-            directions.append("higher_is_better")
-            is_activity.append(True)
-        elif col.endswith(DIRECTION_SUFFIX):
-            names.append(col[: -len(DIRECTION_SUFFIX)])
-            directions.append("higher_is_better")
-            is_activity.append(False)
-        else:
-            names.append(col)
-            directions.append("lower_is_better")
-            is_activity.append(False)
-    return names, directions, is_activity
+def _read_column(column: str) -> tuple[str, str, bool]:
+    """A task column's header as (task name, hit direction, whether its
+    values are molar activities): the column rule, which the writer uses too."""
+    column = column.strip()
+    for suffix in (ACTIVITY_SUFFIX, DIRECTION_SUFFIX):
+        if column.endswith(suffix):
+            return column[: -len(suffix)], "higher_is_better", suffix == ACTIVITY_SUFFIX
+    return column, "lower_is_better", False
+
+
+def dataset_column(name: str, hit_direction: str) -> str:
+    """The header of the column that ``ingest_csv`` reads back as task
+    ``name`` with ``hit_direction``; a ``ValueError`` naming the task when
+    no column reads back so (a name with a reader's suffix, or with
+    surrounding whitespace)."""
+    column = name + DIRECTION_SUFFIX if hit_direction == "higher_is_better" else name
+    if _read_column(column) != (name, hit_direction, False):
+        raise ValueError(
+            f"task {name!r} cannot be written to a dataset CSV: its column {column!r} "
+            "would read back as another task"
+        )
+    return column
 
 
 def ingest_csv(path) -> tuple[TaskDataset, IngestReport]:
@@ -96,7 +102,7 @@ def ingest_csv(path) -> tuple[TaskDataset, IngestReport]:
         raise IngestError(f"{path}: first header column must be 'smiles'")
     if len(header) < 2:
         raise IngestError(f"{path}: need at least one task column")
-    task_names, directions, is_activity = _parse_task_header(header[1:])
+    task_names, directions, is_activity = (list(v) for v in zip(*map(_read_column, header[1:])))
     n_tasks = len(task_names)
 
     rejected: list[tuple[int, str]] = []
@@ -168,13 +174,16 @@ def ingest_csv(path) -> tuple[TaskDataset, IngestReport]:
         ],
         dtype=np.float64,
     )
-    ds = TaskDataset(
-        smiles=order,
-        graphs=[outcomes[smi] for smi in order],
-        labels=label_matrix,
-        task_names=task_names,
-        hit_directions=directions,
-    )
+    try:
+        ds = TaskDataset(
+            smiles=order,
+            graphs=[outcomes[smi] for smi in order],
+            labels=label_matrix,
+            task_names=task_names,
+            hit_directions=directions,
+        )
+    except DatasetError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
     return ds, report
 
 
@@ -217,10 +226,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def write_dataset_csv(path, ds: TaskDataset) -> None:
-    columns = [
-        name + DIRECTION_SUFFIX if direction == "higher_is_better" else name
-        for name, direction in zip(ds.task_names, ds.hit_directions)
-    ]
+    columns = list(map(dataset_column, ds.task_names, ds.hit_directions))
     rows = (
         [smiles] + [repr(float(v)) if np.isfinite(v) else "" for v in ds.labels[i]]
         for i, smiles in enumerate(ds.smiles)

@@ -235,6 +235,21 @@ def _check_layout_fits(n_tasks: int, d: int, n_layers: int, h: int) -> None:
     )
 
 
+def check_dimensions(embed_dim, n_layers, head_hidden, dropout) -> None:
+    """The rule every model's dimensions keep: ``embed_dim``, ``n_layers``
+    and ``head_hidden`` are positive integers (NumPy integers too, but not
+    booleans or floats such as ``2.0``) and ``0 <= dropout < 1``.  A
+    ``ValueError`` names the first field that breaks it."""
+    for name, value in (
+        ("embed_dim", embed_dim), ("n_layers", n_layers), ("head_hidden", head_hidden)
+    ):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    is_number = isinstance(dropout, (int, float)) and not isinstance(dropout, bool)
+    if not (is_number and 0.0 <= dropout < 1.0):
+        raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
+
+
 def from_arrays(
     task_names: list[str], embed_dim: int, n_layers: int, head_hidden: int, dropout: float,
     arrays: dict[str, np.ndarray],
@@ -242,14 +257,16 @@ def from_arrays(
     """The model whose arrays are ``arrays`` (``{name: array}``), taken as
     they are: nothing is copied or drawn.
 
-    The table is walked once, checking each name and shape as it goes, so
+    The dimensions are checked first (``check_dimensions``).  The table is
+    then walked once, checking each name and shape as it goes, so
     dimensions that the arrays do not hold fail at the first array that
     differs, and nothing is sized from the dimensions alone.  A missing,
     misshapen or extra array is a ``ValueError`` naming the dimensions and
     that array."""
-    params = ModelParams(
-        embed_dim=embed_dim, n_layers=n_layers, head_hidden=head_hidden, dropout=dropout,
-        task_names=list(task_names), tensors={}, state={},
+    check_dimensions(embed_dim, n_layers, head_hidden, dropout)
+    params = ModelParams(  # plain ints, so a checkpoint header can hold them
+        embed_dim=int(embed_dim), n_layers=int(n_layers), head_hidden=int(head_hidden),
+        dropout=dropout, task_names=list(task_names), tensors={}, state={},
     )
 
     unlike = (
@@ -282,6 +299,7 @@ def init_params(
 ) -> ModelParams:
     """Fresh parameters; every array draws from its own seed-derived stream,
     so adding layers or task heads never shifts the others' initial values."""
+    check_dimensions(embed_dim, n_layers, head_hidden, dropout)
     _check_layout_fits(len(task_names), embed_dim, n_layers, head_hidden)
     rows = _layout(len(task_names), embed_dim, n_layers, head_hidden)
     return from_arrays(

@@ -23,8 +23,8 @@ import numpy as np
 
 from .data import SplitMasks, TaskDataset, split_train_val
 from .engine import AdamState, NonFiniteGradientError, Tape, Tensor, adam_step, ops, rng_stream
-from .model import GraphBatch, ModelParams, _packed_chunks, gin_forward, init_params
-from .model import predict, predict_heads
+from .model import GraphBatch, ModelParams, _packed_chunks, check_dimensions, gin_forward
+from .model import init_params, predict, predict_heads
 
 
 class TrainingDiverged(RuntimeError):
@@ -58,13 +58,9 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
         if not 0.0 < self.lr < math.inf:  # false for NaN too
             raise ValueError("lr must be positive and finite")
-        for name in ("embed_dim", "n_layers", "head_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_dimensions(self.embed_dim, self.n_layers, self.head_hidden, self.dropout)
 
 
 @dataclass

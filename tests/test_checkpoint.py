@@ -139,6 +139,24 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_refusal_starts_with_the_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, sample_params(), ["lower_is_better"] * 2, seed=0)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: ")):
+            load_checkpoint(path)
+
+    def test_numpy_integer_dimensions_round_trip(self, tmp_path):
+        # every model init_params builds saves and loads again
+        params = init_params(
+            ["a"], embed_dim=np.int64(4), n_layers=np.int32(1), head_hidden=np.int64(4),
+            dropout=0,
+        )
+        save_checkpoint(tmp_path / "m.ckpt", params, ["lower_is_better"], seed=0)
+        loaded = load_checkpoint(tmp_path / "m.ckpt").params
+        dims = (loaded.embed_dim, loaded.n_layers, loaded.head_hidden, loaded.dropout)
+        assert dims == (4, 1, 4, 0)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -537,7 +555,8 @@ class TestArrayBlockFuzz:
         blob[offset - 4 - 8 * len(shape)] ^= 0xFF
         path = tmp_path / "m.ckpt"
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match=r"^array layer\.0\.edge_table\.1: "):
+        message = "^" + re.escape(f"{path}: array layer.0.edge_table.1: ")
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_flips_and_truncations_load_or_raise_checkpoint_error(self, tmp_path):

@@ -279,7 +279,7 @@ class TestIngest:
         assert code == 3
         error = only_error(err)
         assert error["error"] == "io-failure"
-        assert "repeated: ['a']" in error["message"]
+        assert error["message"] == f"{raw}: task names repeat: ['a']"
         assert not out.exists()
 
     def test_byte_order_mark_header_accepted(self, tmp_path, capsys):
@@ -397,6 +397,21 @@ class TestTrainCommand:
         error = only_error(err)
         assert error["error"] == "bad-config"
         assert "lr" in error["message"]
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("key", ["lr", "dropout", "val_fraction"])
+    def test_config_int_past_float_range_is_bad_config(self, key, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+        code, _, err = run(
+            capsys, "train", "--data", str(workdir / "data.csv"),
+            "--out", str(tmp_path / "x.ckpt"), "--mode", "mtl", "--config", str(cfg),
+            *TINY,
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert repr(key) in error["message"]
         assert not (tmp_path / "x.ckpt").exists()
 
     def test_integral_float_config_value_accepted(self, workdir, tmp_path, capsys):
@@ -1264,6 +1279,25 @@ class TestActiveLearnCommand:
         member1 = predict_graphs(graphs, result.members[1])
         np.testing.assert_array_equal(saved.view(np.int64), member0.view(np.int64))
         assert not np.array_equal(saved, member1)
+
+    def test_task_name_that_cannot_read_back_refused_before_training(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("training started despite an unwritable task name")
+
+        monkeypatch.setattr("molscreen.cli.al_run", unreachable)
+        code, stdout, err = run(
+            capsys, "active-learn", "--pool", str(workdir / "data.csv"),
+            "--meta", str(workdir / "meta.json"), "--budget", "20", "--rounds", "2",
+            "--task-name", "dock:higher_is_better", "--log-out", str(tmp_path / "al.csv"),
+            "--acquired-out", str(tmp_path / "acq.csv"), "--out", str(tmp_path / "al.ckpt"),
+        )
+        assert code == 2
+        error = only_error(err)
+        assert error["error"] == "bad-config"
+        assert "'dock:higher_is_better'" in error["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_budget_beyond_pool(self, workdir, tmp_path, capsys):
         code, _, _ = run(

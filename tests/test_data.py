@@ -64,7 +64,7 @@ class TestTaskDataset:
             )
 
     def test_repeated_task_name_rejected(self):
-        with pytest.raises(DatasetError, match=r"repeated: \['a'\]"):
+        with pytest.raises(DatasetError, match=r"task names repeat: \['a'\]"):
             TaskDataset.from_smiles(
                 ["C", "CC"],
                 np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
@@ -80,7 +80,7 @@ class TestTaskDataset:
         start = time.perf_counter()
         TaskDataset.from_smiles(["C"], labels, names, ["lower_is_better"] * len(names))
         assert time.perf_counter() - start < 2.0
-        with pytest.raises(DatasetError, match=r"repeated: \['t1', 't7'\]$"):
+        with pytest.raises(DatasetError, match=r"task names repeat: \['t1', 't7'\]$"):
             TaskDataset.from_smiles(
                 ["C"], labels, names[:-3] + ["t7", "t1", "t7"], ["lower_is_better"] * len(names)
             )

@@ -1,8 +1,11 @@
 """CSV dataset ingestion: labels, activity conversion, error reporting."""
 
+import re
+
 import numpy as np
 import pytest
 
+from molscreen.data import TaskDataset
 from molscreen.dataset_io import (
     IngestError,
     ingest_csv,
@@ -166,6 +169,12 @@ class TestIngestErrors:
         with pytest.raises(IngestError):
             ingest_csv(path)
 
+    def test_repeated_task_names_the_file(self, tmp_path):
+        path = write(tmp_path, "smiles,a,a:ic50_molar\nCCO,-7.1,1e-6\n")
+        message = "^" + re.escape(f"{path}: task names repeat: ['a']")
+        with pytest.raises(IngestError, match=message):
+            ingest_csv(path)
+
     @pytest.mark.parametrize("reader", [ingest_csv, read_smiles_csv])
     def test_non_utf8_bytes_name_the_file(self, tmp_path, reader):
         path = tmp_path / "latin1.csv"
@@ -312,4 +321,29 @@ class TestHitDirectionRoundTrip:
         assert out.read_text().splitlines()[0] == "smiles,dock,act:higher_is_better"
         back, _ = ingest_csv(out)
         assert back.hit_directions == ds.hit_directions
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize(
+        "name,direction",
+        [
+            ("dock:higher_is_better", "lower_is_better"),
+            ("act:ic50_molar", "lower_is_better"),
+            (" dock", "higher_is_better"),
+        ],
+    )
+    def test_name_that_cannot_read_back_refused(self, tmp_path, name, direction):
+        ds = TaskDataset.from_smiles(["CCO"], np.array([[1.0]]), [name], [direction])
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(f"task {name!r}")):
+            write_dataset_csv(out, ds)
+        assert not out.exists()
+
+    def test_suffixed_higher_is_better_name_round_trips(self, tmp_path):
+        names = ["dock:higher_is_better", "act:ic50_molar"]
+        ds = TaskDataset.from_smiles(
+            ["CCO"], np.array([[1.0, 2.0]]), names, ["higher_is_better"] * 2
+        )
+        write_dataset_csv(tmp_path / "out.csv", ds)
+        back, _ = ingest_csv(tmp_path / "out.csv")
+        assert (back.task_names, back.hit_directions) == (names, ds.hit_directions)
         np.testing.assert_array_equal(back.labels, ds.labels)

@@ -55,6 +55,17 @@ def node_row_sum(params, row):
 
 
 class TestInit:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_layers", 0), ("head_hidden", 0), ("dropout", 1.5), ("embed_dim", 0)],
+    )
+    def test_bad_dimension_refused_by_name(self, field, value):
+        # each would save a checkpoint that loading refuses; embed_dim=0
+        # divided by zero in the Glorot draw
+        dims = {"embed_dim": 4, "n_layers": 1, "head_hidden": 4, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            init_params(["a"], **dims)
+
     def test_deterministic(self):
         a = init_params(["t0"], embed_dim=8, n_layers=2, seed=3)
         b = init_params(["t0"], embed_dim=8, n_layers=2, seed=3)
